@@ -132,19 +132,25 @@ def _metric_from_section(parser, section, n, shape, coords):
         return gamma
     scalar = _field_from_section(parser, section, n, shape, coords)
     if scalar is None:
-        return np.broadcast_to(np.eye(n), shape + (n, n)).copy()
-    if np.any(scalar <= 0):
-        raise ConfigError(f"config.parse_config: [{section}] expression: scalar metric must be positive")
+        # one matrix, not a field: its spectrum is then computed once
+        return np.eye(n)
+    _check_positive(scalar, f"[{section}] expression: scalar metric")
     return scalar[..., None, None] * np.eye(n)
 
 
-def _options(parser, gamma):
+def _check_positive(values, label):
+    if not (np.all(np.isfinite(values)) and np.all(values > 0)):
+        raise ConfigError(f"config.parse_config: {label} must be finite and strictly positive")
+
+
+def _options(parser, min_eig):
+    """Solver options; ``min_eig`` is the least eigenvalue of the metric
+    that the ``epsilon`` floor is relative to."""
     tol = parser.getfloat("solver", "tol", fallback=1e-10)
     max_iter = parser.getint("solver", "max_iter", fallback=50)
     kwargs = dict(tolerance=tol, max_iterations=max_iter)
     if parser.has_option("solver", "epsilon"):
         floor = parser.getfloat("solver", "epsilon")
-        min_eig = float(np.linalg.eigvalsh(gamma)[..., 0].min())
         if floor <= 0 or floor >= min_eig:
             raise ConfigError(
                 "config.parse_config: [solver] epsilon: floor must lie in (0, min eig of beta)"
@@ -156,7 +162,21 @@ def _options(parser, gamma):
         raise ConfigError(f"config.parse_config: [solver]: {exc}") from None
 
 
-def _bounds(parser, gamma_fields):
+def _eig_range(gamma):
+    eigs = np.linalg.eigvalsh(gamma)
+    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+
+
+def _check_range(bounds, lo, hi):
+    c = bounds.c_beta_omega
+    if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
+        raise ConfigError(
+            "config.parse_config: [bounds] c_beta_omega: declared constant "
+            f"{c} below the metric eigenvalue range [{lo:.4g}, {hi:.4g}]"
+        )
+
+
+def _bounds(parser):
     kwargs = {}
     if parser.has_section("bounds"):
         for key, attr in (
@@ -168,19 +188,9 @@ def _bounds(parser, gamma_fields):
             if parser.has_option("bounds", key):
                 kwargs[attr] = parser.getfloat("bounds", key)
     try:
-        bounds = DeclaredBounds(**kwargs)
+        return DeclaredBounds(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"config.parse_config: [bounds]: {exc}") from None
-    c = bounds.c_beta_omega
-    for gamma in gamma_fields:
-        eigs = np.linalg.eigvalsh(gamma)
-        lo, hi = float(eigs[..., 0].min()), float(eigs[..., -1].max())
-        if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
-            raise ConfigError(
-                "config.parse_config: [bounds] c_beta_omega: declared constant "
-                f"{c} below the metric eigenvalue range [{lo:.4g}, {hi:.4g}]"
-            )
-    return bounds
 
 
 def is_family_config(path):
@@ -197,17 +207,17 @@ def parse_config(path):
     f0 = _field_from_section(parser, "density", n, shape, coords)
     if f0 is None:
         f0 = np.ones(shape)
-    if np.any(f0 <= 0):
-        raise ConfigError("config.parse_config: [density]: density must be strictly positive")
+    _check_positive(f0, "[density]: density")
+    bounds = _bounds(parser)
 
     if not parser.has_section("family"):
-        bounds = _bounds(parser, [gamma0])
-        options = _options(parser, gamma0)
         try:
-            problem = TorusProblem(gamma=gamma0, f=f0, options=options)
+            problem = TorusProblem(gamma=gamma0, f=f0)
         except DomainError as exc:
             raise ConfigError(f"config.parse_config: [beta]: {exc}") from None
-        return problem
+        lo, hi = problem.gamma_eig_range
+        _check_range(bounds, lo, hi)
+        return problem.with_options(_options(parser, lo))
 
     raw = parser.get("family", "t_values", fallback="0,0.1,0.2,0.3,0.4,0.5")
     try:
@@ -218,10 +228,14 @@ def parse_config(path):
     f1 = _field_from_section(parser, "density1", n, shape, coords)
     if f1 is None:
         f1 = f0
-    if np.any(f1 <= 0):
-        raise ConfigError("config.parse_config: [density1]: density must be strictly positive")
-    bounds = _bounds(parser, [gamma0, gamma1])
-    options = _options(parser, gamma0)
+    _check_positive(f1, "[density1]: density")
+    ranges = {}
+    for section, gamma in (("beta", gamma0), ("beta1", gamma1)):
+        if not np.all(np.isfinite(gamma)):
+            raise ConfigError(f"config.parse_config: [{section}]: metric must be finite")
+        ranges[section] = _eig_range(gamma)
+        _check_range(bounds, *ranges[section])
+    options = _options(parser, ranges["beta"][0])
     try:
         return FamilySpec(
             gamma0=gamma0, gamma1=gamma1, f0=f0, f1=f1,

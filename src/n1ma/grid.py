@@ -137,22 +137,25 @@ def complex_hessian(u):
     """Complex Hessian of the reduction: one quarter of the real Hessian.
 
     Returns a symmetric matrix field of shape ``u.shape + (d, d)``, computed
-    spectrally; exact at the grid points for band-limited u.
+    spectrally; exact at the grid points for band-limited u.  The storage is
+    component-major: the result is a view of a ``(d, d) + u.shape`` buffer,
+    so ``np.moveaxis(h, (-2, -1), (0, 1))`` is contiguous and copy-free.
     """
     u = np.asarray(u, dtype=float)
     shape = _validate_shape(u.shape)
     k, kd = _wavenumbers(shape)
     uh = np.fft.rfftn(u)
     d = u.ndim
-    out = np.empty(u.shape + (d, d))
+    buf = np.empty((d, d) + shape)
     for i in range(d):
         for j in range(i, d):
-            mult = -(k[i] * k[j]) if i == j else -(kd[i] * kd[j])
-            block = np.fft.irfftn(mult * uh, s=shape, axes=range(len(shape))) * 0.25
-            out[..., i, j] = block
+            # the quarter is a power of two, so scaling the multiplier
+            # instead of the block changes no bit
+            mult = -0.25 * (k[i] * k[j] if i == j else kd[i] * kd[j])
+            np.fft.irfftn(mult * uh, s=shape, axes=range(d), out=buf[i, j])
             if i != j:
-                out[..., j, i] = block
-    return out
+                buf[j, i] = buf[i, j]
+    return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
 def random_band_limited(rng, shape, max_mode=3, amplitude=1.0):
@@ -204,7 +207,12 @@ def read_field(path):
         shape = struct.unpack_from(f"<{ndim}I", header, 12)
         payload = fh.read()
     count = int(np.prod(shape))
-    arr = np.frombuffer(payload, dtype="<f8", count=count).reshape(shape)
+    if len(payload) != 8 * count:
+        raise DomainError(
+            f"grid.read_field: {path}: payload of {len(payload)} bytes, "
+            f"expected {8 * count} for shape {shape}"
+        )
+    arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return arr.astype(float)
 
 

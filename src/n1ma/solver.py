@@ -14,12 +14,24 @@ shifted to ``sup u = 0``.
 The Newton correction solves the exact linearization of the log-form residual
 with GMRES, preconditioned by the constant-coefficient symbol of the mean
 linearization tensor.  A backtracking line search enforces both residual
-decrease and an eigenvalue floor on alpha; if the cone cannot be entered from
+decrease and a positivity floor on alpha; if the cone cannot be entered from
 u = 0 directly, a homotopy from the solvable density det(Gamma) is attempted.
+
+The pointwise linear algebra of a Newton step uses no eigenvalues.  The cone
+test ``alpha - floor I > 0`` is decided by the Sylvester leading minors in
+closed form for n = 3 and by batched Cholesky factorizations for n > 3; the
+same algebra gives ``log det alpha``.  The linearization tensor
+``((tr A) I - A) / (n - 1)`` with ``A = alpha^-1`` is built from the adjugate
+for n = 3 (``A = adj(alpha) / det(alpha)``) and from a batched inverse for
+n > 3.  Its eigenvalues are ``hat(1 / eig alpha) / (n - 1)``, positive
+whenever alpha is, so ellipticity needs no separate check.  Matrix fields keep
+the public shape ``grid + (n, n)`` but are stored component-major, as views of
+``(n, n) + grid`` buffers, so every entry is a contiguous grid field.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -63,31 +75,36 @@ class TorusProblem:
     """Discretized problem data: background field Gamma and density f."""
 
     gamma: np.ndarray  # shape grid + (n, n), symmetric positive definite
-    f: np.ndarray      # shape grid, strictly positive
+    f: np.ndarray      # shape grid, finite and strictly positive
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        f = np.asarray(getattr(self.f, "data", self.f), dtype=float)
-        shape = _validate_shape(f.shape)
+        f = _checked_density(self.f)
+        shape = f.shape
         n = len(shape)
         gamma = np.asarray(self.gamma, dtype=float)
         if gamma.shape == (n, n):
-            gamma = np.broadcast_to(gamma, shape + (n, n)).copy()
-        if gamma.shape != shape + (n, n):
+            stored = np.empty((n, n) + shape)
+            stored[...] = gamma.reshape((n, n) + (1,) * n)
+        elif gamma.shape == shape + (n, n):
+            stored = np.ascontiguousarray(_component_major(gamma))
+        else:
             raise DomainError(
                 f"TorusProblem: gamma shape {gamma.shape}, expected {shape + (n, n)}"
             )
-        if not np.allclose(gamma, np.swapaxes(gamma, -1, -2)):
+        if not np.all(np.isfinite(stored)):
+            raise DomainError("TorusProblem: gamma must be finite")
+        if not np.allclose(stored, stored.swapaxes(0, 1)):
             raise DomainError("TorusProblem: gamma must be symmetric")
+        # a constant background needs the spectrum of one matrix only
         gamma_eigs = np.linalg.eigvalsh(gamma)
-        if gamma_eigs[..., 0].min() <= 0:
+        lo, hi = float(gamma_eigs[..., 0].min()), float(gamma_eigs[..., -1].max())
+        if not lo > 0:
             raise DomainError("TorusProblem: gamma must be positive definite on the grid")
-        if f.min() <= 0:
-            raise DomainError("TorusProblem: density must be strictly positive")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", _grid_major(stored))
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_min_gamma_eig", float(gamma_eigs[..., 0].min()))
-        object.__setattr__(self, "_max_gamma_eig", float(gamma_eigs[..., -1].max()))
+        object.__setattr__(self, "_min_gamma_eig", lo)
+        object.__setattr__(self, "_max_gamma_eig", hi)
 
     @property
     def n(self):
@@ -106,7 +123,29 @@ class TorusProblem:
         return self._min_gamma_eig, self._max_gamma_eig
 
     def with_density(self, f):
-        return dataclasses.replace(self, f=np.asarray(f, dtype=float))
+        f = _checked_density(f)
+        if f.shape != self.shape:
+            raise DomainError(f"TorusProblem: density shape {f.shape}, expected {self.shape}")
+        return self._evolve(f=f)
+
+    def with_options(self, options):
+        return self._evolve(options=options)
+
+    def _evolve(self, **changes):
+        """A copy with ``changes`` applied; the validated gamma and its
+        spectrum are shared, not recomputed."""
+        new = copy.copy(self)
+        for name, value in changes.items():
+            object.__setattr__(new, name, value)
+        return new
+
+
+def _checked_density(f):
+    f = np.asarray(getattr(f, "data", f), dtype=float)
+    _validate_shape(f.shape)
+    if not (np.all(np.isfinite(f)) and np.all(f > 0)):
+        raise DomainError("TorusProblem: density must be finite and strictly positive")
+    return f
 
 
 @dataclass(frozen=True)
@@ -133,29 +172,75 @@ def _as_field(u):
     return u.data if hasattr(u, "data") and not isinstance(u, np.ndarray) else np.asarray(u, dtype=float)
 
 
+def _component_major(a):
+    """The ``(n, n) + grid`` view of a ``grid + (n, n)`` matrix field."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+def _grid_major(a):
+    """The ``grid + (n, n)`` view of a ``(n, n) + grid`` matrix field."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _trace_free_part(m, scale):
+    """``((tr m) I - m) * scale`` for a component-major field m, stored
+    component-major; ``scale`` is a number or a grid field."""
+    n = m.shape[0]
+    tr = sum(m[i, i] for i in range(n))
+    out = np.multiply(m, -scale, out=np.empty(m.shape))
+    for i in range(n):
+        out[i, i] = (tr - m[i, i]) * scale
+    return out
+
+
 def alpha_field(problem, u):
     """The matrix field Gamma + ((trace H) I - H) / (n - 1) for the field u."""
-    h = complex_hessian(_as_field(u))
-    return _alpha_from_hessian(problem, h)
+    h = _component_major(complex_hessian(_as_field(u)))
+    alpha = _trace_free_part(h, 1.0 / (problem.n - 1))
+    alpha += _component_major(problem.gamma)
+    return _grid_major(alpha)
 
 
-def _alpha_from_hessian(problem, h):
-    n = problem.n
-    tr = np.trace(h, axis1=-2, axis2=-1)
-    eye = np.eye(n)
-    return problem.gamma + (tr[..., None, None] * eye - h) / (n - 1)
+def _det3(a00, a11, a22, a01, a02, a12):
+    """Determinant of symmetric 3x3 matrices given by their entries."""
+    return a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02)
 
 
-def _alpha_state(problem, u):
-    """(alpha, eigenvalues, log det) with a positivity check."""
+def _log_det_above(alpha, floor):
+    """``log det alpha`` if ``alpha - floor I`` is positive definite at every
+    grid point, else None; NaN entries fail the test.
+
+    n = 3 decides by the leading minors of ``alpha - floor I`` (Sylvester's
+    criterion) in closed form; n > 3 by batched Cholesky factorizations,
+    which fail off the cone.  Every comparison is ``x > 0`` so NaN fails.
+    """
+    a = _component_major(alpha)
+    n = a.shape[0]
+    if n == 3:
+        b00, b11, b22 = a[0, 0] - floor, a[1, 1] - floor, a[2, 2] - floor
+        minors = (b00, b00 * b11 - a[0, 1] * a[0, 1], _det3(b00, b11, b22, a[0, 1], a[0, 2], a[1, 2]))
+        if not all(np.all(m > 0) for m in minors):
+            return None
+        return np.log(_det3(a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]))
+    shifted = [alpha - floor * np.eye(n)] if floor else []
+    try:
+        factors = [np.linalg.cholesky(m) for m in shifted + [alpha]]
+    except np.linalg.LinAlgError:
+        return None
+    diagonals = [np.diagonal(fac, axis1=-2, axis2=-1) for fac in factors]
+    if not all(np.all(d > 0) for d in diagonals):
+        return None
+    return 2.0 * np.log(diagonals[-1]).sum(axis=-1)
+
+
+def _alpha_state(problem, u, floor):
+    """``(alpha, log det alpha)`` for the field u; raises PositivityError
+    unless ``alpha - floor I`` is positive definite on the whole grid."""
     alpha = alpha_field(problem, u)
-    eigs = np.linalg.eigvalsh(alpha)
-    min_eig = float(eigs[..., 0].min())
-    if min_eig <= 0:
-        raise PositivityError(
-            f"solver: alpha lost positive definiteness (min eigenvalue {min_eig:.3e})"
-        )
-    return alpha, eigs, np.log(eigs).sum(axis=-1), min_eig
+    logdet = _log_det_above(alpha, floor)
+    if logdet is None:
+        raise PositivityError(f"solver: alpha is not above {floor:.3e} I on the whole grid")
+    return alpha, logdet
 
 
 def residual(problem, u, log_c):
@@ -164,22 +249,36 @@ def residual(problem, u, log_c):
     Raises PositivityError when alpha_u is not positive definite somewhere;
     the caller is expected to damp its step.
     """
-    _, _, logdet, _ = _alpha_state(problem, u)
+    _, logdet = _alpha_state(problem, u, 0.0)
     return logdet - log_c - np.log(problem.f)
 
 
-def _linearization_tensor(problem, alpha):
-    """Coefficient tensor of the linearized operator, positive definite."""
-    n = problem.n
-    ainv = np.linalg.inv(alpha)
-    tr = np.trace(ainv, axis1=-2, axis2=-1)
-    return (tr[..., None, None] * np.eye(n) - ainv) / (n - 1)
+def _linearization_tensor(alpha):
+    """Coefficient tensor ``((tr A) I - A) / (n - 1)``, ``A = alpha^-1``, of
+    the linearized operator; positive definite wherever alpha is.
+
+    For n = 3, ``A = adj(alpha) / det(alpha)`` with the cofactors in closed
+    form; for n > 3 a batched inverse.
+    """
+    a = _component_major(alpha)
+    n = a.shape[0]
+    if n == 3:
+        adj = np.empty(a.shape)
+        adj[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2]
+        adj[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2]
+        adj[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+        adj[0, 1] = adj[1, 0] = a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2]
+        adj[0, 2] = adj[2, 0] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
+        adj[1, 2] = adj[2, 1] = a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]
+        det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[0, 1] + a[0, 2] * adj[0, 2]
+        return _grid_major(_trace_free_part(adj, 1.0 / ((n - 1) * det)))
+    return _grid_major(_trace_free_part(_component_major(np.linalg.inv(alpha)), 1.0 / (n - 1)))
 
 
 def linearized_apply(problem, u, v):
     """Directional derivative of ``log det alpha_u`` in the direction v."""
-    alpha, _, _, _ = _alpha_state(problem, u)
-    theta = _linearization_tensor(problem, alpha)
+    alpha, _ = _alpha_state(problem, u, 0.0)
+    theta = _linearization_tensor(alpha)
     hv = complex_hessian(_as_field(v))
     return np.einsum("...ij,...ij->...", theta, hv)
 
@@ -215,14 +314,9 @@ def _newton_loop(problem, u0):
     history = []
 
     try:
-        alpha, eigs, logdet, min_eig = _alpha_state(problem, u)
+        alpha, logdet = _alpha_state(problem, u, floor)
     except PositivityError as exc:
-        raise ConeExitError(f"solver.newton_solve: {exc}", history) from None
-    if min_eig < floor:
-        raise ConeExitError(
-            f"solver.newton_solve: initial iterate below positivity floor ({min_eig:.3e} < {floor:.3e})",
-            history,
-        )
+        raise ConeExitError(f"solver.newton_solve: initial iterate: {exc}", history) from None
     log_c = float((logdet - logf).mean())
     res_field = logdet - log_c - logf
     res = float(np.abs(res_field).max())
@@ -232,12 +326,7 @@ def _newton_loop(problem, u0):
         if res <= opts.tolerance:
             return u, log_c, history, iteration, True, None
 
-        theta = _linearization_tensor(problem, alpha)
-        theta_min = float(np.linalg.eigvalsh(theta)[..., 0].min())
-        if theta_min <= 0:
-            raise PositivityError(
-                f"solver: linearization lost ellipticity (min eigenvalue {theta_min:.3e})"
-            )
+        theta = _linearization_tensor(alpha)
 
         def matvec(vflat):
             v = vflat.reshape(shape)
@@ -274,11 +363,8 @@ def _newton_loop(problem, u0):
         for _ in range(opts.max_backtracks + 1):
             trial = u + step * delta
             try:
-                alpha_t, eigs_t, logdet_t, min_eig_t = _alpha_state(problem, trial)
+                alpha_t, logdet_t = _alpha_state(problem, trial, floor)
             except PositivityError:
-                step *= 0.5
-                continue
-            if min_eig_t < floor:
                 step *= 0.5
                 continue
             log_c_t = float((logdet_t - logf).mean())
@@ -286,7 +372,7 @@ def _newton_loop(problem, u0):
             res_t = float(np.abs(res_field_t).max())
             if res_t < res:
                 u = trial - trial.mean()
-                alpha, eigs, logdet = alpha_t, eigs_t, logdet_t
+                alpha = alpha_t
                 log_c, res_field, res = log_c_t, res_field_t, res_t
                 accepted = True
                 break
@@ -334,7 +420,7 @@ def newton_solve(problem, u0=None):
     # Homotopy from the exactly solvable density det(Gamma) (u = 0, c = 1).
     steps = problem.options.homotopy_steps
     log_target = np.log(problem.f)
-    log_base = np.log(np.linalg.eigvalsh(problem.gamma)).sum(axis=-1)
+    log_base = _log_det_above(problem.gamma, 0.0)
     u = np.zeros(problem.shape)
     outcome = None
     for s in np.linspace(1.0 / steps, 1.0, steps):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 
 from n1ma.cli import main
-from n1ma.grid import read_field
+from n1ma.grid import read_field, write_field
 
 FLAT = """
 [problem]
@@ -78,6 +78,22 @@ expression = exp(0.8*cos(x1)*cos(x3))
     def test_family_config_rejected(self, tmp_path):
         cfg = write(tmp_path, FAMILY)
         assert main(["solve", "-c", cfg, "-o", str(tmp_path / "o")]) == 5
+
+    def test_nan_density_exit_code(self, tmp_path):
+        # log of a negative cosine is NaN: rejected at the config boundary
+        cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 16\n[density]\nexpression = exp(log(cos(x1)))\n")
+        with np.errstate(invalid="ignore"):
+            assert main(["solve", "-c", cfg, "-o", str(tmp_path / "o")]) == 5
+
+    def test_bad_density_file_sizes_exit_code(self, tmp_path):
+        good = tmp_path / "good.n1ma"
+        write_field(good, np.ones((16, 16, 16)))
+        raw = good.read_bytes()
+        for name, payload in (("truncated", raw[:1000]), ("trailing", raw + b"\x00" * 8)):
+            field = tmp_path / f"{name}.n1ma"
+            field.write_bytes(payload)
+            cfg = write(tmp_path, f"[problem]\nn = 3\ngrid = 16\n[density]\nfile = {field}\n", f"{name}.ini")
+            assert main(["solve", "-c", cfg, "-o", str(tmp_path / name)]) == 5, name
 
 
 class TestVerify:

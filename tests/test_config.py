@@ -116,6 +116,28 @@ c_beta_omega = 2
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize("section,key,expr", [
+        ("density", "expression", "exp(log(cos(x1)))"),
+        ("beta", "expression", "exp(log(cos(x1)))"),
+        ("beta", "e12", "log(cos(x1))"),
+    ])
+    def test_nonfinite_fields_rejected(self, tmp_path, section, key, expr):
+        path = write(tmp_path, f"[problem]\ngrid = 16\n[{section}]\n{key} = {expr}\n")
+        with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            parse_config(path)
+
+    def test_nonfinite_family_endpoint_rejected(self, tmp_path):
+        path = write(tmp_path, """
+[problem]
+grid = 16
+[family]
+t_values = 0, 0.5
+[beta1]
+e11 = exp(log(cos(x1)))
+""")
+        with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match=r"\[beta1\]"):
+            parse_config(path)
+
     def test_epsilon_override(self, tmp_path):
         path = write(tmp_path, """
 [problem]

@@ -132,6 +132,15 @@ class TestFieldIO:
         with pytest.raises(DomainError):
             read_field(path)
 
+    def test_payload_size_enforced(self, tmp_path):
+        path = tmp_path / "field.n1ma"
+        write_field(path, np.zeros((8, 8, 8)))
+        raw = path.read_bytes()
+        for payload in (raw[:-8], raw[:40], raw + b"\x00" * 8):
+            path.write_bytes(payload)
+            with pytest.raises(DomainError):
+                read_field(path)
+
     def test_csv_export(self, tmp_path):
         data = np.arange(8**3, dtype=float).reshape(8, 8, 8)
         path = tmp_path / "field.csv"

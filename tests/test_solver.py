@@ -37,6 +37,39 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             TorusProblem(gamma=gamma, f=np.ones(SHAPE))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_density(self, bad):
+        f = np.ones(SHAPE)
+        f[1, 2, 3] = bad
+        with pytest.raises(DomainError):
+            TorusProblem(gamma=np.eye(3), f=f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_gamma(self, bad):
+        gamma = np.broadcast_to(np.eye(3), SHAPE + (3, 3)).copy()
+        gamma[1, 2, 3, 0, 0] = bad
+        with pytest.raises(DomainError):
+            TorusProblem(gamma=gamma, f=np.ones(SHAPE))
+
+    def test_with_density_validates_density_only(self):
+        problem = flat_problem(SHAPE)
+        with pytest.raises(DomainError):
+            problem.with_density(np.full(SHAPE, np.nan))
+        with pytest.raises(DomainError):
+            problem.with_density(np.ones((8, 8, 8)))
+        staged = problem.with_density(np.full(SHAPE, 2.0))
+        assert staged.gamma is problem.gamma
+        assert staged.gamma_eig_range == problem.gamma_eig_range
+        assert np.all(staged.f == 2.0) and np.all(problem.f == 1.0)
+
+    def test_gamma_stored_component_major(self):
+        gamma = np.broadcast_to(np.eye(3), SHAPE + (3, 3)).copy()
+        gamma[..., 0, 1] = gamma[..., 1, 0] = 0.1
+        problem = TorusProblem(gamma=gamma, f=np.ones(SHAPE))
+        assert problem.gamma.shape == SHAPE + (3, 3)
+        assert np.array_equal(problem.gamma, gamma)
+        assert np.moveaxis(problem.gamma, (-2, -1), (0, 1)).flags.c_contiguous
+
 
 class TestAlphaField:
     def test_zero_field_returns_background(self):
@@ -131,8 +164,13 @@ class TestLinearization:
 
         problem, u_star = manufactured_problem(0.4, SHAPE)
         alpha = alpha_field(problem, u_star)
-        theta = _linearization_tensor(problem, alpha)
-        assert np.linalg.eigvalsh(theta)[..., 0].min() > 0
+        theta = _linearization_tensor(alpha)
+        theta_eigs = np.linalg.eigvalsh(theta)
+        assert theta_eigs[..., 0].min() > 0
+        # eig(theta) = hat(1 / eig(alpha)) / (n - 1): positive wherever alpha
+        # is, which is why the Newton loop makes no ellipticity check
+        expected = np.sort(hat_transform(1.0 / np.linalg.eigvalsh(alpha)) / (problem.n - 1), axis=-1)
+        assert np.abs(theta_eigs - expected).max() <= 1e-12
 
 
 class TestNewtonSolve:
