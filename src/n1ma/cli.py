@@ -146,7 +146,7 @@ def cmd_verify(args):
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_CONE
     if not result.converged:
-        print("verify: solver did not converge", file=sys.stderr)
+        print(f"verify: solver did not converge ({result.failure})", file=sys.stderr)
         return EXIT_MAXITER
 
     audit = audit_solve(problem, result)

@@ -219,8 +219,13 @@ def read_field(path):
 def field_to_csv(path, data):
     """Flatten a field to CSV rows ``i1,...,id,value``."""
     arr = np.asarray(data, dtype=float)
-    d = arr.ndim
+    # "i2,...,id," for every point of a slab arr[i1], in C order
+    tails = [""]
+    for size in arr.shape[1:]:
+        tails = [t + f"{i}," for t in tails for i in range(size)]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(f"i{k + 1}" for k in range(d)) + ",value\n")
-        for idx in np.ndindex(arr.shape):
-            fh.write(",".join(str(i) for i in idx) + f",{float(arr[idx])!r}\n")
+        fh.write(",".join(f"i{k + 1}" for k in range(arr.ndim)) + ",value\n")
+        # one join per slab, whose separator carries the leading index
+        for i1, slab in enumerate(arr):
+            head = f"{i1},"
+            fh.write(head + f"\n{head}".join(map(str.__add__, tails, map(repr, slab.ravel().tolist()))) + "\n")

@@ -12,10 +12,15 @@ the grid mean of ``log det alpha_u - log f``, and the returned solution is
 shifted to ``sup u = 0``.
 
 The Newton correction solves the exact linearization of the log-form residual
-with GMRES, preconditioned by the constant-coefficient symbol of the mean
-linearization tensor.  A backtracking line search enforces both residual
-decrease and a positivity floor on alpha; if the cone cannot be entered from
-u = 0 directly, a homotopy from the solvable density det(Gamma) is attempted.
+with GMRES, right-preconditioned by the inverse constant-coefficient symbol of
+the mean linearization tensor, so GMRES minimizes the true linear residual.
+Each correction is solved only as far as the outer iteration needs: its
+relative tolerance is an Eisenstat-Walker forcing term that follows the sup
+residual, between ``krylov_rtol`` and 1e-4.  A correction whose true relative
+residual exceeds 1e-3 ends the solve with the failure ``"krylov"``.  A
+backtracking line search enforces both residual decrease and a positivity
+floor on alpha; if the cone cannot be entered from u = 0 directly, a homotopy
+from the solvable density det(Gamma) is attempted.
 
 The pointwise linear algebra of a Newton step uses no eigenvalues.  The cone
 test ``alpha - floor I > 0`` is decided by the Sylvester leading minors in
@@ -27,6 +32,12 @@ n > 3.  Its eigenvalues are ``hat(1 / eig alpha) / (n - 1)``, positive
 whenever alpha is, so ellipticity needs no separate check.  Matrix fields keep
 the public shape ``grid + (n, n)`` but are stored component-major, as views of
 ``(n, n) + grid`` buffers, so every entry is a contiguous grid field.
+
+The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
+eigenvalues, certified from a subset of the grid: a Gershgorin and
+trace/Frobenius enclosure of every point's spectrum rules out the points that
+cannot attain the extreme, and ``eigvalsh`` runs on the rest.  The values are
+bitwise those of ``eigvalsh`` over the whole grid.
 """
 
 from __future__ import annotations
@@ -54,6 +65,16 @@ __all__ = [
     "manufactured_problem",
 ]
 
+# Loosest relative GMRES tolerance of a Newton correction: ten times inside
+# the 1e-3 true relative residual above which a correction is rejected.
+_FORCING_CAP = 1e-4
+
+# Certified diagnostics: eigvalsh first runs on this many points of most
+# extreme eigenvalue bound; the bounds are widened by this many ulps of the
+# field's largest |entry| per matrix entry.
+_PROBE_POINTS = 64
+_SLACK_ULPS = 64
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -61,7 +82,7 @@ class SolverOptions:
     max_iterations: int = 50
     max_backtracks: int = 40
     positivity_scale: float = 1e-6  # floor = scale * min eigenvalue of Gamma
-    krylov_rtol: float = 1e-10
+    krylov_rtol: float = 1e-10  # tightest GMRES tolerance (see _forcing_term)
     krylov_maxiter: int = 200
     homotopy_steps: int = 8
 
@@ -193,12 +214,16 @@ def _trace_free_part(m, scale):
     return out
 
 
-def alpha_field(problem, u):
-    """The matrix field Gamma + ((trace H) I - H) / (n - 1) for the field u."""
-    h = _component_major(complex_hessian(_as_field(u)))
-    alpha = _trace_free_part(h, 1.0 / (problem.n - 1))
+def _alpha_from_hessian(problem, h):
+    """Gamma + ((trace h) I - h) / (n - 1) for a Hessian field h."""
+    alpha = _trace_free_part(_component_major(h), 1.0 / (problem.n - 1))
     alpha += _component_major(problem.gamma)
     return _grid_major(alpha)
+
+
+def alpha_field(problem, u):
+    """The matrix field Gamma + ((trace H) I - H) / (n - 1) for the field u."""
+    return _alpha_from_hessian(problem, complex_hessian(_as_field(u)))
 
 
 def _det3(a00, a11, a22, a01, a02, a12):
@@ -302,6 +327,17 @@ def _preconditioner(shape, theta_mean):
     return apply
 
 
+def _forcing_term(res, opts):
+    """Relative GMRES tolerance for a Newton correction at sup residual res.
+
+    Eisenstat-Walker forcing: eta ~ res keeps the outer convergence quadratic,
+    the ``0.1 tol / res`` floor stops the last correction from solving below
+    what the outer tolerance needs, and the clamp keeps eta inside
+    ``[krylov_rtol, _FORCING_CAP]``.
+    """
+    return max(opts.krylov_rtol, min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res)))
+
+
 def _newton_loop(problem, u0):
     opts = problem.options
     shape = problem.shape
@@ -339,22 +375,22 @@ def _newton_loop(problem, u0):
             (size, size), matvec=_preconditioner(shape, theta.mean(axis=tuple(range(len(shape))))), dtype=float
         )
         rhs = -res_field.ravel()
-        delta_flat, _ = gmres(
-            op,
+        # right preconditioning: GMRES minimizes the true residual of
+        # (A M^-1) y = rhs, and the correction is M^-1 y
+        y, _ = gmres(
+            op @ precond,
             rhs,
-            M=precond,
-            rtol=opts.krylov_rtol,
+            rtol=_forcing_term(res, opts),
             atol=0.0,
             restart=opts.krylov_maxiter,
             maxiter=1,
         )
-        # GMRES may report stagnation once the preconditioned residual hits
-        # the rounding floor; judge the correction by its true residual.
+        delta_flat = precond.matvec(y)
+        # GMRES may report stagnation once its residual hits the rounding
+        # floor; judge the correction by its true residual.
         lin_res = np.linalg.norm(op.matvec(delta_flat) - rhs) / np.linalg.norm(rhs)
         if lin_res > 1e-3:
-            raise PositivityError(
-                f"solver: Krylov correction unusable (relative residual {lin_res:.2e})"
-            )
+            return u, log_c, history, iteration, False, "krylov"
         delta = delta_flat.reshape(shape)
         delta -= delta.mean()
 
@@ -406,8 +442,9 @@ def newton_solve(problem, u0=None):
     """Solve the problem; falls back to a density homotopy on cone exit.
 
     Returns a SolveResult with ``sup u = 0``.  Non-convergence within the
-    iteration budget yields a failure result with the residual history;
-    an unreachable positivity floor raises ConeExitError.
+    iteration budget (failure ``"max-iterations"``) or an unusable Krylov
+    correction (failure ``"krylov"``) yields a failure result with the
+    residual history; an unreachable positivity floor raises ConeExitError.
     """
     start = np.zeros(problem.shape) if u0 is None else _as_field(u0)
     try:
@@ -443,16 +480,79 @@ def diagnostics(problem, result):
     u = result.u
     grad = spectral_gradient(u)
     grad_sup = float(np.sqrt((grad**2).sum(axis=-1)).max()) / 2.0
-    hess_eigs = np.linalg.eigvalsh(complex_hessian(u))
-    hess_sup = float(np.abs(hess_eigs).max())
-    alpha_eigs = np.linalg.eigvalsh(alpha_field(problem, u))
+    h = complex_hessian(u)
     return dataclasses.replace(
         result,
-        min_alpha_eig=float(alpha_eigs[..., 0].min()),
+        min_alpha_eig=_min_eig(_alpha_from_hessian(problem, h)),
         grad_sup=grad_sup,
-        hess_sup=hess_sup,
+        hess_sup=_sup_abs_eig(h),
         osc=float(u.max() - u.min()),
     )
+
+
+def _eig_enclosure(m):
+    """Per-point bounds ``lo <= eig <= hi`` on the eigenvalues of a symmetric
+    component-major field m, and on their ``eigvalsh`` values.
+
+    The intersection of the Gershgorin interval and the trace/Frobenius
+    interval ``mu +- sqrt((n - 1) / n * |m - mu I|_F^2)``, ``mu = tr m / n``
+    (Wolkowicz-Styan), widened by ``_SLACK_ULPS n^2`` ulps of the largest
+    |entry| to cover the rounding of both the bounds and ``eigvalsh``.  The
+    Frobenius term is a sum of squares, free of cancellation, formed on m
+    scaled by a power of two so that it neither underflows nor overflows.
+    NaN or infinite entries give NaN bounds.
+    """
+    n = m.shape[0]
+    big = np.abs(m).max()
+    slack = _SLACK_ULPS * n * n * np.spacing(big)
+    scale = np.ldexp(1.0, int(np.frexp(big)[1]))
+    diag = [m[i, i] / scale for i in range(n)]
+    off = {(i, j): np.abs(m[i, j]) / scale for i in range(n) for j in range(i + 1, n)}
+    mu = sum(diag) / n
+    dev2 = sum((d - mu) ** 2 for d in diag) + 2 * sum(a * a for a in off.values())
+    spread = np.sqrt((n - 1) / n * dev2)
+    radius = [sum(off[min(i, j), max(i, j)] for j in range(n) if j != i) for i in range(n)]
+    lo = np.maximum(mu - spread, np.minimum.reduce([d - r for d, r in zip(diag, radius)]))
+    hi = np.minimum(mu + spread, np.maximum.reduce([d + r for d, r in zip(diag, radius)]))
+    return lo * scale - slack, hi * scale + slack
+
+
+def _certified_max(m, bound, point_value):
+    """``max`` over the grid of ``point_value(eigvalsh(m))``, equal to the
+    full-grid value, from ``eigvalsh`` on a subset of the points.
+
+    ``bound`` is a per-point upper bound of ``point_value``.  ``eigvalsh`` on
+    the ``_PROBE_POINTS`` largest bounds gives a provisional maximum; a point
+    whose bound is below it cannot attain the maximum, and ``eigvalsh`` runs
+    on the rest.  LAPACK factors each matrix on its own, so the subset's
+    eigenvalues are bitwise those of the full-grid call.  NaN bounds keep
+    their points.
+    """
+    n = m.shape[0]
+    flat = m.reshape(n, n, -1)
+    bound = bound.ravel()
+
+    def exact(points):
+        return point_value(np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))).max()
+
+    probe = min(_PROBE_POINTS, bound.size)
+    provisional = exact(np.argpartition(bound, -probe)[-probe:])
+    return float(exact(np.flatnonzero(~(bound < provisional))))
+
+
+def _sup_abs_eig(h):
+    """``max |eig h|`` over the grid, bitwise the full-grid ``eigvalsh`` value."""
+    h = _component_major(h)
+    lo, hi = _eig_enclosure(h)
+    return _certified_max(h, np.maximum(hi, -lo), lambda e: np.maximum(-e[:, 0], e[:, -1]))
+
+
+def _min_eig(alpha):
+    """Least eigenvalue of alpha over the grid, bitwise the full-grid
+    ``eigvalsh`` value."""
+    alpha = _component_major(alpha)
+    lo, _ = _eig_enclosure(alpha)
+    return -_certified_max(alpha, -lo, lambda e: -e[:, 0])
 
 
 # ---------------------------------------------------------------------------

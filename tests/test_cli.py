@@ -2,9 +2,13 @@ import hashlib
 import os
 
 import numpy as np
+import pytest
 
+from n1ma import solver
 from n1ma.cli import main
+from n1ma.config import parse_config
 from n1ma.grid import read_field, write_field
+from n1ma.harness import family_run
 
 FLAT = """
 [problem]
@@ -176,3 +180,41 @@ class TestRandomSuites:
     def test_forms_check_n4(self, tmp_path):
         out = str(tmp_path / "fc4")
         assert main(["forms-check", "--n", "4", "--trials", "8", "--seed", "5", "-o", out]) == 0
+
+
+class TestKrylovFailure:
+    """An unusable Krylov correction ends the solve as a failure result."""
+
+    OSCILLATING = "[problem]\nn = 3\ngrid = 16\n[density]\nexpression = exp(0.3*cos(x1))\n"
+
+    @pytest.fixture(autouse=True)
+    def zero_gmres(self, monkeypatch):
+        # a zero correction has true relative residual 1
+        monkeypatch.setattr(solver, "gmres", lambda op, rhs, **kwargs: (np.zeros_like(rhs), 0))
+
+    def test_newton_solve_returns_failure(self, tmp_path):
+        problem = parse_config(write(tmp_path, self.OSCILLATING))
+        result = solver.newton_solve(problem)
+        assert not result.converged
+        assert result.failure == "krylov"
+        assert result.iterations == 0 and len(result.residual_history) == 1
+        assert np.isfinite(result.hess_sup) and np.isfinite(result.min_alpha_eig)
+
+    def test_solve_and_verify_exit_3(self, tmp_path):
+        cfg = write(tmp_path, self.OSCILLATING)
+        out = str(tmp_path / "s")
+        assert main(["solve", "-c", cfg, "-o", out]) == 3
+        assert open(os.path.join(out, "solve.csv")).read().splitlines()[1].endswith(",False")
+        assert main(["verify", "-c", cfg, "-o", str(tmp_path / "v"), "--samples", "100", "--trials", "1"]) == 3
+
+    def test_family_records_failure(self, tmp_path):
+        cfg = write(tmp_path, FAMILY)
+        # the t = 0 fiber is solved by u = 0 without a correction
+        report = family_run(parse_config(cfg))
+        assert [(row.converged, row.failure) for row in report.rows] == [
+            (True, None), (False, "krylov"), (False, "krylov"),
+        ]
+        out = str(tmp_path / "f")
+        assert main(["family", "-c", cfg, "-o", out]) == 3
+        lines = open(os.path.join(out, "family.csv")).read().splitlines()
+        assert [line.split(",")[-1] for line in lines[1:]] == ["True", "False", "False"]

@@ -150,6 +150,21 @@ class TestFieldIO:
         assert lines[1] == "0,0,0,0.0"
         assert len(lines) == 1 + 8**3
 
+    @pytest.mark.parametrize("shape", [(8, 10, 8), (8, 8, 10, 8), (8, 8, 8, 8, 10)])
+    def test_csv_bytes_match_row_loop(self, tmp_path, shape):
+        rng = np.random.default_rng(len(shape))
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        specials = [-0.0, 0.0, 1e-5, 1e17, 5e-324, -5e-324, 0.1, 1.0, -2.5e-310]
+        data.ravel()[: len(specials)] = specials
+        data.ravel()[-len(specials):] = specials
+        path = tmp_path / "field.csv"
+        field_to_csv(path, data)
+        # the per-row writer the joined one replaced
+        expected = ",".join(f"i{k + 1}" for k in range(len(shape))) + ",value\n"
+        for idx in np.ndindex(shape):
+            expected += ",".join(str(i) for i in idx) + f",{float(data[idx])!r}\n"
+        assert path.read_bytes() == expected.encode()
+
 
 class TestRandomBandLimited:
     def test_zero_mean_and_band_limit(self):

@@ -4,7 +4,10 @@ The Newton loop decides ``alpha - floor I > 0`` by leading minors (n = 3) or
 Cholesky (n > 3), takes ``log det alpha`` from the same algebra and builds the
 linearization tensor from the adjugate (n = 3).  These properties pin each
 kernel to the eigenvalue/inverse formula it replaces, on matrix fields that
-include least eigenvalues just above and just below the floor.
+include least eigenvalues just above and just below the floor.  The
+diagnostics' certified eigenvalue extremes are pinned to the full-grid
+``eigvalsh`` values, and the inexact Newton-Krylov loop to its forcing terms
+and its work.
 """
 
 from collections import Counter
@@ -14,13 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n1ma import solver
 from n1ma.grid import _wavenumbers, complex_hessian, grid_coordinates, random_band_limited
 from n1ma.solver import (
     TorusProblem,
+    _alpha_from_hessian,
     _linearization_tensor,
     _log_det_above,
+    _min_eig,
     _newton_loop,
+    _sup_abs_eig,
+    diagnostics,
     manufactured_problem,
+    newton_solve,
 )
 
 NEAR = 1e-3  # relative distance of the "above"/"below" least eigenvalues from the floor
@@ -173,3 +182,151 @@ def test_newton_loop_makes_no_eigen_calls_for_n4(monkeypatch):
     assert converged
     assert calls["cholesky"] > 0
     assert not any(calls[name] for name in ("eigvalsh", "eigh", "eig", "eigvals")), dict(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    constant=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-8, 1e8]),
+)
+def test_certified_extremes_equal_full_grid_eigvalsh(n, seed, constant, scale):
+    rng = np.random.default_rng(seed)
+    shape = (8,) * (n - 1) + (10,)
+    if constant:  # every point ties
+        m = rng.standard_normal((n, n))
+        h = np.broadcast_to(scale * (m + m.T), shape + (n, n))
+    else:
+        h = complex_hessian(scale * random_band_limited(rng, shape, max_mode=3))
+    g = rng.standard_normal((n, n))
+    problem = TorusProblem(gamma=g @ g.T + np.eye(n), f=np.ones(shape))
+    alpha = _alpha_from_hessian(problem, h)
+    assert _sup_abs_eig(h) == float(np.abs(np.linalg.eigvalsh(h)).max())
+    assert _min_eig(alpha) == float(np.linalg.eigvalsh(alpha)[..., 0].min())
+
+
+def count_eigvalsh_points(monkeypatch):
+    """Wrap numpy.linalg.eigvalsh to count the matrices it is given."""
+    points = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        points.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return points
+
+
+def test_diagnostics_take_one_hessian_and_few_eigenvalues(monkeypatch, manufactured_solve):
+    problem, _, result = manufactured_solve
+    u = result.u
+    full_hess = float(np.abs(np.linalg.eigvalsh(complex_hessian(u))).max())
+    full_alpha = float(np.linalg.eigvalsh(solver.alpha_field(problem, u))[..., 0].min())
+    hessians = Counter()
+    original = solver.complex_hessian
+
+    def counted(v):
+        hessians["calls"] += 1
+        return original(v)
+
+    monkeypatch.setattr(solver, "complex_hessian", counted)
+    points = count_eigvalsh_points(monkeypatch)
+    redone = diagnostics(problem, result)
+    assert hessians["calls"] == 1
+    assert redone.hess_sup == full_hess == result.hess_sup
+    assert redone.min_alpha_eig == full_alpha == result.min_alpha_eig
+    # a probe and a candidate set per extreme, far fewer points than the grid
+    assert len(points) == 4
+    assert sum(points) <= 0.05 * u.size
+
+
+def count_operator_applications(monkeypatch):
+    """Count calls of the linearized operator, preconditioner applies aside."""
+    counts = Counter()
+    preconditioners = set()
+    make_preconditioner = solver._preconditioner
+    make_operator = solver.LinearOperator
+
+    def preconditioner(*args):
+        apply = make_preconditioner(*args)
+        preconditioners.add(apply)
+        return apply
+
+    def operator(shape, matvec, dtype):
+        if matvec in preconditioners:
+            return make_operator(shape, matvec=matvec, dtype=dtype)
+
+        def counted(v):
+            counts["matvecs"] += 1
+            return matvec(v)
+
+        return make_operator(shape, matvec=counted, dtype=dtype)
+
+    monkeypatch.setattr(solver, "_preconditioner", preconditioner)
+    monkeypatch.setattr(solver, "LinearOperator", operator)
+    return counts
+
+
+def record_forcing(monkeypatch):
+    """Wrap the solver's GMRES to record ``(rtol, true relative residual)``
+    of every correction."""
+    records = []
+    original = solver.gmres
+
+    def recording(op, rhs, **kwargs):
+        y, info = original(op, rhs, **kwargs)
+        true_res = np.linalg.norm(op.matvec(y) - rhs) / np.linalg.norm(rhs)
+        records.append((kwargs["rtol"], true_res))
+        return y, info
+
+    monkeypatch.setattr(solver, "gmres", recording)
+    return records
+
+
+def assert_within_forcing(records, opts):
+    assert records
+    for eta, true_res in records:
+        assert opts.krylov_rtol <= eta <= solver._FORCING_CAP
+        assert true_res <= 2 * eta
+
+
+def test_corrections_meet_their_forcing_terms(monkeypatch):
+    problem, u_star = manufactured_problem(0.4, (32, 32, 32))
+    records = record_forcing(monkeypatch)
+    result = newton_solve(problem)
+    assert result.converged and result.iterations == len(records) == 4
+    assert_within_forcing(records, problem.options)
+    # the last correction is solved no tighter than the outer tolerance needs
+    assert records[-1][0] == solver._FORCING_CAP
+    assert np.abs(result.u - u_star).max() <= 1e-9
+
+
+def test_oscillating_corrections_meet_their_forcing_terms(monkeypatch):
+    # a left-preconditioned GMRES stopped at the same tolerances leaves
+    # true residuals up to 3.2e-4 here, above 2 eta
+    x1, x2, x3 = grid_coordinates((16, 16, 16))
+    f = np.exp(0.4 * np.cos(x1) + 0.2 * np.cos(x2) * np.cos(x3))
+    problem = TorusProblem(gamma=np.eye(3), f=f)
+    records = record_forcing(monkeypatch)
+    assert newton_solve(problem).converged
+    assert_within_forcing(records, problem.options)
+
+
+def test_manufactured_solve_work(monkeypatch):
+    problem, _ = manufactured_problem(0.4, (32, 32, 32))
+    counts = count_operator_applications(monkeypatch)
+    steps = Counter()
+    original = solver.gmres
+
+    def counted(*args, **kwargs):
+        steps["gmres"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", counted)
+    result = newton_solve(problem)
+    assert result.converged
+    assert result.iterations == steps["gmres"] == 4
+    # GMRES iterations, its closing residual and the true-residual check
+    assert 4 < counts["matvecs"] <= 22
