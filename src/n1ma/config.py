@@ -27,9 +27,9 @@ from .errors import ConfigError, DomainError
 from .expressions import compile_expression
 from .grid import grid_coordinates, read_field
 from .harness import DeclaredBounds, FamilySpec
-from .solver import SolverOptions, TorusProblem
+from .solver import SolverOptions, TorusProblem, _component_major, _eig_range
 
-__all__ = ["parse_config", "is_family_config"]
+__all__ = ["parse_config"]
 
 _DEFAULT_GRID = 32
 _DEFAULT_N = 3
@@ -162,11 +162,6 @@ def _options(parser, min_eig):
         raise ConfigError(f"config.parse_config: [solver]: {exc}") from None
 
 
-def _eig_range(gamma):
-    eigs = np.linalg.eigvalsh(gamma)
-    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
-
-
 def _check_range(bounds, lo, hi):
     c = bounds.c_beta_omega
     if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
@@ -191,10 +186,6 @@ def _bounds(parser):
         return DeclaredBounds(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"config.parse_config: [bounds]: {exc}") from None
-
-
-def is_family_config(path):
-    return _read(path).has_section("family")
 
 
 def parse_config(path):
@@ -233,7 +224,7 @@ def parse_config(path):
     for section, gamma in (("beta", gamma0), ("beta1", gamma1)):
         if not np.all(np.isfinite(gamma)):
             raise ConfigError(f"config.parse_config: [{section}]: metric must be finite")
-        ranges[section] = _eig_range(gamma)
+        ranges[section] = _eig_range(_component_major(gamma))
         _check_range(bounds, *ranges[section])
     options = _options(parser, ranges["beta"][0])
     try:

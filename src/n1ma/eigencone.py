@@ -317,9 +317,7 @@ def domination_witness(u, v, c, ma_u, ma_v, tolerance=1e-12):
     """
     if not 0 <= c < 1:
         raise DomainError("eigencone.domination_witness: c must lie in [0, 1)")
-    u, v, ma_u, ma_v = (
-        np.asarray(getattr(x, "data", x), dtype=float) for x in (u, v, ma_u, ma_v)
-    )
+    u, v, ma_u, ma_v = (np.asarray(x, dtype=float) for x in (u, v, ma_u, ma_v))
     if not u.shape == v.shape == ma_u.shape == ma_v.shape:
         raise DomainError("eigencone.domination_witness: fields on mismatched grids")
     below = u < v - tolerance

@@ -22,22 +22,35 @@ backtracking line search enforces both residual decrease and a positivity
 floor on alpha; if the cone cannot be entered from u = 0 directly, a homotopy
 from the solvable density det(Gamma) is attempted.
 
-The pointwise linear algebra of a Newton step uses no eigenvalues.  The cone
-test ``alpha - floor I > 0`` is decided by the Sylvester leading minors in
-closed form for n = 3 and by batched Cholesky factorizations for n > 3; the
-same algebra gives ``log det alpha``.  The linearization tensor
-``((tr A) I - A) / (n - 1)`` with ``A = alpha^-1`` is built from the adjugate
-for n = 3 (``A = adj(alpha) / det(alpha)``) and from a batched inverse for
-n > 3.  Its eigenvalues are ``hat(1 / eig alpha) / (n - 1)``, positive
-whenever alpha is, so ellipticity needs no separate check.  Matrix fields keep
-the public shape ``grid + (n, n)`` but are stored component-major, as views of
-``(n, n) + grid`` buffers, so every entry is a contiguous grid field.
+Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
+symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
+upper-triangle Hessian blocks ``h_p`` of ``M^-1 y``, then ``sum_p w_p h_p``
+with ``w_p = theta_ii`` on the diagonal and ``2 theta_ij`` off it.  GMRES
+closes its cycle with ``b - A M^-1 y`` at the iterate it returns; the
+operator remembers that last product, so the true-residual check of the
+correction costs no extra application.
+
+The pointwise linear algebra of a Newton step calls no LAPACK routine.  The
+cone test ``alpha - floor I > 0`` is decided by the Sylvester leading minors
+in closed form for n = 3, and for n > 3 by a Cholesky factorization written
+over grid fields: one vectorized step per entry of the triangle, with a NaN
+or non-positive pivot meaning "not above".  The same algebra gives
+``log det alpha``.  The linearization tensor ``((tr A) I - A) / (n - 1)``
+with ``A = alpha^-1`` is built from the adjugate for n = 3
+(``A = adj(alpha) / det(alpha)``) and from the inverse Cholesky factor for
+n > 3 (``A = L^-T L^-1``).  Its eigenvalues are ``hat(1 / eig alpha) /
+(n - 1)``, positive whenever alpha is, so ellipticity needs no separate
+check.  Matrix fields keep the public shape ``grid + (n, n)`` but are stored
+component-major, as views of ``(n, n) + grid`` buffers, so every entry is a
+contiguous grid field; a constant background is a zero-stride view of one
+matrix.
 
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
 trace/Frobenius enclosure of every point's spectrum rules out the points that
 cannot attain the extreme, and ``eigvalsh`` runs on the rest.  The values are
-bitwise those of ``eigvalsh`` over the whole grid.
+bitwise those of ``eigvalsh`` over the whole grid.  The eigenvalue range of
+the background field is certified the same way.
 """
 
 from __future__ import annotations
@@ -47,10 +60,19 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeExitError, DomainError, PositivityError
-from .grid import _validate_shape, _wavenumbers, complex_hessian, grid_coordinates, spectral_gradient
+from .grid import (
+    _hessian_multipliers,
+    _spectral_stack,
+    _validate_shape,
+    _wavenumbers,
+    complex_hessian,
+    grid_coordinates,
+    spectral_gradient,
+)
 
 __all__ = [
     "SolverOptions",
@@ -104,22 +126,22 @@ class TorusProblem:
         shape = f.shape
         n = len(shape)
         gamma = np.asarray(self.gamma, dtype=float)
+        # gamma becomes component-major: the matrix itself, or the field
         if gamma.shape == (n, n):
-            stored = np.empty((n, n) + shape)
-            stored[...] = gamma.reshape((n, n) + (1,) * n)
+            gamma = gamma.copy()
+            # a constant background is stored as a zero-stride view
+            stored = np.broadcast_to(gamma.reshape((n, n) + (1,) * n), (n, n) + shape)
         elif gamma.shape == shape + (n, n):
-            stored = np.ascontiguousarray(_component_major(gamma))
+            gamma = stored = np.ascontiguousarray(_component_major(gamma))
         else:
             raise DomainError(
                 f"TorusProblem: gamma shape {gamma.shape}, expected {shape + (n, n)}"
             )
-        if not np.all(np.isfinite(stored)):
+        if not np.all(np.isfinite(gamma)):
             raise DomainError("TorusProblem: gamma must be finite")
-        if not np.allclose(stored, stored.swapaxes(0, 1)):
+        if not np.allclose(gamma, gamma.swapaxes(0, 1)):
             raise DomainError("TorusProblem: gamma must be symmetric")
-        # a constant background needs the spectrum of one matrix only
-        gamma_eigs = np.linalg.eigvalsh(gamma)
-        lo, hi = float(gamma_eigs[..., 0].min()), float(gamma_eigs[..., -1].max())
+        lo, hi = _eig_range(gamma)
         if not lo > 0:
             raise DomainError("TorusProblem: gamma must be positive definite on the grid")
         object.__setattr__(self, "gamma", _grid_major(stored))
@@ -162,7 +184,7 @@ class TorusProblem:
 
 
 def _checked_density(f):
-    f = np.asarray(getattr(f, "data", f), dtype=float)
+    f = np.asarray(f, dtype=float)
     _validate_shape(f.shape)
     if not (np.all(np.isfinite(f)) and np.all(f > 0)):
         raise DomainError("TorusProblem: density must be finite and strictly positive")
@@ -187,10 +209,6 @@ class SolveResult:
     @property
     def final_residual(self):
         return self.residual_history[-1] if self.residual_history else np.inf
-
-
-def _as_field(u):
-    return u.data if hasattr(u, "data") and not isinstance(u, np.ndarray) else np.asarray(u, dtype=float)
 
 
 def _component_major(a):
@@ -223,7 +241,7 @@ def _alpha_from_hessian(problem, h):
 
 def alpha_field(problem, u):
     """The matrix field Gamma + ((trace H) I - H) / (n - 1) for the field u."""
-    return _alpha_from_hessian(problem, complex_hessian(_as_field(u)))
+    return _alpha_from_hessian(problem, complex_hessian(u))
 
 
 def _det3(a00, a11, a22, a01, a02, a12):
@@ -231,13 +249,41 @@ def _det3(a00, a11, a22, a01, a02, a12):
     return a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02)
 
 
+def _field_cholesky(a, shift=0.0):
+    """Lower Cholesky factor of ``a - shift I`` for a symmetric
+    component-major field a, as ``{(i, j): field}`` for ``j <= i``, and the
+    grid mask of the points where every pivot is positive.
+
+    Column by column, one vectorized step per entry of the triangle.  The
+    pivot test is ``x > 0``, so NaN fails; a failed pivot is replaced by 1,
+    which keeps the rest of the factor finite.
+    """
+    n = a.shape[0]
+    factor = {}
+    ok = True
+    for j in range(n):
+        pivot = a[j, j] - shift
+        for k in range(j):
+            pivot = pivot - factor[j, k] * factor[j, k]
+        positive = pivot > 0
+        ok = ok & positive
+        factor[j, j] = np.sqrt(np.where(positive, pivot, 1.0))
+        for i in range(j + 1, n):
+            entry = a[i, j]
+            for k in range(j):
+                entry = entry - factor[i, k] * factor[j, k]
+            factor[i, j] = entry / factor[j, j]
+    return factor, ok
+
+
 def _log_det_above(alpha, floor):
     """``log det alpha`` if ``alpha - floor I`` is positive definite at every
     grid point, else None; NaN entries fail the test.
 
     n = 3 decides by the leading minors of ``alpha - floor I`` (Sylvester's
-    criterion) in closed form; n > 3 by batched Cholesky factorizations,
-    which fail off the cone.  Every comparison is ``x > 0`` so NaN fails.
+    criterion) in closed form; n > 3 by grid-field Cholesky factorizations of
+    ``alpha - floor I`` and of alpha.  Every comparison is ``x > 0`` so NaN
+    fails.
     """
     a = _component_major(alpha)
     n = a.shape[0]
@@ -247,15 +293,12 @@ def _log_det_above(alpha, floor):
         if not all(np.all(m > 0) for m in minors):
             return None
         return np.log(_det3(a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]))
-    shifted = [alpha - floor * np.eye(n)] if floor else []
-    try:
-        factors = [np.linalg.cholesky(m) for m in shifted + [alpha]]
-    except np.linalg.LinAlgError:
+    if floor and not np.all(_field_cholesky(a, floor)[1]):
         return None
-    diagonals = [np.diagonal(fac, axis1=-2, axis2=-1) for fac in factors]
-    if not all(np.all(d > 0) for d in diagonals):
+    factor, ok = _field_cholesky(a)
+    if not np.all(ok):
         return None
-    return 2.0 * np.log(diagonals[-1]).sum(axis=-1)
+    return 2.0 * sum(np.log(factor[j, j]) for j in range(n))
 
 
 def _alpha_state(problem, u, floor):
@@ -283,7 +326,8 @@ def _linearization_tensor(alpha):
     the linearized operator; positive definite wherever alpha is.
 
     For n = 3, ``A = adj(alpha) / det(alpha)`` with the cofactors in closed
-    form; for n > 3 a batched inverse.
+    form; for n > 3, ``A = L^-T L^-1`` with ``L^-1`` from the grid-field
+    Cholesky factor L of alpha by forward substitution.
     """
     a = _component_major(alpha)
     n = a.shape[0]
@@ -297,19 +341,39 @@ def _linearization_tensor(alpha):
         adj[1, 2] = adj[2, 1] = a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]
         det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[0, 1] + a[0, 2] * adj[0, 2]
         return _grid_major(_trace_free_part(adj, 1.0 / ((n - 1) * det)))
-    return _grid_major(_trace_free_part(_component_major(np.linalg.inv(alpha)), 1.0 / (n - 1)))
+    factor, ok = _field_cholesky(a)
+    if not np.all(ok):
+        raise PositivityError("solver: alpha is not positive definite on the whole grid")
+    # lower-triangular L^-1, row by row
+    inv = {}
+    for i in range(n):
+        inv[i, i] = 1.0 / factor[i, i]
+        for j in range(i):
+            entry = factor[i, j] * inv[j, j]
+            for k in range(j + 1, i):
+                entry = entry + factor[i, k] * inv[k, j]
+            inv[i, j] = -entry * inv[i, i]
+    ainv = np.empty(a.shape)
+    for i in range(n):
+        for j in range(i, n):
+            entry = inv[j, i] * inv[j, j]
+            for k in range(j + 1, n):
+                entry = entry + inv[k, i] * inv[k, j]
+            ainv[i, j] = ainv[j, i] = entry
+    return _grid_major(_trace_free_part(ainv, 1.0 / (n - 1)))
 
 
 def linearized_apply(problem, u, v):
     """Directional derivative of ``log det alpha_u`` in the direction v."""
     alpha, _ = _alpha_state(problem, u, 0.0)
     theta = _linearization_tensor(alpha)
-    hv = complex_hessian(_as_field(v))
+    hv = complex_hessian(v)
     return np.einsum("...ij,...ij->...", theta, hv)
 
 
-def _preconditioner(shape, theta_mean):
-    """Inverse of the constant-coefficient symbol of the mean linearization."""
+def _inverse_symbol(shape, theta_mean):
+    """Inverse of the constant-coefficient symbol of the mean linearization
+    on the half spectrum, zero on the mean mode."""
     k, _ = _wavenumbers(shape)
     d = len(shape)
     symbol = np.zeros(np.broadcast_shapes(*(k[i].shape for i in range(d))))
@@ -317,14 +381,55 @@ def _preconditioner(shape, theta_mean):
         for j in range(d):
             symbol = symbol - 0.25 * theta_mean[i, j] * k[i] * k[j]
     symbol[(0,) * d] = 1.0
+    inverse = 1.0 / symbol
+    inverse[(0,) * d] = 0.0
+    return inverse
+
+
+def _preconditioner(shape, theta_mean):
+    """``M^-1``: the inverse constant-coefficient symbol of the mean
+    linearization, applied spectrally."""
+    inverse = _inverse_symbol(shape, theta_mean)
 
     def apply(vflat):
-        v = vflat.reshape(shape)
-        vh = np.fft.rfftn(v) / symbol
-        vh[(0,) * d] = 0.0
-        return np.fft.irfftn(vh, s=shape, axes=range(len(shape))).ravel()
+        vh = sfft.rfftn(vflat.reshape(shape)) * inverse
+        return sfft.irfftn(vh, s=shape, axes=range(len(shape))).ravel()
 
     return apply
+
+
+def _operator_weights(theta):
+    """Weights ``w_p`` of the upper-triangle Hessian blocks ``h_p``
+    (``np.triu_indices`` order) with ``sum_p w_p h_p = sum_ij theta_ij h_ij``:
+    ``theta_ii`` on the diagonal and ``2 theta_ij`` off it."""
+    t = _component_major(theta)
+    rows, cols = np.triu_indices(t.shape[0])
+    weights = t[rows, cols]
+    weights[rows != cols] *= 2.0
+    return weights
+
+
+def _preconditioned_operator(shape, weights, theta_mean):
+    """The matvec ``y -> A M^-1 y`` of the right-preconditioned system in
+    one spectral pass, and a dict holding its last input ``"y"`` and output
+    ``"out"`` (copies).
+
+    ``M^-1 y`` is never formed on the grid: the spectrum of y is scaled by
+    the stacked Hessian multipliers over the symbol, and one batched inverse
+    transform gives the Hessian blocks of ``M^-1 y``.
+    """
+    scaled = _hessian_multipliers(shape) * _inverse_symbol(shape, theta_mean)
+    last = {}
+
+    def matvec(yflat):
+        blocks = _spectral_stack(sfft.rfftn(yflat.reshape(shape)), scaled, shape)
+        lv = np.einsum("p...,p...->...", weights, blocks)
+        lv -= lv.mean()
+        out = lv.ravel()
+        last["y"], last["out"] = yflat.copy(), out.copy()
+        return out
+
+    return matvec, last
 
 
 def _forcing_term(res, opts):
@@ -338,14 +443,37 @@ def _forcing_term(res, opts):
     return max(opts.krylov_rtol, min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res)))
 
 
+def _krylov_correction(alpha, rhs, rtol, opts):
+    """The Newton correction ``M^-1 y`` at alpha for the right-hand side rhs,
+    with GMRES stopped at relative tolerance rtol; None when its true
+    relative residual exceeds 1e-3.
+
+    GMRES may report stagnation once its residual hits the rounding floor,
+    so the correction is judged by its true residual: GMRES's own closing
+    product ``A M^-1 y`` when it ends at the y it returns.
+    """
+    shape = alpha.shape[:-2]
+    theta = _linearization_tensor(alpha)
+    theta_mean = theta.mean(axis=tuple(range(len(shape))))
+    weights = _operator_weights(theta)
+    del theta  # GMRES needs only the weights and the mean tensor
+    matvec, last = _preconditioned_operator(shape, weights, theta_mean)
+    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
+    # right preconditioning: GMRES minimizes the true residual of
+    # (A M^-1) y = rhs, and the correction is M^-1 y
+    y, _ = gmres(op, rhs, rtol=rtol, atol=0.0, restart=opts.krylov_maxiter, maxiter=1)
+    product = last["out"] if np.array_equal(y, last.get("y")) else op.matvec(y)
+    if np.linalg.norm(product - rhs) / np.linalg.norm(rhs) > 1e-3:
+        return None
+    return _preconditioner(shape, theta_mean)(y).reshape(shape)
+
+
 def _newton_loop(problem, u0):
     opts = problem.options
-    shape = problem.shape
     floor = problem.positivity_floor
     logf = np.log(problem.f)
-    size = int(np.prod(shape))
 
-    u = _as_field(u0).copy()
+    u = np.array(u0, dtype=float)
     u -= u.mean()
     history = []
 
@@ -362,36 +490,9 @@ def _newton_loop(problem, u0):
         if res <= opts.tolerance:
             return u, log_c, history, iteration, True, None
 
-        theta = _linearization_tensor(alpha)
-
-        def matvec(vflat):
-            v = vflat.reshape(shape)
-            v = v - v.mean()
-            lv = np.einsum("...ij,...ij->...", theta, complex_hessian(v))
-            return (lv - lv.mean()).ravel()
-
-        op = LinearOperator((size, size), matvec=matvec, dtype=float)
-        precond = LinearOperator(
-            (size, size), matvec=_preconditioner(shape, theta.mean(axis=tuple(range(len(shape))))), dtype=float
-        )
-        rhs = -res_field.ravel()
-        # right preconditioning: GMRES minimizes the true residual of
-        # (A M^-1) y = rhs, and the correction is M^-1 y
-        y, _ = gmres(
-            op @ precond,
-            rhs,
-            rtol=_forcing_term(res, opts),
-            atol=0.0,
-            restart=opts.krylov_maxiter,
-            maxiter=1,
-        )
-        delta_flat = precond.matvec(y)
-        # GMRES may report stagnation once its residual hits the rounding
-        # floor; judge the correction by its true residual.
-        lin_res = np.linalg.norm(op.matvec(delta_flat) - rhs) / np.linalg.norm(rhs)
-        if lin_res > 1e-3:
+        delta = _krylov_correction(alpha, -res_field.ravel(), _forcing_term(res, opts), opts)
+        if delta is None:
             return u, log_c, history, iteration, False, "krylov"
-        delta = delta_flat.reshape(shape)
         delta -= delta.mean()
 
         step = 1.0
@@ -445,8 +546,10 @@ def newton_solve(problem, u0=None):
     iteration budget (failure ``"max-iterations"``) or an unusable Krylov
     correction (failure ``"krylov"``) yields a failure result with the
     residual history; an unreachable positivity floor raises ConeExitError.
+    When a homotopy stage fails, the result is that stage's u and c, and the
+    failure names the stage, e.g. ``"max-iterations at homotopy stage 3/8"``.
     """
-    start = np.zeros(problem.shape) if u0 is None else _as_field(u0)
+    start = np.zeros(problem.shape) if u0 is None else np.asarray(u0, dtype=float)
     try:
         return _package(problem, *_newton_loop(problem, start))
     except ConeExitError as exc:
@@ -460,7 +563,7 @@ def newton_solve(problem, u0=None):
     log_base = _log_det_above(problem.gamma, 0.0)
     u = np.zeros(problem.shape)
     outcome = None
-    for s in np.linspace(1.0 / steps, 1.0, steps):
+    for k, s in enumerate(np.linspace(1.0 / steps, 1.0, steps), start=1):
         stage = problem.with_density(np.exp(s * log_target + (1 - s) * log_base))
         try:
             outcome = _newton_loop(stage, u)
@@ -471,7 +574,8 @@ def newton_solve(problem, u0=None):
             ) from None
         u = outcome[0]
         if not outcome[4]:
-            return _package(stage, *outcome)
+            *head, failure = outcome
+            return _package(stage, *head, f"{failure} at homotopy stage {k}/{steps}")
     return _package(problem, *outcome)
 
 
@@ -517,16 +621,20 @@ def _eig_enclosure(m):
     return lo * scale - slack, hi * scale + slack
 
 
-def _certified_max(m, bound, point_value):
+def _certified_max(m, bound, point_value, signs):
     """``max`` over the grid of ``point_value(eigvalsh(m))``, equal to the
     full-grid value, from ``eigvalsh`` on a subset of the points.
 
     ``bound`` is a per-point upper bound of ``point_value``.  ``eigvalsh`` on
-    the ``_PROBE_POINTS`` largest bounds gives a provisional maximum; a point
-    whose bound is below it cannot attain the maximum, and ``eigvalsh`` runs
-    on the rest.  LAPACK factors each matrix on its own, so the subset's
-    eigenvalues are bitwise those of the full-grid call.  NaN bounds keep
-    their points.
+    the ``_PROBE_POINTS`` largest bounds gives a provisional maximum p.  A
+    point cannot exceed p when its bound is below p, or when
+    ``s m + (p - slack) I`` passes a Cholesky test for every s in ``signs``:
+    s = +1 certifies ``-eig_min < p`` and s = -1 certifies ``eig_max < p``.
+    ``slack`` covers the rounding of the factorization and of ``eigvalsh``
+    (Demmel 1989).  ``eigvalsh`` runs on the points left.  LAPACK factors
+    each matrix on its own, so their eigenvalues are bitwise those of the
+    full-grid call, and a field of bitwise equal matrices needs one.  NaN
+    entries keep their points.
     """
     n = m.shape[0]
     flat = m.reshape(n, n, -1)
@@ -535,16 +643,26 @@ def _certified_max(m, bound, point_value):
     def exact(points):
         return point_value(np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))).max()
 
+    bits = flat.view(np.uint64)
+    if bound.min() == bound.max() and (bits == bits[:, :, :1]).all():
+        return float(exact([0]))
     probe = min(_PROBE_POINTS, bound.size)
     provisional = exact(np.argpartition(bound, -probe)[-probe:])
-    return float(exact(np.flatnonzero(~(bound < provisional))))
+    candidates = np.flatnonzero(~(bound < provisional))
+    sub = flat[:, :, candidates]
+    slack = _SLACK_ULPS * n**3 * np.spacing(max(np.abs(sub).max(), abs(provisional)))
+    certified = True
+    for s in signs:
+        certified = certified & _field_cholesky(sub if s > 0 else -sub, slack - provisional)[1]
+    rest = candidates[~certified]
+    return float(max(provisional, exact(rest))) if rest.size else float(provisional)
 
 
 def _sup_abs_eig(h):
     """``max |eig h|`` over the grid, bitwise the full-grid ``eigvalsh`` value."""
     h = _component_major(h)
     lo, hi = _eig_enclosure(h)
-    return _certified_max(h, np.maximum(hi, -lo), lambda e: np.maximum(-e[:, 0], e[:, -1]))
+    return _certified_max(h, np.maximum(hi, -lo), lambda e: np.maximum(-e[:, 0], e[:, -1]), (1, -1))
 
 
 def _min_eig(alpha):
@@ -552,7 +670,19 @@ def _min_eig(alpha):
     ``eigvalsh`` value."""
     alpha = _component_major(alpha)
     lo, _ = _eig_enclosure(alpha)
-    return -_certified_max(alpha, -lo, lambda e: -e[:, 0])
+    return -_certified_max(alpha, -lo, lambda e: -e[:, 0], (1,))
+
+
+def _eig_range(m):
+    """``(least, largest)`` eigenvalue of a symmetric component-major field m
+    over the grid, or of one ``(n, n)`` matrix; bitwise the ``eigvalsh``
+    values over the whole grid."""
+    m = np.ascontiguousarray(m)
+    lo, hi = _eig_enclosure(m)
+    return (
+        -_certified_max(m, -lo, lambda e: -e[:, 0], (1,)),
+        _certified_max(m, hi, lambda e: e[:, -1], (-1,)),
+    )
 
 
 # ---------------------------------------------------------------------------

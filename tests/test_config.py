@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from n1ma.config import is_family_config, parse_config
+from n1ma.config import parse_config
 from n1ma.errors import ConfigError
 from n1ma.grid import grid_coordinates, write_field
 from n1ma.harness import FamilySpec
@@ -194,7 +194,6 @@ c_beta_omega = 3
 
     def test_family_parse(self, tmp_path):
         path = write(tmp_path, self.FAMILY)
-        assert is_family_config(path)
         spec = parse_config(path)
         assert isinstance(spec, FamilySpec)
         assert spec.t_grid == (0.0, 0.25, 0.5)

@@ -3,7 +3,6 @@ import pytest
 
 from n1ma.errors import DomainError
 from n1ma.grid import (
-    GridField,
     complex_hessian,
     field_to_csv,
     grid_coordinates,
@@ -92,20 +91,14 @@ class TestGradient:
         assert np.abs(g[..., 1:]).max() <= 1e-13
 
 
-class TestGridField:
-    def test_validation(self):
+class TestShapeValidation:
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 7), (8, 8, 6), (8,) * 6])
+    def test_rejects_bad_shapes(self, shape):
+        # two axes, an odd size, a size below 8, more axes than the format holds
         with pytest.raises(DomainError):
-            GridField(np.zeros((8, 8)))
+            complex_hessian(np.zeros(shape))
         with pytest.raises(DomainError):
-            GridField(np.zeros((8, 8, 7)))
-        with pytest.raises(DomainError):
-            GridField(np.zeros((8, 8, 6)))
-        with pytest.raises(DomainError):
-            GridField(np.full((8, 8, 8), np.nan))
-
-    def test_stats(self):
-        field = GridField.zeros((8, 8, 8))
-        assert field.mean() == 0.0 and field.sup() == 0.0 and field.osc() == 0.0
+            grid_coordinates(shape)
 
 
 class TestFieldIO:

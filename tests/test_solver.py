@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,26 @@ class TestProblemValidation:
         assert problem.gamma.shape == SHAPE + (3, 3)
         assert np.array_equal(problem.gamma, gamma)
         assert np.moveaxis(problem.gamma, (-2, -1), (0, 1)).flags.c_contiguous
+
+    def test_constant_gamma_allocates_no_grid_buffer(self):
+        shape = (32, 32, 32)
+        f = np.ones(shape)
+        g = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+        tracemalloc.start()
+        try:
+            problem = TorusProblem(gamma=g, f=f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the density check makes boolean grids (f.nbytes / 8); one float
+        # grid, let alone n^2 of them, would reach f.nbytes
+        assert peak < f.nbytes / 2
+        assert problem.gamma.shape == shape + (3, 3)
+        assert problem.gamma.strides[:3] == (0, 0, 0)
+        assert np.array_equal(problem.gamma[5, 6, 7], g)
+        assert problem.gamma_eig_range == tuple(float(e) for e in np.linalg.eigvalsh(g)[[0, -1]])
+        g[0, 0] = 9.0  # the stored view does not alias the caller's matrix
+        assert problem.gamma[0, 0, 0, 0, 0] == 2.0
 
 
 class TestAlphaField:
