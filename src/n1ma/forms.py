@@ -35,6 +35,7 @@ __all__ = [
     "inner_product",
     "hat_identity_residual",
     "frame_value",
+    "plucker_margin",
     "weak_positivity_margin",
     "EquivalenceReport",
     "equivalence_suite",
@@ -218,7 +219,10 @@ def _euclidean_volume_coefficient(n):
     return complex(top.coeffs[0, 0]) / math.factorial(n)
 
 
-def _metric_inverse(metric):
+def _checked_metric(metric):
+    """The metric as a complex matrix, after checking that it is Hermitian
+    positive definite; every public entry point that takes a metric calls
+    this exactly once."""
     g = np.asarray(metric, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DomainError("forms: metric must be a square matrix")
@@ -227,32 +231,38 @@ def _metric_inverse(metric):
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 0:
         raise DomainError("forms: metric is not positive definite")
-    return np.linalg.inv(g)
+    return g
+
+
+def _volume(g):
+    """Volume coefficient of an already checked metric matrix."""
+    return complex(np.linalg.det(g)) * _euclidean_volume_coefficient(g.shape[0])
 
 
 def volume_coefficient(metric):
     """Coefficient of the volume form omega^n/n! on the full top basis form."""
-    g = np.asarray(metric, dtype=complex)
-    _metric_inverse(g)  # validation
-    return complex(np.linalg.det(g)) * _euclidean_volume_coefficient(g.shape[0])
+    return _volume(_checked_metric(metric))
+
+
+@lru_cache(maxsize=None)
+def _combo_array(n, p):
+    """The p-combos of range(n) as a (C(n, p), p) index array."""
+    return np.array(_combos(n, p), dtype=np.intp).reshape(-1, p)
 
 
 def _gram(n, size, m1):
-    """Gram matrix of size-combos under a 1-form Gram matrix m1."""
-    cs = _combos(n, size)
+    """Gram matrix of size-combos under a 1-form Gram matrix m1: its size-th
+    compound, the minors ``det m1[I, J]``, taken in one batched ``det``."""
     if size == 0:
         return np.ones((1, 1), dtype=complex)
-    out = np.empty((len(cs), len(cs)), dtype=complex)
-    for a, left in enumerate(cs):
-        for b, right in enumerate(cs):
-            out[a, b] = np.linalg.det(m1[np.ix_(left, right)])
-    return out
+    idx = _combo_array(n, size)
+    return np.linalg.det(m1[idx[:, None, :, None], idx[None, :, None, :]])
 
 
 def inner_product(a, b, metric):
     """Hermitian inner product of two (p,q)-forms under the metric."""
     a._check_same_space(b)
-    u = _metric_inverse(metric)
+    u = np.linalg.inv(_checked_metric(metric))
     g_h = _gram(a.n, a.p, u.T)   # <dz^j, dz^k> = inv(G)[k, j]
     g_a = _gram(a.n, a.q, u)     # <dzbar^j, dzbar^k> = inv(G)[j, k]
     return complex(np.sum(a.coeffs * (g_h @ b.coeffs.conj() @ g_a.T)))
@@ -265,9 +275,10 @@ def hodge_star(a, metric):
     (q,p)-forms phi; since basis forms pair with exactly one complementary
     basis form, the solve reduces to a signed permutation.
     """
-    u = _metric_inverse(metric)
+    g = _checked_metric(metric)
+    u = np.linalg.inv(g)
     n, p, q = a.n, a.p, a.q
-    vol = volume_coefficient(metric)
+    vol = _volume(g)
     conj_a = a.conjugate()  # (q, p)
     g_h = _gram(n, q, u.T)
     g_a = _gram(n, p, u)
@@ -316,18 +327,51 @@ def hat_identity_residual(h, n):
 # ---------------------------------------------------------------------------
 
 
-def _frame_multivector(vectors):
-    """The (k,k) multivector prod_k i v^k wedge conj(v^k) in the dual algebra.
+@lru_cache(maxsize=None)
+def _frame_phase(n):
+    """Unit relating frame minors to the frame multivector, for k = n - 1.
 
-    Multivectors obey the same exterior algebra as forms, so PQForm is reused
-    with coefficients over the coordinate vector basis.
+    The multivector of a frame is prod_j (i v^j wedge conj(v^j)), a product
+    of k even factors sum_ab i v^j_a conj(v^j_b) e_a wedge ebar_b.  Moving each
+    ebar past the later e's to reach e_(a1..ak) wedge ebar_(b1..bk) takes
+    (k-1) + ... + 1 = k(k-1)/2 transpositions, and the antisymmetrized sums
+    over the a's and the b's are the maximal minors (Cauchy-Binet), so
+
+        mu[I, J] = i^k (-1)^(k(k-1)/2) det V[:, I] conj(det V[:, J]):
+
+    the phase is 1 for k even (n = 3, 5) and i for k odd (n = 4, 6).
     """
-    n = len(vectors[0])
-    out = PQForm.basis(n, (), ())
-    for v in vectors:
-        v = np.asarray(v, dtype=complex)
-        out = out.wedge(PQForm(n, 1, 1, 1j * np.outer(v, v.conj())))
-    return out
+    k = n - 1
+    return 1j**k * (-1) ** (k * (k - 1) // 2)
+
+
+def _plucker_matrix(psi):
+    """Hermitian n x n matrix P whose quadratic form ``sum_IJ P[I, J] d_I
+    conj(d_J)`` over the maximal minors d of a frame is the frame value.
+
+    The raw index pairing of psi with a multivector differs from the
+    positively oriented wedge pairing by i^(2k) = (-1)^k, k = n - 1.
+    """
+    n = psi.n
+    return (-1) ** (n - 1) * _frame_phase(n) * psi.coeffs
+
+
+def _frame_values(psi, frames):
+    """Normalized values of a (n-1,n-1)-form on an ``(F, n-1, n)`` stack of
+    frames: one batched ``det`` for the maximal minors, one ``einsum``."""
+    n = psi.n
+    idx = _combo_array(n, n - 1)
+    minors = np.linalg.det(np.moveaxis(frames[:, :, idx], 2, 1))  # (F, n)
+    raw = np.einsum("fi,ij,fj->f", minors, _plucker_matrix(psi), minors.conj()).real
+    norm2 = np.prod(np.einsum("fkj,fkj->fk", frames.conj(), frames).real, axis=1)
+    return np.divide(raw, norm2, out=np.zeros_like(raw), where=norm2 != 0.0)
+
+
+def _as_frame(vectors, n, where):
+    frame = np.asarray(vectors, dtype=complex)
+    if frame.shape != (n - 1, n):
+        raise DomainError(f"forms.{where}: need {n - 1} frame vectors in C^{n}")
+    return frame
 
 
 def frame_value(psi, vectors):
@@ -336,18 +380,27 @@ def frame_value(psi, vectors):
     n = psi.n
     if (psi.p, psi.q) != (n - 1, n - 1):
         raise DomainError("forms.frame_value: form must have bidegree (n-1, n-1)")
-    if len(vectors) != n - 1:
-        raise DomainError(f"forms.frame_value: need {n - 1} frame vectors")
-    norm2 = 1.0
-    for v in vectors:
-        norm2 *= float(np.vdot(v, v).real)
-    if norm2 == 0.0:
-        return 0.0
-    mu = _frame_multivector(vectors)
-    # the raw index pairing differs from the positively oriented wedge
-    # pairing by i^(2(n-1)) from the i-factors on both sides
-    sign = (-1) ** (n - 1)
-    return sign * float(np.sum(psi.coeffs * mu.coeffs).real) / norm2
+    return float(_frame_values(psi, _as_frame(vectors, n, "frame_value")[None])[0])
+
+
+def plucker_margin(psi):
+    """Exact weak-positivity margin of a real (n-1,n-1)-form over orthonormal
+    frames.
+
+    Every (n-1)-vector in C^n is decomposable, and the maximal minors d of a
+    frame satisfy sum_I |d_I|^2 = det(V V^*), which is 1 for an orthonormal
+    frame.  Every unit vector of minors is therefore the minor vector of an
+    orthonormal frame, and the least value over those frames is the least
+    eigenvalue of the Hermitian Plucker matrix.  A frame of unit but
+    non-orthonormal vectors has |d|^2 <= 1 (Hadamard), so its value is at
+    least min(margin, 0).
+    """
+    n = psi.n
+    if (psi.p, psi.q) != (n - 1, n - 1):
+        raise DomainError("forms.plucker_margin: wrong bidegree")
+    if not psi.is_real(1e-9):
+        raise DomainError("forms.plucker_margin: form must be real")
+    return float(np.linalg.eigvalsh(_plucker_matrix(psi))[0])
 
 
 def weak_positivity_margin(psi, samples=200, rng=None, extra_frames=(), refine_steps=80):
@@ -370,58 +423,67 @@ def weak_positivity_margin(psi, samples=200, rng=None, extra_frames=(), refine_s
         f = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
         return [v / np.linalg.norm(v) for v in f]
 
-    best_val, best_frame = np.inf, None
-    for frame in list(extra_frames) + [random_frame() for _ in range(samples)]:
-        val = frame_value(psi, frame)
-        if val < best_val:
-            best_val, best_frame = val, [np.asarray(v, dtype=complex) for v in frame]
+    # draw every frame first, one at a time, so the random stream is that of
+    # a frame-by-frame loop; then evaluate them all at once
+    frames = [_as_frame(f, n, "weak_positivity_margin") for f in extra_frames]
+    frames += [np.array(random_frame()) for _ in range(samples)]
+    if not frames:
+        raise DomainError("forms.weak_positivity_margin: no frames to sample")
+    values = _frame_values(psi, np.stack(frames))
+    best = int(np.argmin(values))
+    best_val, best_frame = float(values[best]), frames[best]
 
     sigma = 0.5
     for _ in range(refine_steps):
         k = rng.integers(n - 1)
-        trial = [v.copy() for v in best_frame]
+        trial = best_frame.copy()
         bump = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         trial[k] = trial[k] + sigma * bump
         trial[k] /= np.linalg.norm(trial[k])
-        val = frame_value(psi, trial)
+        val = float(_frame_values(psi, trial[None])[0])
         if val < best_val:
             best_val, best_frame = val, trial
         else:
             sigma = max(sigma * 0.85, 1e-3)
-    return float(best_val)
+    return best_val
 
 
 # ---------------------------------------------------------------------------
-# Agreement suite for the three positivity characterizations
+# Agreement suite for the positivity characterizations
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Verdicts of the eigenvalue, hyperplane and weak-positivity tests."""
+    """Verdicts of the eigenvalue, hyperplane, sampled weak-positivity and
+    exact Plucker tests."""
 
     lambda_hat_min: float
     hyperplane_min_analytic: float
     hyperplane_min_sampled: float
     weak_margin: float
+    exact_margin: float
     eigenvalue_ok: bool
     hyperplane_ok: bool
     weak_ok: bool
+    exact_ok: bool
 
     @property
     def agree(self):
-        return self.eigenvalue_ok == self.hyperplane_ok == self.weak_ok
+        return self.eigenvalue_ok == self.hyperplane_ok == self.weak_ok == self.exact_ok
 
 
 def equivalence_suite(h, n, tolerance=1e-9, samples=32, rng=None):
-    """Cross-check the three characterizations of hat-positivity for the
-    quadratic with Hessian ``h``.
+    """Cross-check the characterizations of hat-positivity for the quadratic
+    with Hessian ``h``.
 
     (1) min of the hat transform of the eigenvalues; (2) minimal trace of the
     compression to a complex hyperplane, whose analytic value is the sum of
     the n-1 smallest eigenvalues; (3) the sampled weak-positivity margin of
     ``form wedge omega^(n-2)``, normalized by (n-2)! so that coordinate
-    frames of eigenvectors reproduce the hat eigenvalues exactly.
+    frames of eigenvectors reproduce the hat eigenvalues exactly; (4) the
+    exact margin of the same form, the least eigenvalue of its Plucker
+    matrix over (n-2)!.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (n, n) or not np.allclose(h, h.conj().T):
@@ -444,16 +506,20 @@ def equivalence_suite(h, n, tolerance=1e-9, samples=32, rng=None):
     eigen_frames = [
         [vecs[:, j].conj() for j in range(n) if j != i] for i in range(n)
     ]
+    scale = math.factorial(n - 2)
     margin = weak_positivity_margin(
         psi, samples=samples, rng=rng, extra_frames=eigen_frames, refine_steps=0
-    ) / math.factorial(n - 2)
+    ) / scale
+    exact = plucker_margin(psi) / scale
 
     return EquivalenceReport(
         lambda_hat_min=lam_hat_min,
         hyperplane_min_analytic=analytic,
         hyperplane_min_sampled=float(sampled),
         weak_margin=margin,
+        exact_margin=exact,
         eigenvalue_ok=lam_hat_min >= -tolerance,
         hyperplane_ok=analytic >= -tolerance,
         weak_ok=margin >= -tolerance,
+        exact_ok=exact >= -tolerance,
     )

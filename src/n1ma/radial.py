@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 
@@ -249,6 +248,7 @@ def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
     if tau1 <= tau0:
         raise DomainError("radial.integral_threshold: degenerate shell")
     decay = spec.n - spec.p - 1.0
+    from scipy.integrate import quad  # imported here: the only use, and slow to load
 
     def window(lo, hi):
         if decay < 0 and -decay * lo > 600:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +110,18 @@ class SolverOptions:
     homotopy_steps: int = 8
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.positivity_scale <= 0:
-            raise DomainError("SolverOptions: tolerances must be positive")
+        # each test states the valid range, so that NaN, which fails every
+        # comparison, is rejected too
+        for name in ("tolerance", "positivity_scale", "krylov_rtol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(f"SolverOptions: {name} must be finite and positive, got {value}")
+        for name, least in (
+            ("max_iterations", 1), ("krylov_maxiter", 1), ("homotopy_steps", 1), ("max_backtracks", 0)
+        ):
+            value = getattr(self, name)
+            if not value >= least:
+                raise DomainError(f"SolverOptions: {name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

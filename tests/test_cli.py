@@ -100,6 +100,16 @@ expression = exp(0.8*cos(x1)*cos(x3))
             cfg = write(tmp_path, f"[problem]\nn = 3\ngrid = 16\n[density]\nfile = {field}\n", f"{name}.ini")
             assert main(["solve", "-c", cfg, "-o", str(tmp_path / name)]) == 5, name
 
+    @pytest.mark.parametrize(
+        "line",
+        ["tol = nan", "tol = inf", "tol = -1e-10", "max_iter = -3", "max_iter = 0"],
+    )
+    def test_bad_solver_options_exit_code(self, tmp_path, line):
+        cfg = write(tmp_path, f"[problem]\nn = 3\ngrid = 8\n[solver]\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["solve", "-c", cfg, "-o", str(out)]) == 5
+        assert not (out / "solve.csv").exists()
+
 
 class TestVerify:
     def test_manufactured_bundle(self, tmp_path):
@@ -181,6 +191,27 @@ class TestRandomSuites:
     def test_forms_check_n4(self, tmp_path):
         out = str(tmp_path / "fc4")
         assert main(["forms-check", "--n", "4", "--trials", "8", "--seed", "5", "-o", out]) == 0
+
+    # forms.csv as the frame-by-frame wedge-chain evaluation wrote it
+    FORMS_CSV = {
+        ("4", "7"): "# generator=PCG64 seed=7\n"
+        "check,value,threshold,pass\n"
+        "hat_identity_max_residual,4.440892098500626e-16,1e-12,True\n"
+        "double_star_sign_max_err,0.0,1e-12,True\n"
+        "equivalence_disagreements,0,0,True\n",
+        ("3", "1"): "# generator=PCG64 seed=1\n"
+        "check,value,threshold,pass\n"
+        "hat_identity_max_residual,4.440892098500626e-16,1e-12,True\n"
+        "double_star_sign_max_err,0.0,1e-12,True\n"
+        "equivalence_disagreements,0,0,True\n",
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(FORMS_CSV))
+    def test_forms_check_pinned_text(self, tmp_path, n, seed):
+        out = str(tmp_path / "fc")
+        assert main(["forms-check", "--n", n, "--seed", seed, "-o", out]) == 0
+        with open(os.path.join(out, "forms.csv"), "rb") as fh:
+            assert fh.read() == self.FORMS_CSV[n, seed].encode()
 
 
 class TestKrylovFailure:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from n1ma.errors import DomainError
 from n1ma.forms import (
@@ -13,10 +15,11 @@ from n1ma.forms import (
     hodge_star,
     inner_product,
     one_one_form,
+    plucker_margin,
     volume_coefficient,
     weak_positivity_margin,
 )
-from n1ma.forms import _combos, _euclidean_power  # noqa: F401  (shape helpers)
+from n1ma.forms import _combos, _euclidean_power, _frame_phase, _frame_values, _gram
 
 
 def random_form(rng, n, p, q):
@@ -32,6 +35,24 @@ def random_hermitian(rng, n):
 def random_metric(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a @ a.conj().T + 0.5 * np.eye(n)
+
+
+def wedge_chain_frame_value(psi, vectors):
+    """Reference frame value: build the multivector prod_k i v^k wedge
+    conj(v^k) by repeated wedges and pair it with psi index by index."""
+    n = psi.n
+    mu = PQForm.basis(n, (), ())
+    norm2 = 1.0
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        mu = mu.wedge(PQForm(n, 1, 1, 1j * np.outer(v, v.conj())))
+        norm2 *= float(np.vdot(v, v).real)
+    return (-1) ** (n - 1) * float(np.sum(psi.coeffs * mu.coeffs).real) / norm2
+
+
+def hat_form(h, n):
+    """``h ^ omega^(n-2)``, whose frame values over (n-2)! are hat values."""
+    return one_one_form(h).wedge(_euclidean_power(n, n - 2))
 
 
 class TestWedge:
@@ -199,6 +220,98 @@ class TestWeakPositivity:
             frame_value(psi, [np.array([1.0, 0, 0])])
 
 
+class TestClosedFormFrames:
+    def test_phase(self):
+        assert [_frame_phase(n) for n in (3, 4, 5, 6)] == [1, 1j, 1, 1j]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_frame_values_match_wedge_chain(self, n, scale):
+        rng = np.random.default_rng(20 + n)
+        for kind in ("hat", "random real"):
+            if kind == "hat":
+                psi = hat_form(random_hermitian(rng, n), n)
+            else:
+                a = random_form(rng, n, n - 1, n - 1)
+                psi = (a + a.conjugate()) * 0.5
+            psi = psi * scale
+            frames = scale * (
+                rng.standard_normal((12, n - 1, n)) + 1j * rng.standard_normal((12, n - 1, n))
+            )
+            got = _frame_values(psi, frames)
+            want = [wedge_chain_frame_value(psi, f) for f in frames]
+            assert np.abs(got - want).max() <= 1e-12 * scale * max(1.0, psi.max_norm() / scale)
+            assert frame_value(psi, list(frames[0])) == got[0]
+
+    def test_zero_vector_frame_is_zero(self):
+        psi = _euclidean_power(3, 2)
+        assert frame_value(psi, [np.zeros(3), np.array([1.0, 0, 0])]) == 0.0
+
+    def test_frame_vector_length_enforced(self):
+        with pytest.raises(DomainError):
+            frame_value(_euclidean_power(3, 2), [np.ones(4), np.ones(4)])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_batched_gram_equals_single_determinants(self, n):
+        rng = np.random.default_rng(30 + n)
+        m1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for size in range(n + 1):
+            cs = _combos(n, size)
+            loop = np.ones((len(cs), len(cs)), dtype=complex)
+            if size:
+                for a, left in enumerate(cs):
+                    for b, right in enumerate(cs):
+                        loop[a, b] = np.linalg.det(m1[np.ix_(left, right)])
+            assert np.array_equal(_gram(n, size, m1), loop)
+
+    def test_star_checks_the_metric_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(1) or eigvalsh(g))
+        hodge_star(random_form(np.random.default_rng(31), 4, 2, 1), np.eye(4))
+        assert len(calls) == 1
+
+
+class TestPluckerMargin:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_hat_minimum(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            h = random_hermitian(rng, n)
+            lam = np.linalg.eigvalsh(h)
+            exact = plucker_margin(hat_form(h, n)) / math.factorial(n - 2)
+            assert abs(exact - (lam.sum() - lam).min()) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1), shift=st.floats(-3.0, 3.0))
+    def test_bounds_the_frame_values(self, n, seed, shift):
+        # unit, non-orthonormal frames have |minors|^2 <= 1, so their values
+        # only reach min(exact, 0); orthonormal frames reach exact itself
+        rng = np.random.default_rng(seed)
+        psi = hat_form(random_hermitian(rng, n) + shift * np.eye(n), n)
+        exact = plucker_margin(psi)
+        tol = 1e-12 * max(1.0, psi.max_norm())
+        sampled = weak_positivity_margin(psi, samples=16, rng=rng, refine_steps=20)
+        assert sampled >= min(exact, 0.0) - tol
+        raw = rng.standard_normal((16, n, n)) + 1j * rng.standard_normal((16, n, n))
+        orthonormal = np.linalg.qr(raw)[0].swapaxes(1, 2)[:, : n - 1]
+        assert _frame_values(psi, orthonormal).min() >= exact - tol
+
+    def test_eigenvector_frame_attains_it(self):
+        rng = np.random.default_rng(50)
+        h = random_hermitian(rng, 4)
+        lam, vecs = np.linalg.eigh(h)
+        frame = vecs.conj().T[:-1]  # omits the largest eigenvalue
+        psi = hat_form(h, 4)
+        assert frame_value(psi, frame) == pytest.approx(plucker_margin(psi), abs=1e-12)
+
+    def test_rejects_wrong_bidegree_and_complex_forms(self):
+        with pytest.raises(DomainError):
+            plucker_margin(euclidean_metric(3))
+        with pytest.raises(DomainError):
+            plucker_margin(_euclidean_power(3, 2) * 1j)
+
+
 class TestSymmetricPolynomialCrossValidation:
     """The m-subharmonic encoding e_k >= 0 against actual wedge powers:
     (form)^k wedge omega^(n-k) is the volume form times a positive multiple
@@ -233,7 +346,7 @@ class TestSymmetricPolynomialCrossValidation:
 class TestEquivalenceSuite:
     def test_identity_all_positive(self):
         rep = equivalence_suite(np.eye(3), 3, rng=0)
-        assert rep.eigenvalue_ok and rep.hyperplane_ok and rep.weak_ok
+        assert rep.eigenvalue_ok and rep.hyperplane_ok and rep.weak_ok and rep.exact_ok
         assert rep.agree
 
     def test_boundary_example(self):
@@ -241,11 +354,13 @@ class TestEquivalenceSuite:
         assert rep.agree and rep.eigenvalue_ok
         assert rep.lambda_hat_min == pytest.approx(0.0, abs=1e-14)
         assert rep.weak_margin == pytest.approx(0.0, abs=1e-12)
+        assert rep.exact_margin == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_example(self):
         rep = equivalence_suite(np.diag([-1.5, 1.0, 1.0]), 3, rng=2)
         assert rep.agree and not rep.eigenvalue_ok
         assert rep.weak_margin == pytest.approx(-0.5, abs=1e-12)
+        assert rep.exact_margin == pytest.approx(-0.5, abs=1e-12) and not rep.exact_ok
 
     def test_analytic_hyperplane_equals_hat_minimum_exactly(self):
         rng = np.random.default_rng(12)

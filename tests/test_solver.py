@@ -22,6 +22,30 @@ from n1ma.solver import (
 SHAPE = (16, 16, 16)
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(tolerance=float("nan")),
+            dict(tolerance=float("inf")),
+            dict(tolerance=0.0),
+            dict(positivity_scale=float("nan")),
+            dict(krylov_rtol=float("nan")),
+            dict(max_iterations=0),
+            dict(max_iterations=-3),
+            dict(krylov_maxiter=0),
+            dict(homotopy_steps=0),
+            dict(max_backtracks=-1),
+        ],
+    )
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(DomainError):
+            SolverOptions(**kwargs)
+
+    def test_accepts_smallest_counts(self):
+        SolverOptions(max_iterations=1, krylov_maxiter=1, homotopy_steps=1, max_backtracks=0)
+
+
 class TestProblemValidation:
     def test_rejects_indefinite_gamma(self):
         with pytest.raises(DomainError):
