@@ -8,7 +8,7 @@ A problem config has sections::
                 e11 = <expr>  e12 = <expr> ...    (symmetric entries)
                 file = <prefix>                   (prefix_ij.n1ma per entry)
     [density]   expression = <expr>   or   file = <path>
-    [bounds]    c_beta_omega = ...  g_beta = ...  volume = ...  budget = ...
+    [bounds]    c_beta_omega = ...  budget = ...
 
 A family config adds ``[family] t_values = 0,0.1,...`` plus endpoint sections
 ``[beta1]`` and ``[density1]``; the fiber at t interpolates the metric
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import ConfigError, DomainError
 from .expressions import compile_expression
 from .grid import grid_coordinates, read_field
 from .harness import DeclaredBounds, FamilySpec
-from .solver import SolverOptions, TorusProblem, _component_major, _eig_range
+from .solver import SolverOptions, TorusProblem
 
 __all__ = ["parse_config"]
 
@@ -36,7 +37,8 @@ _DEFAULT_N = 3
 
 
 def _read(path):
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" is plain text, which the readers then reject
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     if not os.path.exists(path):
         raise ConfigError(f"config.parse_config: no such file: {path}")
     try:
@@ -46,39 +48,56 @@ def _read(path):
     return parser
 
 
-def _shape(parser):
-    n = parser.getint("problem", "n", fallback=_DEFAULT_N)
+@contextmanager
+def _labelled(label):
+    """Re-raise a failure of the enclosed step (a ConfigError, DomainError
+    or other ValueError, or an OSError) as a ConfigError naming ``label``,
+    the config section and key it came from."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"config.parse_config: {label}: {exc}") from None
+
+
+def _number(parser, section, key, kind, default, many=False):
+    """``[section] key`` read as a ``kind`` (int or float), or as a tuple of
+    them from a comma-separated list when ``many``; ``default`` when the key
+    is absent."""
+    if not parser.has_option(section, key):
+        return default
+    raw = parser.get(section, key)
+    parts = [p for p in raw.split(",") if p.strip()] if many else [raw]
+    with _labelled(f"[{section}] {key}"):
+        values = tuple(kind(p) for p in parts)
+    return values if many else values[0]
+
+
+def _coordinates(parser):
+    """The grid coordinates of ``[problem] n`` and ``grid``."""
+    n = _number(parser, "problem", "n", int, _DEFAULT_N)
     if n < 3:
         raise ConfigError("config.parse_config: [problem] n: need n >= 3")
-    raw = parser.get("problem", "grid", fallback=str(_DEFAULT_GRID))
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    try:
-        sizes = [int(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"config.parse_config: [problem] grid: bad value {raw!r}") from None
+    sizes = _number(parser, "problem", "grid", int, (_DEFAULT_GRID,), many=True)
     if len(sizes) == 1:
         sizes = sizes * n
     if len(sizes) != n:
         raise ConfigError(
             f"config.parse_config: [problem] grid: {len(sizes)} sizes for n={n}"
         )
-    return n, tuple(sizes)
+    with _labelled("[problem] grid"):
+        return grid_coordinates(sizes)
 
 
 def _field_from_section(parser, section, n, shape, coords):
     """A scalar field from an expression or a raw field file."""
     if parser.has_option(section, "expression"):
         text = parser.get(section, "expression")
-        try:
+        with _labelled(f"[{section}] expression"):
             return compile_expression(text, n)(coords)
-        except ConfigError as exc:
-            raise ConfigError(f"config.parse_config: [{section}] expression: {exc}") from None
     if parser.has_option(section, "file"):
         path = parser.get(section, "file")
-        try:
+        with _labelled(f"[{section}] file"):
             data = read_field(path)
-        except (OSError, DomainError) as exc:
-            raise ConfigError(f"config.parse_config: [{section}] file: {exc}") from None
         if data.shape != shape:
             raise ConfigError(
                 f"config.parse_config: [{section}] file: shape {data.shape} != grid {shape}"
@@ -106,10 +125,8 @@ def _metric_from_section(parser, section, n, shape, coords):
                 raise ConfigError(
                     f"config.parse_config: [{section}] {key}: indices out of range or not upper-triangular"
                 )
-            try:
+            with _labelled(f"[{section}] {key}"):
                 value = compile_expression(parser.get(section, key), n)(coords)
-            except ConfigError as exc:
-                raise ConfigError(f"config.parse_config: [{section}] {key}: {exc}") from None
             gamma[..., i, j] = value
             gamma[..., j, i] = value
             seen.add((i, j))
@@ -123,10 +140,8 @@ def _metric_from_section(parser, section, n, shape, coords):
         for i in range(n):
             for j in range(i, n):
                 path = f"{prefix}_{i + 1}{j + 1}.n1ma"
-                try:
+                with _labelled(f"[{section}] file"):
                     value = read_field(path)
-                except (OSError, DomainError) as exc:
-                    raise ConfigError(f"config.parse_config: [{section}] file: {exc}") from None
                 gamma[..., i, j] = value
                 gamma[..., j, i] = value
         return gamma
@@ -146,91 +161,55 @@ def _check_positive(values, label):
 def _options(parser, min_eig):
     """Solver options; ``min_eig`` is the least eigenvalue of the metric
     that the ``epsilon`` floor is relative to."""
-    tol = parser.getfloat("solver", "tol", fallback=1e-10)
-    max_iter = parser.getint("solver", "max_iter", fallback=50)
-    kwargs = dict(tolerance=tol, max_iterations=max_iter)
-    if parser.has_option("solver", "epsilon"):
-        floor = parser.getfloat("solver", "epsilon")
-        if floor <= 0 or floor >= min_eig:
+    kwargs = dict(
+        tolerance=_number(parser, "solver", "tol", float, 1e-10),
+        max_iterations=_number(parser, "solver", "max_iter", int, 50),
+    )
+    floor = _number(parser, "solver", "epsilon", float, None)
+    if floor is not None:
+        if not 0 < floor < min_eig:
             raise ConfigError(
                 "config.parse_config: [solver] epsilon: floor must lie in (0, min eig of beta)"
             )
         kwargs["positivity_scale"] = floor / min_eig
-    try:
+    with _labelled("[solver]"):
         return SolverOptions(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"config.parse_config: [solver]: {exc}") from None
-
-
-def _check_range(bounds, lo, hi):
-    c = bounds.c_beta_omega
-    if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
-        raise ConfigError(
-            "config.parse_config: [bounds] c_beta_omega: declared constant "
-            f"{c} below the metric eigenvalue range [{lo:.4g}, {hi:.4g}]"
-        )
 
 
 def _bounds(parser):
-    kwargs = {}
-    if parser.has_section("bounds"):
-        for key, attr in (
-            ("c_beta_omega", "c_beta_omega"),
-            ("g_beta", "g_beta"),
-            ("volume", "volume"),
-            ("budget", "uniformity_budget"),
-        ):
-            if parser.has_option("bounds", key):
-                kwargs[attr] = parser.getfloat("bounds", key)
-    try:
-        return DeclaredBounds(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"config.parse_config: [bounds]: {exc}") from None
+    c = _number(parser, "bounds", "c_beta_omega", float, DeclaredBounds.c_beta_omega)
+    budget = _number(parser, "bounds", "budget", float, DeclaredBounds.uniformity_budget)
+    with _labelled("[bounds]"):
+        return DeclaredBounds(c_beta_omega=c, uniformity_budget=budget)
+
+
+def _problem(parser, beta, density, coords, default_f):
+    """The validated TorusProblem of one metric section and one density
+    section; a single problem and both family endpoints are built here."""
+    n, shape = len(coords), coords[0].shape
+    gamma = _metric_from_section(parser, beta, n, shape, coords)
+    f = _field_from_section(parser, density, n, shape, coords)
+    if f is None:
+        f = default_f
+    _check_positive(f, f"[{density}]: density")
+    with _labelled(f"[{beta}]"):
+        return TorusProblem(gamma=gamma, f=f)
 
 
 def parse_config(path):
     """Parse a config file into a TorusProblem or a FamilySpec."""
     parser = _read(path)
-    n, shape = _shape(parser)
-    coords = grid_coordinates(shape)
-
-    gamma0 = _metric_from_section(parser, "beta", n, shape, coords)
-    f0 = _field_from_section(parser, "density", n, shape, coords)
-    if f0 is None:
-        f0 = np.ones(shape)
-    _check_positive(f0, "[density]: density")
+    coords = _coordinates(parser)
     bounds = _bounds(parser)
+    start = _problem(parser, "beta", "density", coords, np.ones(coords[0].shape))
+    start = start.with_options(_options(parser, start.gamma_eig_range[0]))
 
     if not parser.has_section("family"):
-        try:
-            problem = TorusProblem(gamma=gamma0, f=f0)
-        except DomainError as exc:
-            raise ConfigError(f"config.parse_config: [beta]: {exc}") from None
-        lo, hi = problem.gamma_eig_range
-        _check_range(bounds, lo, hi)
-        return problem.with_options(_options(parser, lo))
+        with _labelled("[bounds]"):
+            bounds.check_metric(start)
+        return start
 
-    raw = parser.get("family", "t_values", fallback="0,0.1,0.2,0.3,0.4,0.5")
-    try:
-        t_grid = tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"config.parse_config: [family] t_values: bad value {raw!r}") from None
-    gamma1 = _metric_from_section(parser, "beta1", n, shape, coords)
-    f1 = _field_from_section(parser, "density1", n, shape, coords)
-    if f1 is None:
-        f1 = f0
-    _check_positive(f1, "[density1]: density")
-    ranges = {}
-    for section, gamma in (("beta", gamma0), ("beta1", gamma1)):
-        if not np.all(np.isfinite(gamma)):
-            raise ConfigError(f"config.parse_config: [{section}]: metric must be finite")
-        ranges[section] = _eig_range(_component_major(gamma))
-        _check_range(bounds, *ranges[section])
-    options = _options(parser, ranges["beta"][0])
-    try:
-        return FamilySpec(
-            gamma0=gamma0, gamma1=gamma1, f0=f0, f1=f1,
-            t_grid=t_grid, bounds=bounds, options=options,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"config.parse_config: [family]: {exc}") from None
+    t_grid = _number(parser, "family", "t_values", float, (0, 0.1, 0.2, 0.3, 0.4, 0.5), many=True)
+    end = _problem(parser, "beta1", "density1", coords, start.f)
+    with _labelled("[family]"):
+        return FamilySpec(start=start, end=end, t_grid=t_grid, bounds=bounds)

@@ -24,7 +24,7 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 def _tokenize(text):
@@ -37,7 +37,7 @@ def _tokenize(text):
             )
         pos = match.end()
         if match.lastgroup == "num":
-            out.append(("num", float(match.group("num"))))
+            out.append(("num", np.float64(match.group("num"))))
         elif match.lastgroup == "name":
             out.append(("name", match.group("name")))
         else:
@@ -147,7 +147,10 @@ def compile_expression(text, n_vars):
                 f"expressions: expected {n_vars} coordinate arrays, got {len(coords)}"
             )
         env = {f"x{i + 1}": np.asarray(c) for i, c in enumerate(coords)}
-        value = node(env)
+        # numbers are numpy floats, so a fault such as 1/0 or 10^400 gives
+        # inf or NaN, which the callers' finiteness checks reject
+        with np.errstate(all="ignore"):
+            value = node(env)
         shape = np.broadcast_shapes(*(c.shape for c in env.values()))
         return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 

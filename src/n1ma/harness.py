@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConeExitError, DomainError
 from .eigencone import domination_witness
 from .grid import complex_hessian
-from .solver import SolverOptions, TorusProblem, newton_solve
+from .solver import TorusProblem, newton_solve
 
 __all__ = [
     "c_upper_bound",
@@ -140,60 +140,66 @@ def domination_check(result_low, result_high, f_low, f_high, kappa):
 
 @dataclass(frozen=True)
 class DeclaredBounds:
-    """Declared geometric constants, validated against the family data."""
+    """Declared comparison constant and uniformity budget of a family."""
 
     c_beta_omega: float = 10.0
-    g_beta: float = 1.0
-    volume: float = 1.0
     uniformity_budget: float = 100.0
 
     def __post_init__(self):
-        if self.c_beta_omega < 1 or self.g_beta < 1:
-            raise DomainError("DeclaredBounds: comparison constants must be >= 1")
+        # each test states the valid range, so that NaN fails it
+        if not 1 <= self.c_beta_omega < np.inf:
+            raise DomainError("DeclaredBounds: c_beta_omega must be finite and >= 1")
+        if not self.uniformity_budget > 0:
+            raise DomainError("DeclaredBounds: budget must be positive")
+
+    def check_metric(self, problem):
+        """Raise DomainError unless ``c_beta_omega`` majorizes the metric
+        eigenvalue range of ``problem`` against the identity."""
+        lo, hi = problem.gamma_eig_range
+        c = self.c_beta_omega
+        if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
+            raise DomainError(
+                f"DeclaredBounds: c_beta_omega = {c} does not majorize "
+                f"the metric eigenvalue range [{lo:.4g}, {hi:.4g}]"
+            )
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Affine metric path and log-affine density path over a parameter grid.
 
-    ``gamma0``/``gamma1`` are endpoint matrix fields (the fiber at t uses
-    ``(1-t) gamma0 + t gamma1``); ``f0``/``f1`` are endpoint densities
-    combined as ``f0**(1-t) * f1**t``.  Endpoint positivity makes every fiber
-    positive.  The declared comparison constant must majorize the eigenvalue
-    range of every fiber metric against the identity.
+    ``start`` and ``end`` are the validated problems at t = 0 and t = 1; the
+    fiber at t has metric ``(1-t) Gamma_0 + t Gamma_1``, density
+    ``f_0**(1-t) * f_1**t`` and the solver options of ``start``.  Endpoint
+    positivity makes every fiber positive.  The declared comparison constant
+    must majorize the metric eigenvalue range at both endpoints, which bounds
+    every fiber: along an affine path the least eigenvalue is concave in t
+    and the largest convex.
     """
 
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
+    start: TorusProblem
+    end: TorusProblem
     t_grid: tuple
     bounds: DeclaredBounds = field(default_factory=DeclaredBounds)
-    options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_grid)
-        if not ts or min(ts) < 0 or max(ts) > 0.5:
+        if not (ts and all(0 <= t <= 0.5 for t in ts)):
             raise DomainError("FamilySpec: parameters must lie in [0, 1/2]")
+        if self.start.shape != self.end.shape:
+            raise DomainError(
+                f"FamilySpec: endpoint grids {self.start.shape} and {self.end.shape} differ"
+            )
         object.__setattr__(self, "t_grid", ts)
-        probe = [self.fiber(t) for t in (min(ts), max(ts))]
-        for prob in probe:
-            lo, hi = prob.gamma_eig_range
-            c = self.bounds.c_beta_omega
-            if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
-                raise DomainError(
-                    "FamilySpec: declared comparison constant "
-                    f"{c} does not majorize the metric eigenvalue range [{lo:.4g}, {hi:.4g}]"
-                )
+        for endpoint in (self.start, self.end):
+            self.bounds.check_metric(endpoint)
 
     def fiber(self, t):
-        gamma = (1 - t) * np.asarray(self.gamma0, dtype=float) + t * np.asarray(
-            self.gamma1, dtype=float
-        )
-        f = np.asarray(self.f0, dtype=float) ** (1 - t) * np.asarray(
-            self.f1, dtype=float
-        ) ** t
-        return TorusProblem(gamma=gamma, f=f, options=self.options)
+        if t == 0:
+            return self.start
+        gamma = (1 - t) * self.start.compact_gamma + t * self.end.compact_gamma
+        f = self.start.f ** (1 - t) * self.end.f ** t
+        return TorusProblem(gamma=gamma, f=f, options=self.start.options)
 
 
 @dataclass(frozen=True)

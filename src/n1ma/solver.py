@@ -176,6 +176,12 @@ class TorusProblem:
     def gamma_eig_range(self):
         return self._min_gamma_eig, self._max_gamma_eig
 
+    @property
+    def compact_gamma(self):
+        """Gamma as one ``(n, n)`` matrix when it is constant, else its field."""
+        n = self.n
+        return self.gamma if any(self.gamma.strides[:n]) else self.gamma[(0,) * n]
+
     def with_density(self, f):
         f = _checked_density(f)
         if f.shape != self.shape:

@@ -6,7 +6,6 @@ import pytest
 from n1ma.grid import grid_coordinates
 from n1ma.harness import DeclaredBounds, FamilySpec
 from n1ma.solver import (
-    SolverOptions,
     TorusProblem,
     flat_problem,
     manufactured_problem,
@@ -87,16 +86,12 @@ def acceptance_family(shape=(16, 16, 16)):
     gamma1[..., 1, 1] = 1.0
     gamma1[..., 2, 2] = 0.8
     gamma1[..., 0, 1] = gamma1[..., 1, 0] = 0.05 * np.sin(x2)
-    f0 = np.ones(shape)
     f1 = np.exp(0.3 * np.cos(x2))
     return FamilySpec(
-        gamma0=gamma0,
-        gamma1=gamma1,
-        f0=f0,
-        f1=f1,
+        start=TorusProblem(gamma=gamma0, f=np.ones(shape)),
+        end=TorusProblem(gamma=gamma1, f=f1),
         t_grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
         bounds=DeclaredBounds(c_beta_omega=4.0, uniformity_budget=10.0),
-        options=SolverOptions(),
     )
 
 

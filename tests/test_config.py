@@ -1,10 +1,16 @@
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from n1ma import solver
 from n1ma.config import parse_config
 from n1ma.errors import ConfigError
 from n1ma.grid import grid_coordinates, write_field
-from n1ma.harness import FamilySpec
+from n1ma.harness import FamilySpec, family_run
 from n1ma.solver import TorusProblem
 
 
@@ -120,6 +126,11 @@ c_beta_omega = 2
         ("density", "expression", "exp(log(cos(x1)))"),
         ("beta", "expression", "exp(log(cos(x1)))"),
         ("beta", "e12", "log(cos(x1))"),
+        ("density", "expression", "1/0"),
+        ("density", "expression", "0^(0-1)"),
+        ("density", "expression", "10^400"),
+        ("density", "expression", "(0-1)^0.5"),
+        ("beta", "e12", "1/0"),
     ])
     def test_nonfinite_fields_rejected(self, tmp_path, section, key, expr):
         path = write(tmp_path, f"[problem]\ngrid = 16\n[{section}]\n{key} = {expr}\n")
@@ -136,6 +147,34 @@ t_values = 0, 0.5
 e11 = exp(log(cos(x1)))
 """)
         with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match=r"\[beta1\]"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("problem", "n", "three"),
+        ("problem", "grid", "6"),
+        ("solver", "tol", "abc"),
+        ("solver", "tol", "1e-10%"),
+        ("solver", "max_iter", "2.5"),
+        ("solver", "epsilon", "q"),
+        ("bounds", "c_beta_omega", "x"),
+        ("bounds", "budget", "z"),
+    ])
+    def test_malformed_number_names_key(self, tmp_path, section, key, value):
+        sections = {"problem": {"grid": "8"}}
+        sections.setdefault(section, {})[key] = value
+        path = write(tmp_path, "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        ))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "c_beta_omega = nan", "c_beta_omega = inf", "budget = nan", "budget = 0", "budget = -1",
+    ])
+    def test_out_of_range_bounds_rejected(self, tmp_path, line):
+        path = write(tmp_path, f"[problem]\ngrid = 8\n[bounds]\n{line}\n")
+        with pytest.raises(ConfigError, match=r"\[bounds\]"):
             parse_config(path)
 
     def test_epsilon_override(self, tmp_path):
@@ -204,3 +243,89 @@ c_beta_omega = 3
         path = write(tmp_path, self.FAMILY.replace("0, 0.25, 0.5", "0, 0.8"))
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    @pytest.mark.parametrize("t_values", ["nan", "0, nan"])
+    def test_nan_parameter_rejected_at_parse_time(self, tmp_path, t_values):
+        path = write(tmp_path, self.FAMILY.replace("0, 0.25, 0.5", t_values))
+        with pytest.raises(ConfigError, match=r"\[family\]"):
+            parse_config(path)
+
+    def test_each_metric_spectrum_computed_once(self, tmp_path, monkeypatch):
+        # the family-n4 benchmark shape on a smaller grid: identity metric
+        # at t = 0, six parameters
+        ts = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+        path = write(tmp_path, f"""
+[problem]
+n = 4
+grid = 8
+[family]
+t_values = {", ".join(map(str, ts))}
+[beta1]
+e11 = 1.4 + 0.1*cos(x1)
+e34 = 0.04*cos(x1 + x4)
+[density1]
+expression = exp(0.3*sin(x3 + x4))
+[bounds]
+c_beta_omega = 4
+""")
+        calls = []
+        eig_range = solver._eig_range
+
+        def counted(m):
+            calls.append(m.shape)
+            return eig_range(m)
+
+        monkeypatch.setattr(solver, "_eig_range", counted)
+        spec = parse_config(path)
+        assert family_run(spec).all_converged
+        assert len(calls) == 2 + sum(t > 0 for t in ts)
+
+        # the t = 0 fiber is the constant start problem, one 4x4 matrix
+        tracemalloc.start()
+        try:
+            fiber = spec.fiber(0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fiber.f.nbytes / 2
+        assert fiber is spec.start
+        assert fiber.gamma.strides[:4] == (0, 0, 0, 0)
+
+
+# every numeric key with a valid value
+NUMERIC_KEYS = {
+    ("problem", "n"): "3",
+    ("problem", "grid"): "8",
+    ("solver", "tol"): "1e-10",
+    ("solver", "max_iter"): "50",
+    ("solver", "epsilon"): "1e-5",
+    ("bounds", "c_beta_omega"): "3",
+    ("bounds", "budget"): "10",
+    ("family", "t_values"): "0, 0.5",
+}
+HOSTILE = ("nan", "inf", "-inf", "-1", "0", "2.5", "1e-320", "three", "1/0", "", "5%")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hostile=st.dictionaries(st.sampled_from(sorted(NUMERIC_KEYS)), st.sampled_from(HOSTILE), max_size=3),
+    family=st.booleans(),
+)
+def test_hostile_numbers_end_in_config_error(hostile, family):
+    # a few hostile keys at a time, so that every key is reached
+    sections = {}
+    for (section, key), value in {**NUMERIC_KEYS, **hostile}.items():
+        if section != "family" or family:
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+    if family:
+        text += "[beta1]\ne11 = 1.5 + 0.1*cos(x1)\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/run.ini"
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            parsed = parse_config(path)
+        except ConfigError:
+            return
+    assert isinstance(parsed, FamilySpec if family else TorusProblem)

@@ -16,7 +16,7 @@ from n1ma.harness import (
     family_run,
     mass_identity_check,
 )
-from n1ma.solver import SolveResult, diagnostics, flat_problem, newton_solve
+from n1ma.solver import SolveResult, TorusProblem, diagnostics, flat_problem, newton_solve
 
 SHAPE = (16, 16, 16)
 
@@ -140,9 +140,9 @@ class TestAudit:
 class TestFamily:
     def test_constant_family_rows_identical(self):
         eye = np.eye(3)
+        flat = TorusProblem(gamma=eye, f=np.ones(SHAPE))
         spec = FamilySpec(
-            gamma0=eye, gamma1=eye,
-            f0=np.ones(SHAPE), f1=np.ones(SHAPE),
+            start=flat, end=flat,
             t_grid=(0.0, 0.25, 0.5),
             bounds=DeclaredBounds(c_beta_omega=2.0),
         )
@@ -162,19 +162,41 @@ class TestFamily:
         eye = np.eye(3)
         with pytest.raises(DomainError):
             FamilySpec(
-                gamma0=eye, gamma1=4.0 * eye,
-                f0=np.ones(SHAPE), f1=np.ones(SHAPE),
+                start=TorusProblem(gamma=eye, f=np.ones(SHAPE)),
+                end=TorusProblem(gamma=4.0 * eye, f=np.ones(SHAPE)),
                 t_grid=(0.0, 0.5),
                 bounds=DeclaredBounds(c_beta_omega=1.5),
             )
 
+    def test_declared_bound_validated_at_the_far_endpoint(self):
+        # every fiber up to t = 1/2 lies within c = 2; the end at t = 1 does not
+        eye = np.eye(3)
+        with pytest.raises(DomainError, match="c_beta_omega"):
+            FamilySpec(
+                start=TorusProblem(gamma=eye, f=np.ones(SHAPE)),
+                end=TorusProblem(gamma=3.0 * eye, f=np.ones(SHAPE)),
+                t_grid=(0.0, 0.25),
+                bounds=DeclaredBounds(c_beta_omega=2.0),
+            )
+
+    def test_constant_endpoints_give_constant_fibers(self):
+        eye = np.eye(3)
+        spec = FamilySpec(
+            start=TorusProblem(gamma=eye, f=np.ones(SHAPE)),
+            end=TorusProblem(gamma=1.5 * eye, f=np.ones(SHAPE)),
+            t_grid=(0.0, 0.5),
+        )
+        assert spec.fiber(0.0) is spec.start
+        fiber = spec.fiber(0.5)
+        assert fiber.gamma.strides[:3] == (0, 0, 0)
+        assert np.array_equal(fiber.gamma[1, 2, 3], 1.25 * eye)
+        assert fiber.gamma_eig_range == (1.25, 1.25)
+
     def test_parameter_range_validated(self):
         eye = np.eye(3)
         with pytest.raises(DomainError):
-            FamilySpec(
-                gamma0=eye, gamma1=eye,
-                f0=np.ones(SHAPE), f1=np.ones(SHAPE),
-                t_grid=(0.0, 0.9),
+            flat = TorusProblem(gamma=eye, f=np.ones(SHAPE))
+            FamilySpec(start=flat, end=flat, t_grid=(0.0, 0.9),
             )
 
     def test_csv_rows_shape(self, family_report):
