@@ -96,6 +96,8 @@ def cmd_solve(args):
     write_field(os.path.join(out, "u.n1ma"), result.u)
     field_to_csv(os.path.join(out, "u.csv"), result.u)
     _print_table([header, [_cell(v) for v in row]])
+    for shape, steps in result.levels:
+        print(f"level {'x'.join(map(str, shape))}: {steps} Newton steps")
     return EXIT_OK if result.converged else EXIT_MAXITER
 
 

@@ -114,8 +114,7 @@ def _metric_from_section(parser, section, n, shape, coords):
         if key.startswith("e") and key[1:].isdigit()
     ]
     if entry_keys:
-        gamma = np.zeros(shape + (n, n))
-        seen = set()
+        entries = {}
         for key in entry_keys:
             digits = key[1:]
             if len(digits) != 2:
@@ -126,12 +125,15 @@ def _metric_from_section(parser, section, n, shape, coords):
                     f"config.parse_config: [{section}] {key}: indices out of range or not upper-triangular"
                 )
             with _labelled(f"[{section}] {key}"):
-                value = compile_expression(parser.get(section, key), n)(coords)
-            gamma[..., i, j] = value
-            gamma[..., j, i] = value
-            seen.add((i, j))
+                entries[i, j] = compile_expression(parser.get(section, key), n)
+        if not any(entry.variables for entry in entries.values()):
+            # entries free of x1..xn give one matrix, not a field
+            coords = [c[(0,) * n] for c in coords]
+        gamma = np.zeros(coords[0].shape + (n, n))
+        for (i, j), entry in entries.items():
+            gamma[..., i, j] = gamma[..., j, i] = entry(coords)
         for i in range(n):
-            if (i, i) not in seen:
+            if (i, i) not in entries:
                 gamma[..., i, i] = 1.0
         return gamma
     if parser.has_option(section, "file"):

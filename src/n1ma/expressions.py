@@ -18,24 +18,27 @@ from .errors import ConfigError
 __all__ = ["compile_expression"]
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
 )
+_BLANKS = re.compile(r"\s*")
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 def _tokenize(text):
-    pos, out = 0, []
+    # blanks are skipped before a token is matched, so a failed match
+    # reports the offending character at its own position
+    pos, out = _BLANKS.match(text).end(), []
     while pos < len(text):
         match = _TOKEN.match(text, pos)
-        if not match or match.end() == pos:
+        if not match:
             raise ConfigError(
-                f"expressions: unexpected character {text[pos:pos + 1]!r} at position {pos}"
+                f"expressions: unexpected character {text[pos]!r} at position {pos}"
             )
-        pos = match.end()
+        pos = _BLANKS.match(text, match.end()).end()
         if match.lastgroup == "num":
             out.append(("num", np.float64(match.group("num"))))
         elif match.lastgroup == "name":
@@ -51,6 +54,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.used = set()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,6 +126,7 @@ class _Parser:
             if value in _CONSTANTS:
                 return lambda env, v=_CONSTANTS[value]: v
             if value in self.variables:
+                self.used.add(value)
                 return lambda env, name=value: env[name]
             raise ConfigError(f"expressions: unknown name {value!r}")
         if (kind, value) == ("op", "("):
@@ -137,9 +142,11 @@ def compile_expression(text, n_vars):
 
     The result takes a sequence of coordinate arrays and evaluates with numpy
     broadcasting; a constant expression broadcasts to the coordinates' shape.
+    Its ``variables`` attribute is the set of coordinate names the
+    expression reads, empty for a constant.
     """
-    variables = {f"x{i + 1}" for i in range(n_vars)}
-    node = _Parser(_tokenize(text), variables).parse()
+    parser = _Parser(_tokenize(text), {f"x{i + 1}" for i in range(n_vars)})
+    node = parser.parse()
 
     def evaluate(coords):
         if len(coords) != n_vars:
@@ -154,4 +161,5 @@ def compile_expression(text, n_vars):
         shape = np.broadcast_shapes(*(c.shape for c in env.values()))
         return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 
+    evaluate.variables = frozenset(parser.used)
     return evaluate

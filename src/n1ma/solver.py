@@ -45,6 +45,21 @@ component-major, as views of ``(n, n) + grid`` buffers, so every entry is a
 contiguous grid field; a constant background is a zero-stride view of one
 matrix.
 
+Without a given start, a solve is nested across grids (grid sequencing,
+Kelley 2003).  A grid whose largest axis exceeds 16 and whose axes all halve
+to even sizes of at least 8 has a coarser level: the same problem sampled
+at every other grid point.  The coarsest level is solved from u = 0, and
+each finer level starts from the coarser solution prolonged spectrally (its
+``rfftn`` zero-padded, the coarse Nyquist modes dropped).  Smooth data leave
+the fine levels little or nothing to do.  Acceptance stays on the requested
+grid: ``converged`` means its sup residual is at most ``tolerance``.  When a
+coarser level fails, or the loop from the prolonged start leaves the cone or
+does not converge, the grid is solved cold as if it had no coarser level.
+``SolveResult.iterations`` and ``residual_history`` cover every level that
+led to the returned u, coarse first (of a homotopy, its last stage), and
+``SolveResult.levels`` lists ``(grid shape, Newton steps)`` for every level
+attempted, a level abandoned for a cold solve included.
+
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
 trace/Frobenius enclosure of every point's spectrum rules out the points that
@@ -210,7 +225,12 @@ def _checked_density(f):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution field (sup u = 0), constant and solve diagnostics."""
+    """Solution field (sup u = 0), constant and solve diagnostics.
+
+    ``iterations`` and ``residual_history`` cover every grid level that led
+    to u, coarse first; ``levels`` is ``(grid shape, Newton steps)`` for
+    every level attempted, coarse to fine.
+    """
 
     u: np.ndarray
     c: float
@@ -218,6 +238,7 @@ class SolveResult:
     iterations: int
     converged: bool
     failure: str | None = None
+    levels: tuple = ()
     min_alpha_eig: float = np.nan
     grad_sup: float = np.nan
     hess_sup: float = np.nan
@@ -543,35 +564,72 @@ def _newton_loop(problem, u0):
     return u, log_c, history, opts.max_iterations, converged, failure
 
 
-def _package(problem, u, log_c, history, iterations, converged, failure):
+def _package(problem, u, log_c, history, iterations, converged, failure, levels):
     u_out = u - u.max()
+    with np.errstate(over="ignore"):
+        c = float(np.exp(log_c))
+    if not 0.0 < c < math.inf:
+        # a density so small or large that c leaves the float range
+        converged, failure = False, "constant-range"
     result = SolveResult(
         u=u_out,
-        c=float(np.exp(log_c)),
+        c=c,
         residual_history=tuple(history),
         iterations=iterations,
         converged=converged,
         failure=failure,
+        levels=tuple(levels),
     )
     return diagnostics(problem, result)
 
 
-def newton_solve(problem, u0=None):
-    """Solve the problem; falls back to a density homotopy on cone exit.
+def _coarser_shape(shape):
+    """The grid of the next coarser level, or None.  A level has one when
+    its largest axis exceeds 16 and every axis halves to an even size of at
+    least 8."""
+    if max(shape) <= 16 or any(s % 4 or s < 16 for s in shape):
+        return None
+    return tuple(s // 2 for s in shape)
 
-    Returns a SolveResult with ``sup u = 0``.  Non-convergence within the
-    iteration budget (failure ``"max-iterations"``) or an unusable Krylov
-    correction (failure ``"krylov"``) yields a failure result with the
-    residual history; an unreachable positivity floor raises ConeExitError.
-    When a homotopy stage fails, the result is that stage's u and c, and the
-    failure names the stage, e.g. ``"max-iterations at homotopy stage 3/8"``.
+
+def _restricted(problem):
+    """The problem sampled at every other grid point.  The samples of a
+    validated problem need no new check, and the positivity floor stays the
+    fine problem's."""
+    every_other = (slice(None, None, 2),) * problem.n
+    # a zero-stride (constant) gamma stays zero-stride
+    return problem._evolve(gamma=problem.gamma[every_other], f=problem.f[every_other])
+
+
+def _prolonged(u, shape):
+    """Spectral interpolation of the coarse field u to the grid ``shape``:
+    its ``rfftn`` zero-padded with the coarse Nyquist modes dropped, scaled
+    by the point-count ratio, and one ``irfftn``."""
+    coarse = u.shape
+    kept_coarse, kept_fine = [], []
+    for s, fine in zip(coarse[:-1], shape[:-1]):
+        half = s // 2
+        kept_coarse.append(np.r_[0:half, half + 1:s])
+        kept_fine.append(np.r_[0:half, fine - half + 1:fine])
+    kept_coarse.append(np.arange(coarse[-1] // 2))
+    kept_fine.append(kept_coarse[-1])
+    padded = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    padded[np.ix_(*kept_fine)] = sfft.rfftn(u)[np.ix_(*kept_coarse)]
+    padded *= math.prod(shape) / math.prod(coarse)
+    return sfft.irfftn(padded, s=shape, axes=range(len(shape)))
+
+
+def _cold_solve(problem):
+    """Newton from u = 0, with the density homotopy on cone exit.
+
+    Returns the problem whose solve the outcome is (the failed stage when a
+    homotopy stage fails, whose failure then names it) and the outcome of
+    ``_newton_loop``; raises ConeExitError when the homotopy cannot reach
+    the target density.
     """
-    start = np.zeros(problem.shape) if u0 is None else np.asarray(u0, dtype=float)
     try:
-        return _package(problem, *_newton_loop(problem, start))
+        return problem, _newton_loop(problem, np.zeros(problem.shape))
     except ConeExitError as exc:
-        if u0 is not None:
-            raise
         first_error = exc
 
     # Homotopy from the exactly solvable density det(Gamma) (u = 0, c = 1).
@@ -592,8 +650,68 @@ def newton_solve(problem, u0=None):
         u = outcome[0]
         if not outcome[4]:
             *head, failure = outcome
-            return _package(stage, *head, f"{failure} at homotopy stage {k}/{steps}")
-    return _package(problem, *outcome)
+            return stage, (*head, f"{failure} at homotopy stage {k}/{steps}")
+    return problem, outcome
+
+
+def _ladder_solve(problem, levels):
+    """Solve on the grid of problem, starting from the prolonged solution of
+    the next coarser level when the grid has one, else cold.
+
+    Appends ``(grid shape, Newton steps)`` to ``levels`` for every level
+    attempted, coarse to fine.  Returns like ``_cold_solve``; the history
+    and iteration count of a solve from a prolonged start include those of
+    the coarser levels it came from.  A coarser level that fails, or a fine
+    loop from the prolonged start that leaves the cone or does not
+    converge, leads to the cold solve of this grid.
+    """
+    if _coarser_shape(problem.shape) is not None:
+        try:
+            _, coarse = _ladder_solve(_restricted(problem), levels)
+        except ConeExitError:
+            coarse = None
+        if coarse is not None and coarse[4]:
+            u, _, history, iterations = coarse[:4]
+            try:
+                outcome = _newton_loop(problem, _prolonged(u, problem.shape))
+            except ConeExitError as exc:
+                levels.append((problem.shape, max(len(exc.history) - 1, 0)))
+            else:
+                levels.append((problem.shape, outcome[3]))
+                if outcome[4]:
+                    u, log_c, fine_history, steps, _, _ = outcome
+                    return problem, (u, log_c, history + fine_history, iterations + steps, True, None)
+    try:
+        solved, outcome = _cold_solve(problem)
+    except ConeExitError as exc:
+        levels.append((problem.shape, max(len(exc.history) - 1, 0)))
+        raise
+    levels.append((problem.shape, outcome[3]))
+    return solved, outcome
+
+
+def newton_solve(problem, u0=None):
+    """Solve the problem; falls back to a density homotopy on cone exit.
+
+    Without ``u0`` the solve starts from the prolonged solution of a
+    coarser grid when the problem's grid has one (see ``_ladder_solve``);
+    an explicit ``u0`` starts a single Newton loop on the problem's grid,
+    and a cone exit from it raises ConeExitError.
+
+    Returns a SolveResult with ``sup u = 0``.  Non-convergence within the
+    iteration budget (failure ``"max-iterations"``), an unusable Krylov
+    correction (failure ``"krylov"``) or a constant c outside the positive
+    floats (failure ``"constant-range"``) yields a failure result with the
+    residual history; an unreachable positivity floor raises ConeExitError.
+    When a homotopy stage fails, the result is that stage's u and c, and the
+    failure names the stage, e.g. ``"max-iterations at homotopy stage 3/8"``.
+    """
+    if u0 is not None:
+        outcome = _newton_loop(problem, u0)
+        return _package(problem, *outcome, [(problem.shape, outcome[3])])
+    levels = []
+    solved, outcome = _ladder_solve(problem, levels)
+    return _package(solved, *outcome, levels)
 
 
 def diagnostics(problem, result):

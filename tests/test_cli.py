@@ -90,6 +90,22 @@ expression = exp(0.8*cos(x1)*cos(x3))
         with np.errstate(invalid="ignore"):
             assert main(["solve", "-c", cfg, "-o", str(tmp_path / "o")]) == 5
 
+    def test_subnormal_density_is_a_failure(self, tmp_path):
+        # c = 1 / f overflows: a constant outside the floats is no solution
+        cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 8\n[density]\nexpression = 1e-320\n")
+        out = tmp_path / "o"
+        assert main(["solve", "-c", cfg, "-o", str(out)]) == 3
+        assert (out / "solve.csv").read_text().splitlines()[1].endswith(",False")
+        assert solver.newton_solve(parse_config(cfg)).failure == "constant-range"
+
+    def test_levels_printed(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 32,32,24\n[density]\nexpression = exp(0.2*cos(x1))\n")
+        assert main(["solve", "-c", cfg, "-o", str(tmp_path / "o")]) == 0
+        levels = [line for line in capsys.readouterr().out.splitlines() if line.startswith("level ")]
+        assert levels[0].startswith("level 16x16x12: ") and levels[-1] == "level 32x32x24: 0 Newton steps"
+        # residuals.csv keeps its columns
+        assert (tmp_path / "o" / "residuals.csv").read_text().startswith("iteration,sup_residual\n")
+
     def test_bad_density_file_sizes_exit_code(self, tmp_path):
         good = tmp_path / "good.n1ma"
         write_field(good, np.ones((16, 16, 16)))

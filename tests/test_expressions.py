@@ -54,8 +54,10 @@ class TestErrors:
             ev("1 + 2 )")
 
     def test_bad_character(self):
-        with pytest.raises(ConfigError):
-            ev("1 & 2")
+        # blanks before a bad character are skipped, so the message names it
+        for text, message in (("1 & 2", "'&' at position 2"), ("1 + 0.1*cos(x1) % 2", "'%' at position 16")):
+            with pytest.raises(ConfigError, match=f"unexpected character {message}$"):
+                ev(text)
 
     def test_unbalanced_paren(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from n1ma import solver
+from n1ma.config import parse_config
 from n1ma.eigencone import hat_transform
 from n1ma.errors import ConeExitError, DomainError, PositivityError
 from n1ma.grid import complex_hessian, grid_coordinates, random_band_limited
@@ -20,6 +23,7 @@ from n1ma.solver import (
 )
 
 SHAPE = (16, 16, 16)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestSolverOptions:
@@ -115,6 +119,10 @@ class TestProblemValidation:
         assert problem.gamma_eig_range == tuple(float(e) for e in np.linalg.eigvalsh(g)[[0, -1]])
         g[0, 0] = 9.0  # the stored view does not alias the caller's matrix
         assert problem.gamma[0, 0, 0, 0, 0] == 2.0
+        # config entries free of x1..xn give one matrix too
+        family = parse_config(str(CONFIGS / "family.ini"))
+        assert family.start.gamma.strides[:3] == (0, 0, 0)
+        assert np.array_equal(family.start.compact_gamma, np.eye(3))
 
 
 class TestAlphaField:
@@ -259,7 +267,9 @@ class TestNewtonSolve:
     def test_grid_refinement_consistency(self, manufactured_solve):
         _, _, coarse = manufactured_solve
         problem64, u_star64 = manufactured_problem(0.4, (64, 64, 64))
-        fine = newton_solve(problem64)
+        # a cold solve, so that the 64^3 solution does not come from the
+        # 16^3 level it is compared against
+        fine = newton_solve(problem64, u0=np.zeros(problem64.shape))
         assert fine.converged
         assert np.abs(fine.u[::2, ::2, ::2] - coarse.u).max() <= 1e-8
         assert abs(fine.c - coarse.c) <= 1e-8
@@ -308,6 +318,61 @@ class TestNewtonSolve:
         assert not result.converged
         assert result.failure == "max-iterations"
         assert len(result.residual_history) >= 1
+
+
+class TestGridLadder:
+    @pytest.mark.parametrize(
+        "shape, coarser",
+        [
+            ((64,) * 3, (32,) * 3),
+            ((32, 32, 24), (16, 16, 12)),
+            ((16,) * 3, None),
+            ((16, 12, 10), None),
+            ((12,) * 4, None),
+            ((20,) * 3, (10,) * 3),
+        ],
+    )
+    def test_ladder_rule(self, shape, coarser):
+        assert solver._coarser_shape(shape) == coarser
+
+    def test_prolongation_interpolates(self):
+        rng = np.random.default_rng(7)
+        u = random_band_limited(rng, SHAPE, max_mode=3)
+        fine = solver._prolonged(u, (32, 32, 32))
+        assert np.abs(fine[::2, ::2, ::2] - u).max() <= 1e-14
+        # exact for a band-limited field: the fine samples of the same modes
+        x1, x2, x3 = grid_coordinates((32, 32, 32))
+        c1, c2, c3 = grid_coordinates(SHAPE)
+        trig = np.cos(3 * c1 - c2) + np.sin(2 * c3)
+        assert np.abs(solver._prolonged(trig, (32, 32, 32)) - np.cos(3 * x1 - x2) - np.sin(2 * x3)).max() <= 1e-14
+
+    def test_levels_of_a_ladder_solve(self, manufactured_solve):
+        _, _, result = manufactured_solve
+        assert result.levels == ((SHAPE, 4), ((32, 32, 32), 0))
+        # history and iterations cover every level, coarse first
+        assert result.iterations == 4 and len(result.residual_history) == 4 + 1 + 1
+
+    def test_cold_fallback_when_prolonged_start_leaves_the_cone(self, monkeypatch):
+        problem, _ = manufactured_problem(0.4, (32, 32, 32))
+        cold = newton_solve(problem, u0=np.zeros(problem.shape))
+        x1, _, _ = grid_coordinates(problem.shape)
+        monkeypatch.setattr(solver, "_prolonged", lambda u, shape: 10.0 * np.cos(x1))
+        result = newton_solve(problem)
+        assert result.converged
+        assert np.array_equal(result.u, cold.u) and result.c == cold.c
+        assert result.residual_history == cold.residual_history
+        assert result.iterations == cold.iterations
+        # the abandoned level is reported: it left the cone before a step
+        assert result.levels == ((SHAPE, 4), ((32, 32, 32), 0), ((32, 32, 32), cold.iterations))
+
+    def test_oscillating_config_matches_a_cold_start(self):
+        problem = parse_config(str(CONFIGS / "oscillating.ini"))
+        assert solver._coarser_shape(problem.shape) is not None
+        ladder = newton_solve(problem)
+        cold = newton_solve(problem, u0=np.zeros(problem.shape))
+        assert ladder.converged and cold.converged
+        assert abs(ladder.c - cold.c) <= 1e-9
+        assert np.abs(ladder.u - cold.u).max() <= 1e-9
 
 
 class TestDiagnostics:

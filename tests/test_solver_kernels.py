@@ -428,3 +428,23 @@ def test_manufactured_solve_work(monkeypatch):
     # GMRES iterations and its closing residual, which the true-residual
     # check reuses
     assert 4 < counts["matvecs"] <= 18
+
+
+def test_manufactured_64_ladder_work(monkeypatch):
+    # the fine 64^3 grid starts from the prolonged 32^3 solution, itself
+    # from 16^3; band-limited data leave nothing for the fine levels to do
+    problem, u_star = manufactured_problem(0.4, (64, 64, 64))
+    operators = []
+    original = solver.gmres
+
+    def recording(op, rhs, **kwargs):
+        operators.append(op.shape)
+        return original(op, rhs, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", recording)
+    result = newton_solve(problem)
+    assert result.levels == (((16,) * 3, 4), ((32,) * 3, 0), ((64,) * 3, 0))
+    assert operators == [(16**3, 16**3)] * 4
+    assert result.converged and result.final_residual <= problem.options.tolerance
+    assert np.abs(result.u - u_star).max() <= 1e-8
+    assert abs(result.c - 1.0) <= 1e-8
