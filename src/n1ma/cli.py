@@ -4,7 +4,7 @@ Outputs are CSV files (decimal point, comma separator, LF line endings) plus
 a printed summary.  Randomized suites draw from a seeded PCG64 generator
 recorded in the report header, so fixed seed and config give byte-identical
 outputs.  Exit codes: 0 success, 2 cone-exit, 3 non-convergence,
-4 invariant violation, 5 bad config.
+4 invariant violation, 5 bad config or arguments.
 """
 
 from __future__ import annotations
@@ -106,12 +106,11 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 
 
-def _random_suite_rows(seed, spectra_samples, forms_trials):
-    rng = np.random.default_rng(seed)
+def _cone_rows(rng, samples):
+    """Cone inclusion and gap audits on ``samples`` random spectra per check."""
     rows = []
-
     for n in (3, 4, 5):
-        lam = eigencone.sample_spectra(rng, spectra_samples, n)
+        lam = eigencone.sample_spectra(rng, samples, n)
         psh = eigencone.is_psh(lam)
         sh2 = eigencone.is_m_subharmonic(lam, 2, 1e-12)
         n1 = eigencone.is_n1_psh(lam, 1e-12)
@@ -119,24 +118,29 @@ def _random_suite_rows(seed, spectra_samples, forms_trials):
         bad = int((psh & ~sh2).sum() + (sh2 & ~n1).sum() + (n1 & ~sh1).sum())
         rows.append([f"cone_inclusions_n{n}", bad, 0, bad == 0])
 
-    pts = eigencone.sample_cone_points(rng, spectra_samples, 3)
+    pts = eigencone.sample_cone_points(rng, samples, 3)
     gap = eigencone.amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
     rows.append(["amgm_trace_gap_min", float(gap.min()), -1e-12, bool(gap.min() >= -1e-12)])
 
-    lam = rng.uniform(-1.0, 4.0, size=(spectra_samples, 3))
+    lam = rng.uniform(-1.0, 4.0, size=(samples, 3))
     pgap = eigencone.psh_product_gap(lam)
     rows.append(["psh_product_gap_min", float(pgap.min()), -1e-12, bool(pgap.min() >= -1e-12)])
+    return rows
 
+
+def _form_rows(rng, trials):
+    """Hat identity and equivalence audits on ``trials`` random Hermitian 3x3."""
     worst = 0.0
     agree = True
-    for _ in range(forms_trials):
+    for _ in range(trials):
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = 0.5 * (h + h.conj().T)
         worst = max(worst, forms.hat_identity_residual(h, 3))
         agree = agree and forms.equivalence_suite(h, 3, rng=rng).agree
-    rows.append(["hat_identity_max_residual", worst, 1e-12, worst <= 1e-12])
-    rows.append(["equivalence_agreement", agree, True, agree])
-    return rows
+    return [
+        ["hat_identity_max_residual", worst, 1e-12, worst <= 1e-12],
+        ["equivalence_agreement", agree, True, agree],
+    ]
 
 
 def cmd_verify(args):
@@ -165,7 +169,9 @@ def cmd_verify(args):
     rows.append(["density_scaling_u", u_shift, 1e-9, u_shift <= 1e-9])
     rows.append(["density_scaling_c", c_rel, 1e-9, c_rel <= 1e-9])
 
-    rows.extend(_random_suite_rows(args.seed, args.samples, args.trials))
+    rng = np.random.default_rng(args.seed)
+    rows.extend(_cone_rows(rng, args.samples))
+    rows.extend(_form_rows(rng, args.trials))
 
     _write_csv(
         os.path.join(out, "verify.csv"),
@@ -238,7 +244,7 @@ def cmd_radial(args):
 def cmd_cones(args):
     out = _ensure_outdir(args.output)
     rows = [["check", "value", "threshold", "pass"]]
-    rows.extend(_random_suite_rows(args.seed, args.samples, forms_trials=0)[:-2])
+    rows.extend(_cone_rows(np.random.default_rng(args.seed), args.samples))
 
     rng = np.random.default_rng(args.seed + 1)
     lam = eigencone.sample_spectra(rng, args.samples, 4)
@@ -305,8 +311,29 @@ def cmd_forms_check(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the bad-config code,
+    not argparse's 2, which is the cone-exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+# least accepted value of the count, seed and dimension flags of any
+# subcommand; the radial module checks --levels and --p itself
+_FLAG_LEAST = {"samples": 1, "trials": 1, "seed": 0, "n": 3}
+
+
+def _check_flags(args):
+    for flag, least in _FLAG_LEAST.items():
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ConfigError(f"cli: --{flag} must be at least {least}, got {value}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="n1ma", description=__doc__)
+    parser = _Parser(prog="n1ma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a problem config")
@@ -354,6 +381,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ with GMRES, right-preconditioned by the inverse constant-coefficient symbol of
 the mean linearization tensor, so GMRES minimizes the true linear residual.
 Each correction is solved only as far as the outer iteration needs: its
 relative tolerance is an Eisenstat-Walker forcing term that follows the sup
-residual, between ``krylov_rtol`` and 1e-4.  A correction whose true relative
+residual, between 1e-10 and 1e-4.  A correction whose true relative
 residual exceeds 1e-3 ends the solve with the failure ``"krylov"``.  A
 backtracking line search enforces both residual decrease and a positivity
 floor on alpha; if the cone cannot be entered from u = 0 directly, a homotopy
@@ -30,20 +30,18 @@ closes its cycle with ``b - A M^-1 y`` at the iterate it returns; the
 operator remembers that last product, so the true-residual check of the
 correction costs no extra application.
 
-The pointwise linear algebra of a Newton step calls no LAPACK routine.  The
-cone test ``alpha - floor I > 0`` is decided by the Sylvester leading minors
-in closed form for n = 3, and for n > 3 by a Cholesky factorization written
-over grid fields: one vectorized step per entry of the triangle, with a NaN
-or non-positive pivot meaning "not above".  The same algebra gives
-``log det alpha``.  The linearization tensor ``((tr A) I - A) / (n - 1)``
-with ``A = alpha^-1`` is built from the adjugate for n = 3
-(``A = adj(alpha) / det(alpha)``) and from the inverse Cholesky factor for
-n > 3 (``A = L^-T L^-1``).  Its eigenvalues are ``hat(1 / eig alpha) /
-(n - 1)``, positive whenever alpha is, so ellipticity needs no separate
-check.  Matrix fields keep the public shape ``grid + (n, n)`` but are stored
-component-major, as views of ``(n, n) + grid`` buffers, so every entry is a
-contiguous grid field; a constant background is a zero-stride view of one
-matrix.
+The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
+pointwise decision is a Cholesky factorization written over grid fields: one
+vectorized step per entry of the triangle, with a NaN or non-positive pivot
+meaning "not above".  The cone test ``alpha - floor I > 0`` factors
+``alpha - floor I``; the factor L of alpha gives ``log det alpha`` and the
+linearization tensor ``((tr A) I - A) / (n - 1)`` with ``A = alpha^-1 =
+L^-T L^-1``, so an iterate is factored twice and theta needs no third
+factorization.  The tensor's eigenvalues are ``hat(1 / eig alpha) / (n - 1)``,
+positive whenever alpha is, so ellipticity needs no separate check.  Matrix
+fields keep the public shape ``grid + (n, n)`` but are stored component-major,
+as views of ``(n, n) + grid`` buffers, so every entry is a contiguous grid
+field; a constant background is a zero-stride view of one matrix.
 
 Without a given start, a solve is nested across grids (grid sequencing,
 Kelley 2003).  A grid whose largest axis exceeds 16 and whose axes all halve
@@ -106,6 +104,13 @@ __all__ = [
 # Loosest relative GMRES tolerance of a Newton correction: ten times inside
 # the 1e-3 true relative residual above which a correction is rejected.
 _FORCING_CAP = 1e-4
+# Tightest relative GMRES tolerance (see _forcing_term), and the Krylov
+# dimension of the one GMRES cycle of a correction.
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_MAXITER = 200
+# Step halvings of the line search, and stages of the density homotopy.
+_MAX_BACKTRACKS = 40
+_HOMOTOPY_STEPS = 8
 
 # Certified diagnostics: eigvalsh first runs on this many points of most
 # extreme eigenvalue bound; the bounds are widened by this many ulps of the
@@ -118,25 +123,17 @@ _SLACK_ULPS = 64
 class SolverOptions:
     tolerance: float = 1e-10
     max_iterations: int = 50
-    max_backtracks: int = 40
     positivity_scale: float = 1e-6  # floor = scale * min eigenvalue of Gamma
-    krylov_rtol: float = 1e-10  # tightest GMRES tolerance (see _forcing_term)
-    krylov_maxiter: int = 200
-    homotopy_steps: int = 8
 
     def __post_init__(self):
         # each test states the valid range, so that NaN, which fails every
         # comparison, is rejected too
-        for name in ("tolerance", "positivity_scale", "krylov_rtol"):
+        for name in ("tolerance", "positivity_scale"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"SolverOptions: {name} must be finite and positive, got {value}")
-        for name, least in (
-            ("max_iterations", 1), ("krylov_maxiter", 1), ("homotopy_steps", 1), ("max_backtracks", 0)
-        ):
-            value = getattr(self, name)
-            if not value >= least:
-                raise DomainError(f"SolverOptions: {name} must be at least {least}, got {value}")
+        if not self.max_iterations >= 1:
+            raise DomainError(f"SolverOptions: max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -282,11 +279,6 @@ def alpha_field(problem, u):
     return _alpha_from_hessian(problem, complex_hessian(u))
 
 
-def _det3(a00, a11, a22, a01, a02, a12):
-    """Determinant of symmetric 3x3 matrices given by their entries."""
-    return a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02)
-
-
 def _field_cholesky(a, shift=0.0):
     """Lower Cholesky factor of ``a - shift I`` for a symmetric
     component-major field a, as ``{(i, j): field}`` for ``j <= i``, and the
@@ -300,12 +292,13 @@ def _field_cholesky(a, shift=0.0):
     factor = {}
     ok = True
     for j in range(n):
-        pivot = a[j, j] - shift
+        pivot = a[j, j] - shift  # a new array, updated in place
         for k in range(j):
-            pivot = pivot - factor[j, k] * factor[j, k]
+            pivot -= factor[j, k] * factor[j, k]
         positive = pivot > 0
         ok = ok & positive
-        factor[j, j] = np.sqrt(np.where(positive, pivot, 1.0))
+        pivot[~positive] = 1.0
+        factor[j, j] = np.sqrt(pivot, out=pivot)
         for i in range(j + 1, n):
             entry = a[i, j]
             for k in range(j):
@@ -315,38 +308,30 @@ def _field_cholesky(a, shift=0.0):
 
 
 def _log_det_above(alpha, floor):
-    """``log det alpha`` if ``alpha - floor I`` is positive definite at every
-    grid point, else None; NaN entries fail the test.
+    """``(L, log det alpha)`` if ``alpha - floor I`` is positive definite at
+    every grid point, else None; L is the grid-field Cholesky factor of
+    alpha (``_field_cholesky``), and NaN entries fail the test.
 
-    n = 3 decides by the leading minors of ``alpha - floor I`` (Sylvester's
-    criterion) in closed form; n > 3 by grid-field Cholesky factorizations of
-    ``alpha - floor I`` and of alpha.  Every comparison is ``x > 0`` so NaN
-    fails.
+    A positive floor is decided by the factorization of ``alpha - floor I``;
+    the factorization of alpha must succeed too.
     """
     a = _component_major(alpha)
-    n = a.shape[0]
-    if n == 3:
-        b00, b11, b22 = a[0, 0] - floor, a[1, 1] - floor, a[2, 2] - floor
-        minors = (b00, b00 * b11 - a[0, 1] * a[0, 1], _det3(b00, b11, b22, a[0, 1], a[0, 2], a[1, 2]))
-        if not all(np.all(m > 0) for m in minors):
-            return None
-        return np.log(_det3(a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]))
     if floor and not np.all(_field_cholesky(a, floor)[1]):
         return None
     factor, ok = _field_cholesky(a)
     if not np.all(ok):
         return None
-    return 2.0 * sum(np.log(factor[j, j]) for j in range(n))
+    return factor, 2.0 * sum(np.log(factor[j, j]) for j in range(a.shape[0]))
 
 
 def _alpha_state(problem, u, floor):
-    """``(alpha, log det alpha)`` for the field u; raises PositivityError
-    unless ``alpha - floor I`` is positive definite on the whole grid."""
-    alpha = alpha_field(problem, u)
-    logdet = _log_det_above(alpha, floor)
-    if logdet is None:
+    """``(L, log det alpha)`` for the field u, L the Cholesky factor of
+    alpha; raises PositivityError unless ``alpha - floor I`` is positive
+    definite on the whole grid."""
+    state = _log_det_above(alpha_field(problem, u), floor)
+    if state is None:
         raise PositivityError(f"solver: alpha is not above {floor:.3e} I on the whole grid")
-    return alpha, logdet
+    return state
 
 
 def residual(problem, u, log_c):
@@ -359,29 +344,13 @@ def residual(problem, u, log_c):
     return logdet - log_c - np.log(problem.f)
 
 
-def _linearization_tensor(alpha):
+def _linearization_tensor(factor):
     """Coefficient tensor ``((tr A) I - A) / (n - 1)``, ``A = alpha^-1``, of
-    the linearized operator; positive definite wherever alpha is.
-
-    For n = 3, ``A = adj(alpha) / det(alpha)`` with the cofactors in closed
-    form; for n > 3, ``A = L^-T L^-1`` with ``L^-1`` from the grid-field
-    Cholesky factor L of alpha by forward substitution.
+    the linearized operator, from the grid-field Cholesky factor L of alpha:
+    ``A = L^-T L^-1`` with ``L^-1`` by forward substitution.  Positive
+    definite wherever alpha is.
     """
-    a = _component_major(alpha)
-    n = a.shape[0]
-    if n == 3:
-        adj = np.empty(a.shape)
-        adj[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2]
-        adj[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2]
-        adj[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
-        adj[0, 1] = adj[1, 0] = a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2]
-        adj[0, 2] = adj[2, 0] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-        adj[1, 2] = adj[2, 1] = a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]
-        det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[0, 1] + a[0, 2] * adj[0, 2]
-        return _grid_major(_trace_free_part(adj, 1.0 / ((n - 1) * det)))
-    factor, ok = _field_cholesky(a)
-    if not np.all(ok):
-        raise PositivityError("solver: alpha is not positive definite on the whole grid")
+    n = math.isqrt(2 * len(factor))  # L has n (n + 1) / 2 entries
     # lower-triangular L^-1, row by row
     inv = {}
     for i in range(n):
@@ -391,7 +360,7 @@ def _linearization_tensor(alpha):
             for k in range(j + 1, i):
                 entry = entry + factor[i, k] * inv[k, j]
             inv[i, j] = -entry * inv[i, i]
-    ainv = np.empty(a.shape)
+    ainv = np.empty((n, n) + factor[0, 0].shape)
     for i in range(n):
         for j in range(i, n):
             entry = inv[j, i] * inv[j, j]
@@ -403,8 +372,8 @@ def _linearization_tensor(alpha):
 
 def linearized_apply(problem, u, v):
     """Directional derivative of ``log det alpha_u`` in the direction v."""
-    alpha, _ = _alpha_state(problem, u, 0.0)
-    theta = _linearization_tensor(alpha)
+    factor, _ = _alpha_state(problem, u, 0.0)
+    theta = _linearization_tensor(factor)
     hv = complex_hessian(v)
     return np.einsum("...ij,...ij->...", theta, hv)
 
@@ -476,22 +445,23 @@ def _forcing_term(res, opts):
     Eisenstat-Walker forcing: eta ~ res keeps the outer convergence quadratic,
     the ``0.1 tol / res`` floor stops the last correction from solving below
     what the outer tolerance needs, and the clamp keeps eta inside
-    ``[krylov_rtol, _FORCING_CAP]``.
+    ``[_KRYLOV_RTOL, _FORCING_CAP]``.
     """
-    return max(opts.krylov_rtol, min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res)))
+    return max(_KRYLOV_RTOL, min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res)))
 
 
-def _krylov_correction(alpha, rhs, rtol, opts):
-    """The Newton correction ``M^-1 y`` at alpha for the right-hand side rhs,
-    with GMRES stopped at relative tolerance rtol; None when its true
-    relative residual exceeds 1e-3.
+def _krylov_correction(factor, rhs, rtol):
+    """The Newton correction ``M^-1 y`` for the right-hand side rhs at the
+    alpha whose grid-field Cholesky factor is ``factor``, with GMRES stopped
+    at relative tolerance rtol; None when its true relative residual
+    exceeds 1e-3.
 
     GMRES may report stagnation once its residual hits the rounding floor,
     so the correction is judged by its true residual: GMRES's own closing
     product ``A M^-1 y`` when it ends at the y it returns.
     """
-    shape = alpha.shape[:-2]
-    theta = _linearization_tensor(alpha)
+    shape = factor[0, 0].shape
+    theta = _linearization_tensor(factor)
     theta_mean = theta.mean(axis=tuple(range(len(shape))))
     weights = _operator_weights(theta)
     del theta  # GMRES needs only the weights and the mean tensor
@@ -499,7 +469,7 @@ def _krylov_correction(alpha, rhs, rtol, opts):
     op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     # right preconditioning: GMRES minimizes the true residual of
     # (A M^-1) y = rhs, and the correction is M^-1 y
-    y, _ = gmres(op, rhs, rtol=rtol, atol=0.0, restart=opts.krylov_maxiter, maxiter=1)
+    y, _ = gmres(op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_MAXITER, maxiter=1)
     product = last["out"] if np.array_equal(y, last.get("y")) else op.matvec(y)
     if np.linalg.norm(product - rhs) / np.linalg.norm(rhs) > 1e-3:
         return None
@@ -511,48 +481,48 @@ def _newton_loop(problem, u0):
     floor = problem.positivity_floor
     logf = np.log(problem.f)
 
+    def evaluate(v):
+        """``(L, log_c, res_field, res)`` of the iterate v: the Cholesky
+        factor of alpha, the eliminated constant and the residual, field and
+        sup; raises PositivityError unless ``alpha - floor I > 0``."""
+        factor, logdet = _alpha_state(problem, v, floor)
+        log_c = float((logdet - logf).mean())
+        res_field = logdet - log_c - logf
+        return factor, log_c, res_field, float(np.abs(res_field).max())
+
     u = np.array(u0, dtype=float)
     u -= u.mean()
     history = []
 
     try:
-        alpha, logdet = _alpha_state(problem, u, floor)
+        factor, log_c, res_field, res = evaluate(u)
     except PositivityError as exc:
         raise ConeExitError(f"solver.newton_solve: initial iterate: {exc}", history) from None
-    log_c = float((logdet - logf).mean())
-    res_field = logdet - log_c - logf
-    res = float(np.abs(res_field).max())
     history.append(res)
 
     for iteration in range(opts.max_iterations):
         if res <= opts.tolerance:
             return u, log_c, history, iteration, True, None
 
-        delta = _krylov_correction(alpha, -res_field.ravel(), _forcing_term(res, opts), opts)
+        delta = _krylov_correction(factor, -res_field.ravel(), _forcing_term(res, opts))
         if delta is None:
             return u, log_c, history, iteration, False, "krylov"
         delta -= delta.mean()
 
         step = 1.0
-        accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = u + step * delta
             try:
-                alpha_t, logdet_t = _alpha_state(problem, trial, floor)
+                state = evaluate(trial)
             except PositivityError:
                 step *= 0.5
                 continue
-            log_c_t = float((logdet_t - logf).mean())
-            res_field_t = logdet_t - log_c_t - logf
-            res_t = float(np.abs(res_field_t).max())
-            if res_t < res:
+            if state[-1] < res:
                 u = trial - trial.mean()
-                alpha = alpha_t
-                log_c, res_field, res = log_c_t, res_field_t, res_t
-                accepted = True
+                factor, log_c, res_field, res = state
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise ConeExitError(
                 "solver.newton_solve: line search exhausted without an admissible step",
                 history,
@@ -633,12 +603,11 @@ def _cold_solve(problem):
         first_error = exc
 
     # Homotopy from the exactly solvable density det(Gamma) (u = 0, c = 1).
-    steps = problem.options.homotopy_steps
     log_target = np.log(problem.f)
-    log_base = _log_det_above(problem.gamma, 0.0)
+    _, log_base = _log_det_above(problem.gamma, 0.0)
     u = np.zeros(problem.shape)
     outcome = None
-    for k, s in enumerate(np.linspace(1.0 / steps, 1.0, steps), start=1):
+    for k, s in enumerate(np.linspace(1.0 / _HOMOTOPY_STEPS, 1.0, _HOMOTOPY_STEPS), start=1):
         stage = problem.with_density(np.exp(s * log_target + (1 - s) * log_base))
         try:
             outcome = _newton_loop(stage, u)
@@ -650,7 +619,7 @@ def _cold_solve(problem):
         u = outcome[0]
         if not outcome[4]:
             *head, failure = outcome
-            return stage, (*head, f"{failure} at homotopy stage {k}/{steps}")
+            return stage, (*head, f"{failure} at homotopy stage {k}/{_HOMOTOPY_STEPS}")
     return problem, outcome
 
 

@@ -230,6 +230,39 @@ class TestRandomSuites:
             assert fh.read() == self.FORMS_CSV[n, seed].encode()
 
 
+class TestArguments:
+    """Malformed and out-of-range arguments exit 5, the bad-config code,
+    before any output is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cones", "--samples", "0"],
+            ["cones", "--samples", "-5"],
+            ["cones", "--seed", "-1"],
+            ["verify", "-c", "manufactured", "--samples", "0"],
+            ["radial", "--n", "2"],
+            ["forms-check", "--trials", "0"],
+            ["forms-check", "--trials", "-1"],
+        ],
+    )
+    def test_out_of_range_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["-o", str(out)]) == 5
+        assert not out.exists()
+        assert f"{argv[-2]} must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["cones", "--samples", "abc"], ["bogus"], ["solve"]])
+    def test_usage_error_exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 5
+
+    def test_smallest_counts_accepted(self, tmp_path):
+        assert main(["cones", "--samples", "1", "-o", str(tmp_path / "c")]) == 0
+        assert main(["forms-check", "--trials", "1", "-o", str(tmp_path / "f")]) == 0
+
+
 class TestKrylovFailure:
     """An unusable Krylov correction ends the solve as a failure result."""
 

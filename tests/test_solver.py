@@ -34,12 +34,12 @@ class TestSolverOptions:
             dict(tolerance=float("inf")),
             dict(tolerance=0.0),
             dict(positivity_scale=float("nan")),
-            dict(krylov_rtol=float("nan")),
+            dict(tolerance=-1e-10),
             dict(max_iterations=0),
             dict(max_iterations=-3),
-            dict(krylov_maxiter=0),
-            dict(homotopy_steps=0),
-            dict(max_backtracks=-1),
+            dict(max_iterations=float("nan")),
+            dict(positivity_scale=0.0),
+            dict(positivity_scale=float("inf")),
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -47,7 +47,7 @@ class TestSolverOptions:
             SolverOptions(**kwargs)
 
     def test_accepts_smallest_counts(self):
-        SolverOptions(max_iterations=1, krylov_maxiter=1, homotopy_steps=1, max_backtracks=0)
+        SolverOptions(max_iterations=1)
 
 
 class TestProblemValidation:
@@ -214,11 +214,11 @@ class TestLinearization:
         assert errors[1] <= 1e-5
 
     def test_ellipticity_of_coefficient_tensor(self):
-        from n1ma.solver import _linearization_tensor
+        from n1ma.solver import _linearization_tensor, _log_det_above
 
         problem, u_star = manufactured_problem(0.4, SHAPE)
         alpha = alpha_field(problem, u_star)
-        theta = _linearization_tensor(alpha)
+        theta = _linearization_tensor(_log_det_above(alpha, 0.0)[0])
         theta_eigs = np.linalg.eigvalsh(theta)
         assert theta_eigs[..., 0].min() > 0
         # eig(theta) = hat(1 / eig(alpha)) / (n - 1): positive wherever alpha

@@ -1,15 +1,14 @@
 """The solver's pointwise kernels against the generic LAPACK formulas.
 
-The Newton loop decides ``alpha - floor I > 0`` by leading minors (n = 3) or
-a grid-field Cholesky factorization (n > 3), takes ``log det alpha`` from the
-same algebra and builds the linearization tensor from the adjugate (n = 3) or
-the inverse Cholesky factor (n > 3).  These properties pin each kernel to the
-eigenvalue/inverse formula it replaces, on matrix fields that include least
-eigenvalues just above and just below the floor.  The batched spectral
-derivatives are pinned to per-block transforms, the one-pass GMRES operator to
-the reference linearization, the certified eigenvalue extremes to the
-full-grid ``eigvalsh`` values, and the inexact Newton-Krylov loop to its
-forcing terms and its work.
+The Newton loop decides ``alpha - floor I > 0`` by a grid-field Cholesky
+factorization, and takes ``log det alpha`` and the linearization tensor from
+the Cholesky factor of alpha (the latter through its inverse).  These
+properties pin each kernel to the eigenvalue/inverse formula it replaces, on
+matrix fields that include least eigenvalues just above and just below the
+floor.  The batched spectral derivatives are pinned to per-block transforms,
+the one-pass GMRES operator to the reference linearization, the certified
+eigenvalue extremes to the full-grid ``eigvalsh`` values, and the inexact
+Newton-Krylov loop to its forcing terms and its work.
 """
 
 from collections import Counter
@@ -96,13 +95,14 @@ def test_log_det_and_theta_match_lapack(n, seed, floor, kinds):
     alpha = matrix_field(seed, n, floor, kinds, (floor, 3.0))
     sign, logabsdet = np.linalg.slogdet(alpha)
     assert np.all(sign == 1)
-    logdet = _log_det_above(alpha, 0.0)
-    assert logdet is not None
+    state = _log_det_above(alpha, 0.0)
+    assert state is not None
+    factor, logdet = state
     assert np.abs(logdet - logabsdet).max() <= 1e-12
     ainv = np.linalg.inv(alpha)
     tr = np.trace(ainv, axis1=-2, axis2=-1)
     expected = (tr[..., None, None] * np.eye(n) - ainv) / (n - 1)
-    theta = _linearization_tensor(alpha)
+    theta = _linearization_tensor(factor)
     assert theta.shape == alpha.shape
     assert np.abs(theta - expected).max() <= 1e-12
 
@@ -195,8 +195,18 @@ def count_linalg_calls(monkeypatch):
     return calls
 
 
-def test_newton_loop_makes_no_lapack_calls_for_n3(monkeypatch):
-    problem, _ = manufactured_problem(0.4, (16, 16, 16))
+def loop_problem(n, size, amplitude):
+    """The 16^3 manufactured problem for n = 3, else an identity metric and
+    the density ``exp(amplitude cos x1 cos xn)`` on ``size^n``."""
+    if n == 3:
+        return manufactured_problem(0.4, (16, 16, 16))[0]
+    xs = grid_coordinates((size,) * n)
+    return TorusProblem(gamma=np.eye(n), f=np.exp(amplitude * np.cos(xs[0]) * np.cos(xs[-1])))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_newton_loop_makes_no_lapack_calls(monkeypatch, n):
+    problem = loop_problem(n, 8, 0.3)
     calls = count_linalg_calls(monkeypatch)
     *_, iterations, converged, _ = _newton_loop(problem, np.zeros(problem.shape))
     assert converged and iterations >= 3
@@ -205,18 +215,24 @@ def test_newton_loop_makes_no_lapack_calls_for_n3(monkeypatch):
     assert not any(calls[name] for name in LAPACK), dict(calls)
 
 
-def test_newton_loop_makes_no_eigen_calls_for_n4(monkeypatch):
-    # n = 4 and n = 5 factor on grid fields: no LAPACK call at all
-    for n in (4, 5):
-        shape = (8,) * n
-        xs = grid_coordinates(shape)
-        problem = TorusProblem(gamma=np.eye(n), f=np.exp(0.3 * np.cos(xs[0]) * np.cos(xs[-1])))
-        calls = count_linalg_calls(monkeypatch)
-        *_, iterations, converged, _ = _newton_loop(problem, np.zeros(shape))
-        assert converged and iterations >= 2
-        assert calls["norm"] > 0
-        assert not any(calls[name] for name in LAPACK), (n, dict(calls))
-        monkeypatch.undo()
+@pytest.mark.parametrize("n, size", [(3, 16), (4, 12)])
+def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
+    # alpha - floor I for the cone test and alpha for log det and theta:
+    # the linearization tensor reuses the factor of the accepted iterate
+    problem = loop_problem(n, size, 0.6)
+    calls = Counter()
+    for name in ("alpha_field", "_field_cholesky"):
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    *_, iterations, converged, _ = _newton_loop(problem, np.zeros(problem.shape))
+    assert converged and iterations >= 3
+    assert calls["alpha_field"] >= iterations + 1
+    assert calls["_field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,10 +375,10 @@ def record_forcing(monkeypatch):
     return records
 
 
-def assert_within_forcing(records, opts):
+def assert_within_forcing(records):
     assert records
     for eta, true_res in records:
-        assert opts.krylov_rtol <= eta <= solver._FORCING_CAP
+        assert solver._KRYLOV_RTOL <= eta <= solver._FORCING_CAP
         assert true_res <= 2 * eta
 
 
@@ -371,7 +387,7 @@ def test_corrections_meet_their_forcing_terms(monkeypatch):
     records = record_forcing(monkeypatch)
     result = newton_solve(problem)
     assert result.converged and result.iterations == len(records) == 4
-    assert_within_forcing(records, problem.options)
+    assert_within_forcing(records)
     # the last correction is solved no tighter than the outer tolerance needs
     assert records[-1][0] == solver._FORCING_CAP
     assert np.abs(result.u - u_star).max() <= 1e-9
@@ -385,7 +401,7 @@ def test_oscillating_corrections_meet_their_forcing_terms(monkeypatch):
     problem = TorusProblem(gamma=np.eye(3), f=f)
     records = record_forcing(monkeypatch)
     assert newton_solve(problem).converged
-    assert_within_forcing(records, problem.options)
+    assert_within_forcing(records)
 
 
 @pytest.mark.parametrize("shape", [(16, 12, 10), (8, 10, 8, 12)])
@@ -399,7 +415,7 @@ def test_preconditioned_operator_is_the_linearization_of_m_inverse(shape):
     gamma[..., 0, 1] = gamma[..., 1, 0] = 0.2 * np.sin(xs[-1])
     problem = TorusProblem(gamma=gamma, f=np.ones(shape))
     u = random_band_limited(rng, shape, max_mode=3, amplitude=0.3)
-    theta = _linearization_tensor(solver.alpha_field(problem, u))
+    theta = _linearization_tensor(solver._alpha_state(problem, u, 0.0)[0])
     theta_mean = theta.mean(axis=tuple(range(n)))
     matvec, last = solver._preconditioned_operator(shape, solver._operator_weights(theta), theta_mean)
     y = rng.standard_normal(u.size)
