@@ -198,6 +198,8 @@ def cmd_family(args):
     print(f"fibers: {len(report.rows)}  uniformity sup_t (c + 1/c + osc): {report.uniformity!r}"
           f"  budget: {report.budget!r}")
     _print_table([[_cell(v) for v in row] for row in report.csv_rows()])
+    for row in report.rows:
+        print(f"fiber t={row.t!r}: {row.start} start, {row.newton_steps} Newton steps")
     failures = [row.failure for row in report.rows if not row.converged]
     if "cone-exit" in failures:
         return EXIT_CONE
@@ -320,16 +322,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-# least accepted value of the count, seed and dimension flags of any
-# subcommand; the radial module checks --levels and --p itself
-_FLAG_LEAST = {"samples": 1, "trials": 1, "seed": 0, "n": 3}
+# least accepted value of the count, seed, dimension and exponent flags of
+# any subcommand; the radial module checks --levels itself
+_FLAG_LEAST = {"samples": 1, "trials": 1, "seed": 0, "n": 3, "p": 0}
 
 
 def _check_flags(args):
     for flag, least in _FLAG_LEAST.items():
         value = getattr(args, flag, least)
-        if value < least:
-            raise ConfigError(f"cli: --{flag} must be at least {least}, got {value}")
+        # stated as the valid range, so that NaN fails it
+        if not least <= value < math.inf:
+            raise ConfigError(f"cli: --{flag} must be at least {least} and finite, got {value}")
 
 
 def build_parser():

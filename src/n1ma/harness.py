@@ -5,7 +5,8 @@ bounds: the trace-form upper bound on the normalizing constant, the mass
 identity that makes it exact on the periodic grid, the pointwise AM-GM gap,
 and the second-order ratio.  Families of problems along affine metric paths
 and log-affine density paths are solved fiberwise and summarized in a report
-with a uniformity statistic.
+with a uniformity statistic; each fiber's Newton loop starts from the
+secant extrapolation of the two fibers solved before it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
     "domination_check",
 ]
 
+_MASS_TOLERANCE = 1e-10
+
 
 def c_upper_bound(problem, result):
     """Trace-form upper bound on the constant and whether it holds.
@@ -50,16 +53,13 @@ def c_upper_bound(problem, result):
     return bound, bool(satisfied)
 
 
-def mass_identity_check(problem, result, tolerance=1e-10):
+def mass_identity_check(problem, result, tolerance=_MASS_TOLERANCE):
     """Grid quadrature of trace(Gamma + H_u) equals that of trace(Gamma).
 
     The Hessian term integrates to zero for any periodic field, so this is a
     linear identity independent of u being a solution.
     """
-    h = complex_hessian(result.u)
-    lhs = float((np.trace(problem.gamma, axis1=-2, axis2=-1) + np.trace(h, axis1=-2, axis2=-1)).mean())
-    rhs = float(np.trace(problem.gamma, axis1=-2, axis2=-1).mean())
-    return abs(lhs - rhs) <= tolerance * max(1.0, abs(rhs))
+    return _mass_identity(problem, complex_hessian(result.u), tolerance)
 
 
 def amgm_pointwise_audit(problem, result):
@@ -68,8 +68,20 @@ def amgm_pointwise_audit(problem, result):
     Nonnegative up to solver tolerance on converged output, with equality
     only where alpha has equal eigenvalues.
     """
+    return _amgm_min_gap(problem, result, complex_hessian(result.u))
+
+
+def _mass_identity(problem, h, tolerance):
+    """``mass_identity_check`` given the Hessian h of the solution."""
+    trace_gamma = np.trace(problem.gamma, axis1=-2, axis2=-1)
+    lhs = float((trace_gamma + np.trace(h, axis1=-2, axis2=-1)).mean())
+    rhs = float(trace_gamma.mean())
+    return abs(lhs - rhs) <= tolerance * max(1.0, abs(rhs))
+
+
+def _amgm_min_gap(problem, result, h):
+    """``amgm_pointwise_audit`` given the Hessian h of the solution."""
     n = problem.n
-    h = complex_hessian(result.u)
     trace = np.trace(problem.gamma, axis1=-2, axis2=-1) + np.trace(h, axis1=-2, axis2=-1)
     return float((trace - n * (result.c * problem.f) ** (1.0 / n)).min())
 
@@ -102,12 +114,13 @@ class AuditRow:
 def audit_solve(problem, result):
     """Run the full scalar audit battery on a converged solve."""
     bound, ok = c_upper_bound(problem, result)
+    h = complex_hessian(result.u)
     return AuditRow(
         c=result.c,
         c_upper=bound,
         c_upper_ok=ok,
-        mass_ok=mass_identity_check(problem, result),
-        amgm_min_gap=amgm_pointwise_audit(problem, result),
+        mass_ok=_mass_identity(problem, h, _MASS_TOLERANCE),
+        amgm_min_gap=_amgm_min_gap(problem, result, h),
         c2_ratio=c2_ratio(result),
         grad_sup=result.grad_sup,
         osc=result.osc,
@@ -204,10 +217,18 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class FiberRow:
+    """Outcome of one fiber.  ``start`` names the first iterate:
+    ``"cold"``, ``"previous"`` (the last solved fiber's u), ``"secant"`` (the
+    extrapolation of the last two) or ``"cold after failed warm start"``;
+    ``newton_steps`` counts the Newton steps of every solve of the fiber, a
+    failed warm start included."""
+
     t: float
     converged: bool
     failure: str | None
     audit: AuditRow | None
+    start: str
+    newton_steps: int
 
 
 @dataclass(frozen=True)
@@ -243,28 +264,58 @@ class EstimateReport:
         return out
 
 
-def family_run(spec):
-    """Solve every fiber and assemble the estimate report.
+def _predictor(t, solved):
+    """Start label and first iterate of the fiber at t from ``solved``, the
+    ``(t, u)`` of the last two converged fibers, oldest first: none gives a
+    cold start, one its u, two the secant ``u_k + (t - t_k)/(t_k - t_{k-1})
+    (u_k - u_{k-1})``; repeated parameters fall back to ``u_k``."""
+    if not solved:
+        return "cold", None
+    t_k, u_k = solved[-1]
+    if len(solved) == 1 or solved[0][0] == t_k:
+        return "previous", u_k
+    t_j, u_j = solved[0]
+    return "secant", u_k + (t - t_k) / (t_k - t_j) * (u_k - u_j)
 
-    Fiber failures are recorded in their row without aborting the run.  The
-    uniformity statistic is ``sup_t (c_t + 1/c_t + osc_t)``; infinite when a
-    fiber failed.
+
+def _solve_steps(problem, u0=None):
+    """``newton_solve`` as ``(result or None, Newton steps)``; a cone exit
+    gives no result and the steps of the loop that left the cone."""
+    try:
+        result = newton_solve(problem, u0=u0)
+    except ConeExitError as exc:
+        return None, max(len(exc.history) - 1, 0)
+    return result, result.iterations
+
+
+def family_run(spec):
+    """Solve every fiber by continuation and assemble the estimate report.
+
+    Each fiber starts from ``_predictor``'s iterate; a warm start that leaves
+    the cone or does not converge is replaced by the cold solve (with its
+    density homotopy), whose outcome the row records.  Failed fibers are
+    left out of the predictor and recorded in their row without aborting the
+    run.  The uniformity statistic is ``sup_t (c_t + 1/c_t + osc_t)``;
+    infinite when a fiber failed.
     """
     rows = []
     stat = 0.0
+    solved = []
     for t in spec.t_grid:
         problem = spec.fiber(t)
-        try:
-            result = newton_solve(problem)
-        except ConeExitError:
-            rows.append(FiberRow(t, False, "cone-exit", None))
-            stat = np.inf
-            continue
-        if not result.converged:
-            rows.append(FiberRow(t, False, result.failure, None))
+        start, guess = _predictor(t, solved)
+        result, steps = _solve_steps(problem, guess)
+        if guess is not None and (result is None or not result.converged):
+            start = "cold after failed warm start"
+            result, cold_steps = _solve_steps(problem)
+            steps += cold_steps
+        if result is None or not result.converged:
+            failure = "cone-exit" if result is None else result.failure
+            rows.append(FiberRow(t, False, failure, None, start, steps))
             stat = np.inf
             continue
         audit = audit_solve(problem, result)
-        rows.append(FiberRow(t, True, None, audit))
+        rows.append(FiberRow(t, True, None, audit, start, steps))
         stat = max(stat, audit.c + 1.0 / audit.c + audit.osc)
+        solved = [*solved[-1:], (t, result.u)]
     return EstimateReport(tuple(rows), float(stat), spec.bounds.uniformity_budget)

@@ -190,8 +190,8 @@ class ShellIntegrand:
     r_outer: float
 
     def __post_init__(self):
-        if self.p < 0:
-            raise DomainError("ShellIntegrand: p must be nonnegative")
+        if not 0 <= self.p < math.inf:
+            raise DomainError(f"ShellIntegrand: p must be finite and nonnegative, got {self.p}")
         if self.n < 3:
             raise DomainError("ShellIntegrand: need n >= 3")
         if not 0 < self.r_inner < self.r_outer:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -161,14 +162,19 @@ class TestVerify:
 
 
 class TestFamily:
-    def test_family_run(self, tmp_path):
+    def test_family_run(self, tmp_path, capsys):
         cfg = write(tmp_path, FAMILY)
         out = str(tmp_path / "f")
         assert main(["family", "-c", cfg, "-o", out]) == 0
         lines = open(os.path.join(out, "family.csv")).read().splitlines()
-        assert lines[0].split(",")[0] == "t"
+        assert lines[0] == "t,c,c_upper,mass,min_gap,c2_ratio,grad_sup,osc,converged"
         assert len(lines) == 4
         assert all(line.endswith("True") for line in lines[1:])
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fiber ")]
+        assert printed[0] == "fiber t=0.0: cold start, 0 Newton steps"
+        assert re.fullmatch(r"fiber t=0\.25: previous start, [1-9]\d* Newton steps", printed[1])
+        assert re.fullmatch(r"fiber t=0\.5: secant start, [1-9]\d* Newton steps", printed[2])
+        assert len(printed) == 3
 
     def test_problem_config_rejected(self, tmp_path):
         cfg = write(tmp_path, FLAT)
@@ -244,6 +250,9 @@ class TestArguments:
             ["radial", "--n", "2"],
             ["forms-check", "--trials", "0"],
             ["forms-check", "--trials", "-1"],
+            ["radial", "--p", "-1"],
+            ["radial", "--p", "nan"],
+            ["radial", "--p", "inf"],
         ],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, argv):

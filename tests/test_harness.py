@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from n1ma.errors import DomainError
+from conftest import acceptance_family
+from n1ma import harness
+from n1ma.errors import ConeExitError, DomainError
 from n1ma.grid import grid_coordinates, random_band_limited
 from n1ma.harness import (
     DeclaredBounds,
@@ -203,6 +205,84 @@ class TestFamily:
         rows = family_report.csv_rows()
         assert rows[0][0] == "t"
         assert len(rows) == 1 + len(family_report.rows)
+
+
+@pytest.fixture(scope="module")
+def cold_fibers():
+    """Cold solves of every fiber of the acceptance family."""
+    spec = acceptance_family()
+    return [(spec.fiber(t), newton_solve(spec.fiber(t))) for t in spec.t_grid]
+
+
+class TestContinuation:
+    """family_run starts each fiber from the last one or two solutions and
+    falls back to the cold solve when that start fails."""
+
+    def test_every_fiber_matches_its_cold_solve(self, family_report, cold_fibers):
+        for row, (_, cold) in zip(family_report.rows, cold_fibers):
+            assert row.audit.c == pytest.approx(cold.c, rel=1e-10, abs=0.0)
+
+    def test_fewer_newton_steps_than_cold(self, family_report, cold_fibers):
+        starts = [row.start for row in family_report.rows]
+        assert starts == ["cold", "previous"] + ["secant"] * 4
+        assert family_report.rows[0].newton_steps == 0
+        continued = sum(row.newton_steps for row in family_report.rows)
+        assert continued < sum(cold.iterations for _, cold in cold_fibers)
+
+    def test_secant_on_a_non_uniform_grid(self, monkeypatch):
+        spec = dataclasses.replace(acceptance_family(), t_grid=(0.0, 0.1, 0.3))
+        starts, solutions = [], []
+        real = harness.newton_solve
+
+        def recording(problem, u0=None):
+            starts.append(u0)
+            result = real(problem, u0=u0)
+            solutions.append(result.u)
+            return result
+
+        monkeypatch.setattr(harness, "newton_solve", recording)
+        report = family_run(spec)
+        assert [row.start for row in report.rows] == ["cold", "previous", "secant"]
+        assert starts[0] is None
+        assert np.array_equal(starts[1], solutions[0])
+        expected = solutions[1] + (0.3 - 0.1) / (0.1 - 0.0) * (solutions[1] - solutions[0])
+        assert np.array_equal(starts[2], expected)
+
+    @pytest.mark.parametrize("failure", ["cone-exit", "not-converged"])
+    def test_failed_warm_start_gives_the_cold_report(self, monkeypatch, cold_fibers, failure):
+        real = harness.newton_solve
+
+        def failing_warm_start(problem, u0=None):
+            if u0 is None:
+                return real(problem)
+            if failure == "cone-exit":
+                raise ConeExitError("planted warm-start failure")
+            result = real(problem, u0=u0)
+            return dataclasses.replace(result, converged=False, failure="max-iterations")
+
+        monkeypatch.setattr(harness, "newton_solve", failing_warm_start)
+        report = family_run(acceptance_family())
+        assert report.all_converged
+        assert [row.start for row in report.rows] == (
+            ["cold"] + ["cold after failed warm start"] * 5
+        )
+        audits = [audit_solve(problem, cold) for problem, cold in cold_fibers]
+        assert [row.audit for row in report.rows] == audits
+        assert report.uniformity == max(a.c + 1.0 / a.c + a.osc for a in audits)
+        if failure == "cone-exit":
+            # a warm start that leaves the cone at once adds no step
+            assert [row.newton_steps for row in report.rows] == [
+                cold.iterations for _, cold in cold_fibers
+            ]
+
+    def test_repeated_and_unsorted_parameters(self, cold_fibers):
+        spec = dataclasses.replace(acceptance_family(), t_grid=(0.2, 0.2, 0.1))
+        report = family_run(spec)
+        assert report.all_converged
+        assert [row.start for row in report.rows] == ["cold", "previous", "previous"]
+        expected = {0.2: cold_fibers[2][1].c, 0.1: cold_fibers[1][1].c}
+        for row in report.rows:
+            assert row.audit.c == pytest.approx(expected[row.t], rel=1e-10, abs=0.0)
 
 
 class TestDensityScalingInvariant:

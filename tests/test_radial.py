@@ -253,3 +253,8 @@ class TestIntegralThreshold:
             ShellIntegrand(p=1.0, n=3, r_inner=0.5, r_outer=0.2)
         with pytest.raises(DomainError):
             ShellIntegrand(p=-1.0, n=3, r_inner=0.01, r_outer=0.05)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(DomainError, match="finite"):
+            ShellIntegrand(p=p, n=3, r_inner=0.01, r_outer=0.05)
