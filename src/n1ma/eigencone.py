@@ -340,11 +340,6 @@ def sample_spectra(rng, count, n, low=-3.0, high=3.0):
     return rng.uniform(low, high, size=(count, n))
 
 
-def _random_hermitian(rng, count, n, scale=1.0):
-    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    return scale * 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 def _random_hpd(rng, count, n, ridge=0.2):
     a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     return a @ np.conj(np.swapaxes(a, -1, -2)) / n + ridge * np.eye(n)

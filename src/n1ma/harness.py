@@ -5,8 +5,9 @@ bounds: the trace-form upper bound on the normalizing constant, the mass
 identity that makes it exact on the periodic grid, the pointwise AM-GM gap,
 and the second-order ratio.  Families of problems along affine metric paths
 and log-affine density paths are solved fiberwise and summarized in a report
-with a uniformity statistic; each fiber's Newton loop starts from the
-secant extrapolation of the two fibers solved before it.
+with a uniformity statistic; each fiber's solve starts from the secant
+extrapolation of the two fibers solved before it, and ``newton_solve`` falls
+back to the cold solve when that start fails.
 """
 
 from __future__ import annotations
@@ -220,8 +221,10 @@ class FiberRow:
     """Outcome of one fiber.  ``start`` names the first iterate:
     ``"cold"``, ``"previous"`` (the last solved fiber's u), ``"secant"`` (the
     extrapolation of the last two) or ``"cold after failed warm start"``;
-    ``newton_steps`` counts the Newton steps of every solve of the fiber, a
-    failed warm start included."""
+    ``newton_steps`` counts the Newton steps of every loop of the fiber's
+    solve (``SolveResult.levels``), an abandoned warm start included.  A
+    fiber whose solve ends in ConeExitError has no result, and counts the
+    steps of its last loop only."""
 
     t: float
     converged: bool
@@ -278,25 +281,14 @@ def _predictor(t, solved):
     return "secant", u_k + (t - t_k) / (t_k - t_j) * (u_k - u_j)
 
 
-def _solve_steps(problem, u0=None):
-    """``newton_solve`` as ``(result or None, Newton steps)``; a cone exit
-    gives no result and the steps of the loop that left the cone."""
-    try:
-        result = newton_solve(problem, u0=u0)
-    except ConeExitError as exc:
-        return None, max(len(exc.history) - 1, 0)
-    return result, result.iterations
-
-
 def family_run(spec):
     """Solve every fiber by continuation and assemble the estimate report.
 
-    Each fiber starts from ``_predictor``'s iterate; a warm start that leaves
-    the cone or does not converge is replaced by the cold solve (with its
-    density homotopy), whose outcome the row records.  Failed fibers are
-    left out of the predictor and recorded in their row without aborting the
-    run.  The uniformity statistic is ``sup_t (c_t + 1/c_t + osc_t)``;
-    infinite when a fiber failed.
+    Each fiber is one ``newton_solve`` from ``_predictor``'s iterate, which
+    falls back to the cold solve when that start leaves the cone or does not
+    converge.  Failed fibers are left out of the predictor and recorded in
+    their row without aborting the run.  The uniformity statistic is
+    ``sup_t (c_t + 1/c_t + osc_t)``; infinite when a fiber failed.
     """
     rows = []
     stat = 0.0
@@ -304,13 +296,16 @@ def family_run(spec):
     for t in spec.t_grid:
         problem = spec.fiber(t)
         start, guess = _predictor(t, solved)
-        result, steps = _solve_steps(problem, guess)
-        if guess is not None and (result is None or not result.converged):
+        try:
+            result = newton_solve(problem, u0=guess)
+        except ConeExitError as exc:
+            result, failure, steps = None, "cone-exit", max(len(exc.history) - 1, 0)
+        else:
+            failure, steps = result.failure, sum(k for _, k in result.levels)
+        # only the cold loop that replaced a failed guess raises ConeExitError
+        if guess is not None and (result is None or len(result.levels) > 1):
             start = "cold after failed warm start"
-            result, cold_steps = _solve_steps(problem)
-            steps += cold_steps
         if result is None or not result.converged:
-            failure = "cone-exit" if result is None else result.failure
             rows.append(FiberRow(t, False, failure, None, start, steps))
             stat = np.inf
             continue

@@ -237,9 +237,10 @@ def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
     produces growing increments.  Each window integral uses adaptive
     quadrature; windows whose integrand overflows are recorded as inf.
 
-    Verdicts: "convergent" when the last increment falls below
-    ``increment_floor``; "divergent" when the last three increments each
-    exceed 1e-3 times the first; otherwise "inconclusive".
+    Verdicts: "divergent" when a window overflowed, which the integrand can
+    do only for p > n - 1; else "convergent" when the last increment falls
+    below ``increment_floor``; "divergent" when the last three increments
+    each exceed 1e-3 times the first; otherwise "inconclusive".
     """
     if refinement_levels < 3:
         raise DomainError("radial.integral_threshold: need at least 3 levels")
@@ -272,7 +273,9 @@ def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
     incs = [lvl.increment for lvl in levels[1:]]
     first = incs[0]
     verdict = "inconclusive"
-    if incs[-1] < increment_floor:
+    if partial == math.inf:  # a window overflowed
+        verdict = "divergent"
+    elif incs[-1] < increment_floor:
         verdict = "convergent"
     elif all(i > 1e-3 * first for i in incs[-3:]):
         verdict = "divergent"

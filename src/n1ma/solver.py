@@ -19,8 +19,8 @@ relative tolerance is an Eisenstat-Walker forcing term that follows the sup
 residual, between 1e-10 and 1e-4.  A correction whose true relative
 residual exceeds 1e-3 ends the solve with the failure ``"krylov"``.  A
 backtracking line search enforces both residual decrease and a positivity
-floor on alpha; if the cone cannot be entered from u = 0 directly, a homotopy
-from the solvable density det(Gamma) is attempted.
+floor on alpha; a loop whose line search finds no admissible step, or whose
+first iterate is not above the floor, leaves the cone (ConeExitError).
 
 Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
 symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
@@ -43,20 +43,23 @@ fields keep the public shape ``grid + (n, n)`` but are stored component-major,
 as views of ``(n, n) + grid`` buffers, so every entry is a contiguous grid
 field; a constant background is a zero-stride view of one matrix.
 
-Without a given start, a solve is nested across grids (grid sequencing,
-Kelley 2003).  A grid whose largest axis exceeds 16 and whose axes all halve
-to even sizes of at least 8 has a coarser level: the same problem sampled
-at every other grid point.  The coarsest level is solved from u = 0, and
+A solve tries at most one start before its cold solve: a given ``u0``, or
+without one the prolonged solution of a coarser grid.  A start whose loop
+leaves the cone or does not converge is abandoned, and the grid is solved as
+if it had not been given.  Without ``u0``, a solve is nested across grids
+(grid sequencing, Kelley 2003).  A grid whose largest axis exceeds 16 and
+whose axes all halve to even sizes of at least 8 has a coarser level: the
+same problem sampled at every other grid point.  The coarsest level is solved from u = 0, and
 each finer level starts from the coarser solution prolonged spectrally (its
 ``rfftn`` zero-padded, the coarse Nyquist modes dropped).  Smooth data leave
 the fine levels little or nothing to do.  Acceptance stays on the requested
 grid: ``converged`` means its sup residual is at most ``tolerance``.  When a
-coarser level fails, or the loop from the prolonged start leaves the cone or
-does not converge, the grid is solved cold as if it had no coarser level.
+coarser level fails, or its prolonged start is abandoned, the grid is solved
+cold from u = 0, and a cone exit of that loop raises ConeExitError.
 ``SolveResult.iterations`` and ``residual_history`` cover every level that
-led to the returned u, coarse first (of a homotopy, its last stage), and
-``SolveResult.levels`` lists ``(grid shape, Newton steps)`` for every level
-attempted, a level abandoned for a cold solve included.
+led to the returned u, coarse first, and ``SolveResult.levels`` lists
+``(grid shape, Newton steps)`` for every loop that ran, an abandoned start
+included.
 
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
@@ -108,9 +111,8 @@ _FORCING_CAP = 1e-4
 # dimension of the one GMRES cycle of a correction.
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_MAXITER = 200
-# Step halvings of the line search, and stages of the density homotopy.
+# Step halvings of the line search.
 _MAX_BACKTRACKS = 40
-_HOMOTOPY_STEPS = 8
 
 # Certified diagnostics: eigvalsh first runs on this many points of most
 # extreme eigenvalue bound; the bounds are widened by this many ulps of the
@@ -226,7 +228,8 @@ class SolveResult:
 
     ``iterations`` and ``residual_history`` cover every grid level that led
     to u, coarse first; ``levels`` is ``(grid shape, Newton steps)`` for
-    every level attempted, coarse to fine.
+    every Newton loop that ran, in order: an abandoned ``u0`` start first,
+    then the grid levels coarse to fine.
     """
 
     u: np.ndarray
@@ -589,98 +592,71 @@ def _prolonged(u, shape):
     return sfft.irfftn(padded, s=shape, axes=range(len(shape)))
 
 
-def _cold_solve(problem):
-    """Newton from u = 0, with the density homotopy on cone exit.
-
-    Returns the problem whose solve the outcome is (the failed stage when a
-    homotopy stage fails, whose failure then names it) and the outcome of
-    ``_newton_loop``; raises ConeExitError when the homotopy cannot reach
-    the target density.
-    """
+def _from_start(problem, start, levels):
+    """The outcome of ``_newton_loop`` from start when that loop converged,
+    else None: the start is abandoned.  Appends ``(grid shape, Newton
+    steps)`` to levels either way."""
     try:
-        return problem, _newton_loop(problem, np.zeros(problem.shape))
+        outcome = _newton_loop(problem, start)
     except ConeExitError as exc:
-        first_error = exc
-
-    # Homotopy from the exactly solvable density det(Gamma) (u = 0, c = 1).
-    log_target = np.log(problem.f)
-    _, log_base = _log_det_above(problem.gamma, 0.0)
-    u = np.zeros(problem.shape)
-    outcome = None
-    for k, s in enumerate(np.linspace(1.0 / _HOMOTOPY_STEPS, 1.0, _HOMOTOPY_STEPS), start=1):
-        stage = problem.with_density(np.exp(s * log_target + (1 - s) * log_base))
-        try:
-            outcome = _newton_loop(stage, u)
-        except ConeExitError:
-            raise ConeExitError(
-                "solver.newton_solve: homotopy could not reach the target density",
-                first_error.history,
-            ) from None
-        u = outcome[0]
-        if not outcome[4]:
-            *head, failure = outcome
-            return stage, (*head, f"{failure} at homotopy stage {k}/{_HOMOTOPY_STEPS}")
-    return problem, outcome
+        levels.append((problem.shape, max(len(exc.history) - 1, 0)))
+        return None
+    levels.append((problem.shape, outcome[3]))
+    return outcome if outcome[4] else None
 
 
 def _ladder_solve(problem, levels):
     """Solve on the grid of problem, starting from the prolonged solution of
-    the next coarser level when the grid has one, else cold.
+    the next coarser level when the grid has one, else cold from u = 0.
 
-    Appends ``(grid shape, Newton steps)`` to ``levels`` for every level
-    attempted, coarse to fine.  Returns like ``_cold_solve``; the history
+    Appends ``(grid shape, Newton steps)`` to ``levels`` for every loop,
+    coarse to fine, and returns the outcome of ``_newton_loop``; the history
     and iteration count of a solve from a prolonged start include those of
-    the coarser levels it came from.  A coarser level that fails, or a fine
-    loop from the prolonged start that leaves the cone or does not
-    converge, leads to the cold solve of this grid.
+    the coarser levels it came from.  A coarser level that fails, or an
+    abandoned prolonged start, leads to the cold loop on this grid, whose
+    cone exit raises ConeExitError.
     """
     if _coarser_shape(problem.shape) is not None:
         try:
-            _, coarse = _ladder_solve(_restricted(problem), levels)
+            coarse = _ladder_solve(_restricted(problem), levels)
         except ConeExitError:
             coarse = None
         if coarse is not None and coarse[4]:
             u, _, history, iterations = coarse[:4]
-            try:
-                outcome = _newton_loop(problem, _prolonged(u, problem.shape))
-            except ConeExitError as exc:
-                levels.append((problem.shape, max(len(exc.history) - 1, 0)))
-            else:
-                levels.append((problem.shape, outcome[3]))
-                if outcome[4]:
-                    u, log_c, fine_history, steps, _, _ = outcome
-                    return problem, (u, log_c, history + fine_history, iterations + steps, True, None)
+            fine = _from_start(problem, _prolonged(u, problem.shape), levels)
+            if fine is not None:
+                u, log_c, fine_history, steps, _, _ = fine
+                return u, log_c, history + fine_history, iterations + steps, True, None
     try:
-        solved, outcome = _cold_solve(problem)
+        outcome = _newton_loop(problem, np.zeros(problem.shape))
     except ConeExitError as exc:
         levels.append((problem.shape, max(len(exc.history) - 1, 0)))
         raise
     levels.append((problem.shape, outcome[3]))
-    return solved, outcome
+    return outcome
 
 
 def newton_solve(problem, u0=None):
-    """Solve the problem; falls back to a density homotopy on cone exit.
+    """Solve the problem, from ``u0`` when one is given.
 
-    Without ``u0`` the solve starts from the prolonged solution of a
-    coarser grid when the problem's grid has one (see ``_ladder_solve``);
-    an explicit ``u0`` starts a single Newton loop on the problem's grid,
-    and a cone exit from it raises ConeExitError.
+    A given ``u0`` starts one Newton loop on the problem's grid.  When that
+    loop leaves the cone or does not converge, ``u0`` is abandoned and the
+    problem is solved as if it had not been given.  Without ``u0`` the solve
+    starts from the prolonged solution of a coarser grid when the problem's
+    grid has one (see ``_ladder_solve``), else from u = 0.
 
     Returns a SolveResult with ``sup u = 0``.  Non-convergence within the
     iteration budget (failure ``"max-iterations"``), an unusable Krylov
     correction (failure ``"krylov"``) or a constant c outside the positive
     floats (failure ``"constant-range"``) yields a failure result with the
-    residual history; an unreachable positivity floor raises ConeExitError.
-    When a homotopy stage fails, the result is that stage's u and c, and the
-    failure names the stage, e.g. ``"max-iterations at homotopy stage 3/8"``.
+    residual history; a cone exit of the loop from u = 0 raises
+    ConeExitError.
     """
-    if u0 is not None:
-        outcome = _newton_loop(problem, u0)
-        return _package(problem, *outcome, [(problem.shape, outcome[3])])
     levels = []
-    solved, outcome = _ladder_solve(problem, levels)
-    return _package(solved, *outcome, levels)
+    outcome = None if u0 is None else _from_start(problem, u0, levels)
+    if outcome is None:
+        outcome = _ladder_solve(problem, levels)
+    return _package(problem, *outcome, levels)
 
 
 def diagnostics(problem, result):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from n1ma.grid import grid_coordinates
 from n1ma.harness import DeclaredBounds, FamilySpec
@@ -11,6 +12,31 @@ from n1ma.solver import (
     manufactured_problem,
     newton_solve,
 )
+
+
+def one_coordinate_solution(f, n):
+    """Exact grid solution ``(u, c, least)`` of ``det alpha_u = c f`` for
+    Gamma = I and a density f of x1 alone, with ``sup u = 0`` and ``least``
+    the least eigenvalue of alpha_u over the grid.
+
+    With u = u(x1), alpha_u = diag(1, 1 + s, ..., 1 + s) with
+    ``s = u'' / (4 (n - 1))``, so ``(1 + s)^(n-1) = c f`` at every grid
+    point: ``c = mean(f^(1/(n-1)))^-(n-1)`` makes s mean-zero, and u is two
+    spectral integrations of ``4 (n - 1) s``.  This holds however poorly the
+    grid resolves f.
+    """
+    line = f[(slice(None),) + (0,) * (n - 1)]
+    assert np.array_equal(np.broadcast_to(line.reshape((-1,) + (1,) * (n - 1)), f.shape), f)
+    root = line ** (1.0 / (n - 1))
+    c = root.mean() ** -(n - 1)
+    root_cf = root / root.mean()  # (c f)^(1/(n-1))
+    k = np.arange(line.size // 2 + 1, dtype=float)
+    spectrum = sfft.rfft(4 * (n - 1) * (root_cf - 1.0))
+    spectrum[0] = 0.0
+    spectrum[1:] /= -k[1:] ** 2
+    u = sfft.irfft(spectrum, line.size)
+    u = np.broadcast_to(u.reshape((-1,) + (1,) * (n - 1)), f.shape) - u.max()
+    return u, c, min(1.0, root_cf.min())
 
 
 @pytest.fixture(scope="session")

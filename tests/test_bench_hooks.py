@@ -12,9 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from n1ma import solver
+from n1ma.config import parse_config
+from n1ma.harness import family_run
 from n1ma.solver import manufactured_problem, newton_solve
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -39,3 +42,26 @@ def test_tracer_counts_a_manufactured_solve():
     assert metrics["solver.matvecs"] > 0
     assert metrics["solver.newton_steps"] == result.iterations
     assert (solver._preconditioner, solver.LinearOperator, solver.gmres, np.linalg.norm) == originals
+
+
+def test_tracer_counts_a_family_run():
+    spans = load_spans()
+    bindings = [
+        (spans._owner(path), attr) for targets in spans.SPANS.values() for path, attr in targets
+    ]
+    bindings += [(solver, "_preconditioner"), (solver, "LinearOperator")]
+    bindings += [(np.linalg, attr) for attr in spans.LINALG]
+    originals = [owner.__dict__[attr] for owner, attr in bindings]
+    spec = parse_config(str(ROOT / "configs" / "family.ini"))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = family_run(spec)
+    finally:
+        tracer.uninstall()
+    assert report.all_converged
+    assert [owner.__dict__[attr] for owner, attr in bindings] == originals
+    metrics = tracer.metrics()
+    # one Newton loop per fiber: each warm start converges
+    assert metrics["solver.newton_steps"] == sum(row.newton_steps for row in report.rows) == 11
+    assert metrics["solver.homotopy_stages"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_family
-from n1ma import harness
+from n1ma import harness, solver
 from n1ma.errors import ConeExitError, DomainError
 from n1ma.grid import grid_coordinates, random_band_limited
 from n1ma.harness import (
@@ -250,21 +250,23 @@ class TestContinuation:
 
     @pytest.mark.parametrize("failure", ["cone-exit", "not-converged"])
     def test_failed_warm_start_gives_the_cold_report(self, monkeypatch, cold_fibers, failure):
-        real = harness.newton_solve
+        real = solver._newton_loop
 
-        def failing_warm_start(problem, u0=None):
-            if u0 is None:
-                return real(problem)
+        def failing_warm_start(problem, u0):
+            if not np.any(u0):
+                return real(problem, u0)
             if failure == "cone-exit":
                 raise ConeExitError("planted warm-start failure")
-            result = real(problem, u0=u0)
-            return dataclasses.replace(result, converged=False, failure="max-iterations")
+            *head, _, _ = real(problem, u0)
+            return (*head, False, "max-iterations")
 
-        monkeypatch.setattr(harness, "newton_solve", failing_warm_start)
+        monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)
         report = family_run(acceptance_family())
         assert report.all_converged
+        # the t = 0 fiber is solved by u = 0, so the second fiber starts from
+        # the cold iterate itself, which the planted failure spares
         assert [row.start for row in report.rows] == (
-            ["cold"] + ["cold after failed warm start"] * 5
+            ["cold", "previous"] + ["cold after failed warm start"] * 4
         )
         audits = [audit_solve(problem, cold) for problem, cold in cold_fibers]
         assert [row.audit for row in report.rows] == audits

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import one_coordinate_solution
 from n1ma import solver
 from n1ma.config import parse_config
 from n1ma.eigencone import hat_transform
@@ -274,7 +275,7 @@ class TestNewtonSolve:
         assert np.abs(fine.u[::2, ::2, ::2] - coarse.u).max() <= 1e-8
         assert abs(fine.c - coarse.c) <= 1e-8
 
-    def test_stiff_density_with_homotopy_fallback(self):
+    def test_stiff_density_converges_from_zero(self):
         x1, _, _ = grid_coordinates(SHAPE)
         problem = TorusProblem(
             gamma=np.eye(3),
@@ -283,13 +284,27 @@ class TestNewtonSolve:
         )
         result = newton_solve(problem)
         assert result.converged
+        assert result.levels == ((SHAPE, 6),)
         assert result.min_alpha_eig > 0
 
-    def test_cone_exit_from_bad_start(self):
-        problem = flat_problem(SHAPE)
+    def test_failed_start_gives_the_solve_without_it(self, flat_solve):
+        problem, cold = flat_solve
         x1, _, _ = grid_coordinates(SHAPE)
+        result = newton_solve(problem, u0=10.0 * np.cos(x1))
+        assert np.array_equal(result.u, cold.u) and result.c == cold.c
+        assert result.residual_history == cold.residual_history
+        # the abandoned start left the cone before a step
+        assert result.levels[0] == (SHAPE, 0)
+        assert result.levels[1:] == cold.levels
+
+    def test_cone_exit_from_zero_raises(self):
+        x1, _, _ = grid_coordinates(SHAPE)
+        f = np.exp(3.0 * np.cos(x1))
+        _, _, least = one_coordinate_solution(f, 3)
+        assert least == pytest.approx(0.135, abs=1e-3)
+        problem = TorusProblem(gamma=np.eye(3), f=f, options=SolverOptions(positivity_scale=0.3))
         with pytest.raises(ConeExitError):
-            newton_solve(problem, u0=10.0 * np.cos(x1))
+            newton_solve(problem)
 
     def test_higher_complex_dimension(self):
         shape = (10, 10, 10, 10)
@@ -318,6 +333,49 @@ class TestNewtonSolve:
         assert not result.converged
         assert result.failure == "max-iterations"
         assert len(result.residual_history) >= 1
+
+
+class TestOneCoordinateOracle:
+    """``f = exp(a cos x1)`` with Gamma = I against the exact grid solution;
+    the least eigenvalue of the solution's alpha falls with a and crosses the
+    1e-6 positivity floor between a = 15 and a = 16."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [2, 4, 8, 12]
+        + [
+            pytest.param(
+                a,
+                marks=pytest.mark.xfail(
+                    raises=ConeExitError,
+                    strict=True,
+                    reason="the line search from u = 0 leaves the cone although the "
+                    "solution's least eigenvalue is above the floor (ROADMAP item 3)",
+                ),
+            )
+            for a in (13, 14, 15)
+        ],
+    )
+    def test_solvable_density_matches_the_oracle(self, a):
+        x1, _, _ = grid_coordinates(SHAPE)
+        f = np.exp(a * np.cos(x1))
+        u, c, least = one_coordinate_solution(f, 3)
+        problem = TorusProblem(gamma=np.eye(3), f=f)
+        assert least > problem.positivity_floor
+        result = newton_solve(problem)
+        assert result.converged
+        assert result.c == pytest.approx(c, rel=1e-10, abs=0.0)
+        assert np.abs(result.u - u).max() <= 1e-9
+
+    @pytest.mark.parametrize("a", [16, 17])
+    def test_density_below_the_floor_leaves_the_cone(self, a):
+        x1, _, _ = grid_coordinates(SHAPE)
+        f = np.exp(a * np.cos(x1))
+        _, _, least = one_coordinate_solution(f, 3)
+        problem = TorusProblem(gamma=np.eye(3), f=f)
+        assert least < problem.positivity_floor
+        with pytest.raises(ConeExitError):
+            newton_solve(problem)
 
 
 class TestGridLadder:
