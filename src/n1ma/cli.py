@@ -119,8 +119,8 @@ def _cone_rows(rng, samples):
         rows.append([f"cone_inclusions_n{n}", bad, 0, bad == 0])
 
     pts = eigencone.sample_cone_points(rng, samples, 3)
-    gap = eigencone.amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
-    rows.append(["amgm_trace_gap_min", float(gap.min()), -1e-12, bool(gap.min() >= -1e-12)])
+    gap = eigencone.amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
+    rows.append(["amgm_trace_gap_min", gap, -1e-12, gap >= -1e-12])
 
     lam = rng.uniform(-1.0, 4.0, size=(samples, 3))
     pgap = eigencone.psh_product_gap(lam)

@@ -421,12 +421,12 @@ def weak_positivity_margin(psi, samples=200, rng=None, extra_frames=(), refine_s
 
     def random_frame():
         f = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
-        return [v / np.linalg.norm(v) for v in f]
+        return f / np.linalg.norm(f, axis=1, keepdims=True)
 
     # draw every frame first, one at a time, so the random stream is that of
     # a frame-by-frame loop; then evaluate them all at once
     frames = [_as_frame(f, n, "weak_positivity_margin") for f in extra_frames]
-    frames += [np.array(random_frame()) for _ in range(samples)]
+    frames += [random_frame() for _ in range(samples)]
     if not frames:
         raise DomainError("forms.weak_positivity_margin: no frames to sample")
     values = _frame_values(psi, np.stack(frames))

@@ -14,6 +14,7 @@ from n1ma import eigencone, forms, radial
 from n1ma.eigencone import (
     HermitianPoint,
     amgm_trace_gap_batch,
+    amgm_trace_gap_min,
     cone_membership,
     ma_n1,
     psh_product_gap,
@@ -162,6 +163,8 @@ def test_criterion_6_amgm_audits(solve_suite):
     pts = sample_cone_points(rng, 100000, 3)
     gaps = amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
     assert gaps.min() >= -1e-12
+    screened = amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
+    assert np.array_equal(screened, float(gaps.min()))
 
     lam = rng.uniform(-1.0, 4.0, size=(100000, 3))
     pgaps = psh_product_gap(lam)

@@ -151,6 +151,26 @@ class TestVerify:
             outs.append(digest(os.path.join(out, "verify.csv")))
         assert outs[0] == outs[1]
 
+    # sha256 of the fixed-seed reports as the full-batch AM-GM minimum and the
+    # per-vector frame normalization wrote them
+    GOLDEN = {
+        ("cones", "--samples", "2000", "--seed", "0"):
+            "e1e8bc7c5755207696c8e9607b76d911055e8c0e3bb0e377d29daeb3a8e054e1",
+        ("cones", "--samples", "2000", "--seed", "5"):
+            "c687cfbac1a0907d3c9a9563e4701b008943f080e885e3b448e5208e73973b91",
+        ("forms-check", "--n", "3", "--trials", "8", "--seed", "5"):
+            "affe3759fbd582725741224995dd405f9e2fe7fa64e2b4b183dadcf1b453efba",
+        ("forms-check", "--n", "4", "--trials", "8", "--seed", "5"):
+            "1565d33d81593d351afca90c93d349d53aa7393d9df1f81e5e69f920e0bf033a",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+    def test_golden_digest(self, tmp_path, argv):
+        out = str(tmp_path / "g")
+        assert main([*argv, "-o", out]) == 0
+        name = "cones.csv" if argv[0] == "cones" else "forms.csv"
+        assert digest(os.path.join(out, name)) == self.GOLDEN[argv]
+
     def test_deterministic_cones(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -2,16 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n1ma import cli, eigencone
 from n1ma.eigencone import (
     ConeParams,
     HermitianPoint,
+    _elementary_symmetric,
     amgm_trace_gap,
     amgm_trace_gap_batch,
+    amgm_trace_gap_min,
     cone_membership,
     domination_witness,
+    elementary_symmetric,
     hat_transform,
     is_m_subharmonic,
     is_n1_psh,
@@ -86,6 +90,13 @@ class TestSigma:
             lam = rng.uniform(-3, 3, size=5)
             for k in range(1, 6):
                 assert sigma_k(lam, k) == pytest.approx(brute_sigma(lam, k), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_truncated_table_is_bitwise_the_full_one(self, n):
+        lam = np.random.default_rng(n).uniform(-3, 3, size=(500, n))
+        full = elementary_symmetric(lam)
+        for m in range(1, n + 1):
+            assert np.array_equal(_elementary_symmetric(lam, m), full[:, : m + 1])
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -237,6 +248,69 @@ class TestAmGmTraceGap:
         pts = sample_cone_points(rng, 2000, 3)
         gaps = amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
         assert gaps.min() >= -1e-12
+
+
+def _planted_triples(seed, count, n, rank, scale, omega_scale, duplicates):
+    """Triples whose alpha = scale * a a^H has the given rank, built as
+    ``sample_cone_points`` builds them, with ``duplicates`` samples copied
+    bit for bit onto others."""
+    rng = np.random.default_rng(seed)
+    beta = scale * eigencone._random_hpd(rng, count, n)
+    omega = omega_scale * eigencone._random_hpd(rng, count, n)
+    a = rng.standard_normal((count, n, rank)) + 1j * rng.standard_normal((count, n, rank))
+    alpha = scale * (a @ np.conj(np.swapaxes(a, -1, -2))) / n
+    s = np.trace(np.linalg.solve(omega, alpha - beta), axis1=-2, axis2=-1).real
+    hess = s[:, None, None] * omega - (n - 1) * (alpha - beta)
+    src, dst = rng.integers(count, size=(2, duplicates))
+    for x in (beta, omega, hess):
+        x[dst] = x[src]
+    return beta, omega, hess
+
+
+class TestAmGmTraceGapMin:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([3, 4, 5]),
+        count=st.one_of(st.just(1), st.integers(2, 400)),
+        rank=st.integers(1, 5),
+        log_scale=st.floats(-3.0, 3.0),
+        log_omega_scale=st.floats(-3.0, 3.0),
+        duplicates=st.integers(0, 25),
+    )
+    def test_bitwise_the_full_batch_minimum(
+        self, seed, n, count, rank, log_scale, log_omega_scale, duplicates
+    ):
+        beta, omega, hess = _planted_triples(
+            seed, count, n, min(rank, n), 10.0**log_scale, 10.0**log_omega_scale, duplicates
+        )
+        exact = amgm_trace_gap_batch(beta, omega, hess)
+        assert np.array_equal(amgm_trace_gap_min(beta, omega, hess), float(exact.min()))
+        # the screen's enclosure holds wherever it clears a sample
+        gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
+        assert np.all(np.abs(gap - exact)[ok] <= radius[ok])
+
+    def test_nan_sample_takes_the_exact_path(self):
+        pts = sample_cone_points(np.random.default_rng(2), 200, 3)
+        pts["beta"][17, 0, 0] = np.nan
+        triple = (pts["beta"], pts["omega"], pts["hess"])
+        with pytest.raises(np.linalg.LinAlgError):
+            amgm_trace_gap_batch(*triple)
+        with pytest.raises(np.linalg.LinAlgError):
+            amgm_trace_gap_min(*triple)
+
+    def test_cli_stream_takes_few_exact_evaluations(self, monkeypatch):
+        exact = []
+
+        def counted(beta, omega, hess):
+            exact.append(len(beta))
+            return amgm_trace_gap_batch(beta, omega, hess)
+
+        monkeypatch.setattr(eigencone, "amgm_trace_gap_batch", counted)
+        rows = cli._cone_rows(np.random.default_rng(0), 100000)
+        # the row as the full-batch minimum wrote it
+        assert [row[1] for row in rows if row[0] == "amgm_trace_gap_min"] == [0.09847506847128451]
+        assert 0 < sum(exact) < 100
 
 
 class TestPshProductGap:
