@@ -108,24 +108,28 @@ def _field_from_section(parser, section, n, shape, coords):
 
 def _metric_from_section(parser, section, n, shape, coords):
     """A symmetric matrix field from entry expressions, a scalar expression
-    (multiple of the identity) or per-entry raw files."""
-    entry_keys = [
-        key for key in (parser.options(section) if parser.has_section(section) else [])
-        if key.startswith("e") and key[1:].isdigit()
-    ]
-    if entry_keys:
-        entries = {}
-        for key in entry_keys:
-            digits = key[1:]
-            if len(digits) != 2:
-                raise ConfigError(f"config.parse_config: [{section}] {key}: want eIJ with 1 <= I,J <= {n}")
-            i, j = int(digits[0]) - 1, int(digits[1]) - 1
-            if not (0 <= i < n and 0 <= j < n) or j < i:
-                raise ConfigError(
-                    f"config.parse_config: [{section}] {key}: indices out of range or not upper-triangular"
-                )
-            with _labelled(f"[{section}] {key}"):
-                entries[i, j] = compile_expression(parser.get(section, key), n)
+    (the diagonal entries of a multiple of the identity) or per-entry raw
+    files; entries free of x1..xn give one ``(n, n)`` matrix."""
+    options = parser.options(section) if parser.has_section(section) else []
+    entries = {}
+    for key in options:
+        if not (key.startswith("e") and key[1:].isdigit()):
+            continue
+        digits = key[1:]
+        if len(digits) != 2:
+            raise ConfigError(f"config.parse_config: [{section}] {key}: want eIJ with 1 <= I,J <= {n}")
+        i, j = int(digits[0]) - 1, int(digits[1]) - 1
+        if not (0 <= i < n and 0 <= j < n) or j < i:
+            raise ConfigError(
+                f"config.parse_config: [{section}] {key}: indices out of range or not upper-triangular"
+            )
+        with _labelled(f"[{section}] {key}"):
+            entries[i, j] = compile_expression(parser.get(section, key), n)
+    if not entries and "expression" in options:
+        with _labelled(f"[{section}] expression"):
+            scalar = compile_expression(parser.get(section, "expression"), n)
+        entries = {(i, i): scalar for i in range(n)}
+    if entries:
         if not any(entry.variables for entry in entries.values()):
             # entries free of x1..xn give one matrix, not a field
             coords = [c[(0,) * n] for c in coords]
@@ -147,12 +151,8 @@ def _metric_from_section(parser, section, n, shape, coords):
                 gamma[..., i, j] = value
                 gamma[..., j, i] = value
         return gamma
-    scalar = _field_from_section(parser, section, n, shape, coords)
-    if scalar is None:
-        # one matrix, not a field: its spectrum is then computed once
-        return np.eye(n)
-    _check_positive(scalar, f"[{section}] expression: scalar metric")
-    return scalar[..., None, None] * np.eye(n)
+    # one matrix, not a field: its spectrum is then computed once
+    return np.eye(n)
 
 
 def _check_positive(values, label):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .pointwise import certified_max, field_cholesky, lower_inverse
 
 __all__ = [
     "hat_transform",
@@ -230,10 +231,12 @@ class HermitianPoint:
         object.__setattr__(self, "n", n)
 
 
-def _alpha_matrix(point):
-    """alpha = beta + ((tr_omega hess) * omega - hess) / (n - 1)."""
-    tr = np.trace(np.linalg.solve(point.omega, point.hess)).real
-    return point.beta + (tr * point.omega - point.hess) / (point.n - 1)
+def _batched_alpha(beta, omega, hess):
+    """alpha = beta + ((tr_omega hess) * omega - hess) / (n - 1) for stacked
+    ``(..., n, n)`` triples."""
+    n = beta.shape[-1]
+    tr = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
+    return beta + (tr[..., None, None] * omega - hess) / (n - 1)
 
 
 def _batched_endomorphism_eigs(alpha, omega):
@@ -253,7 +256,8 @@ def _batched_endomorphism_eigs(alpha, omega):
 def endomorphism_eigenvalues(point):
     """Eigenvalues of the endomorphism omega^{-1} alpha, ascending."""
     try:
-        return _batched_endomorphism_eigs(_alpha_matrix(point)[None], point.omega[None])[0]
+        beta, omega, hess = point.beta[None], point.omega[None], point.hess[None]
+        return _batched_endomorphism_eigs(_batched_alpha(beta, omega, hess), omega)[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by type
         raise DomainError(f"eigencone.ma_n1: omega is singular ({exc})")
 
@@ -380,8 +384,7 @@ def sample_cone_points(rng, count, n):
 def amgm_trace_gap_batch(beta, omega, hess):
     """Vectorized trace-form AM-GM gap over stacked Hermitian triples."""
     n = beta.shape[-1]
-    tr = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
-    alpha = beta + (tr[..., None, None] * omega - hess) / (n - 1)
+    alpha = _batched_alpha(beta, omega, hess)
     eigs = np.clip(_batched_endomorphism_eigs(alpha, omega), 0.0, None)
     return eigs.sum(axis=-1) - n * np.prod(eigs, axis=-1) ** (1.0 / n)
 
@@ -391,40 +394,12 @@ def amgm_trace_gap_batch(beta, omega, hess):
 # sample, and the exact path above on the few samples that can hold the minimum.
 # ---------------------------------------------------------------------------
 
-_AMGM_PROBE = 16  # samples with the least screened gaps given the exact path first
+_AMGM_PROBE = 16  # samples with the largest bounds given the exact path first
 _AMGM_ROUNDING = 8  # C of the backward-error model delta = C n^3 eps kappa scale
 
 
 def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
-
-
-def _hermitian_ldl(a, n):
-    """``a = L D L^H`` for a Hermitian component-major field, given by its
-    lower triangle ``{(i, j): field}``: returns the unit lower factor as
-    ``{(i, j): field}`` for ``j < i``, the real pivots ``[d_0, ..., d_{n-1}]``
-    and the mask of the samples where every pivot is positive.
-
-    Column by column, one vectorized step per entry of the triangle, as
-    ``solver._field_cholesky`` does for real fields.  The pivot test is
-    ``d > 0``, so NaN fails; a failed pivot is replaced by 1, which keeps the
-    rest of the factor finite.
-    """
-    low, piv, ok = {}, [], True
-    for j in range(n):
-        d = a[j, j].real.copy()
-        for k in range(j):
-            d -= piv[k] * _abs2(low[j, k])
-        positive = d > 0
-        ok = ok & positive
-        d[~positive] = 1.0
-        piv.append(d)
-        for i in range(j + 1, n):
-            entry = a[i, j]
-            for k in range(j):
-                entry = entry - low[i, k] * (piv[k] * low[j, k].conj())
-            low[i, j] = entry / d
-    return low, piv, ok
+    return (z * z.conj()).real
 
 
 def _screened_gaps(beta, omega, hess):
@@ -432,18 +407,19 @@ def _screened_gaps(beta, omega, hess):
     with ``|g - amgm_trace_gap_batch| <= r``, and the mask of the samples
     where omega and alpha pass their pivot tests (r holds only there).
 
-    With ``omega = L D L^H`` and ``M = L^{-1}`` (forward substitution),
-    ``tr_omega X = sum_k (M X M^H)_kk / d_k``, and
+    With the Cholesky factor ``omega = L L^H`` (pivots ``L_kk^2``) and
+    ``M = L^{-1}`` (``pointwise.field_cholesky`` and ``lower_inverse``),
+    ``tr_omega X = sum_k (M X M^H)_kk``, and
     ``g = tr_omega beta + tr_omega hess - n ratio^(1/n)`` with ``ratio =
-    det alpha / det omega``, the product of the pivot ratios of two LDL^H.
+    det alpha / det omega = prod_k (L^alpha_kk / L_kk)^2`` from two Cholesky.
 
-    **The radius.**  ``nu = tr omega^{-1} = sum_k |M_k|^2 / d_k`` bounds
+    **The radius.**  ``nu = tr omega^{-1} = sum_k |M_k|^2`` (rows of M) bounds
     ``|omega^{-1}|_2``, and ``kappa = nu |omega|_F`` bounds cond_2(omega).
-    In the frame where omega = I (``X -> G X G^H``, ``G = D^{-1/2} M``,
+    In the frame where omega = I (``X -> G X G^H``, ``G = M``,
     ``|G|_2^2 <= nu``), ``scale = nu (|beta|_F + |tr_omega hess| |omega|_F +
     |hess|_F)`` bounds the norms of beta, hess and alpha.  Every step of
     either path (LU solve, Cholesky, triangular solves and ``eigvalsh``
-    there; LDL^H and substitutions here; forming alpha in both) is backward
+    there; Cholesky and substitutions here; forming alpha in both) is backward
     stable, with an error of a few ``n eps`` relative to its operands
     (Higham 2002, ch. 8-10; Demmel 1989).  In the omega = I frame an error E
     of an operand costs at most ``nu |E|_F``, and a relative error of omega
@@ -474,40 +450,31 @@ def _screened_gaps(beta, omega, hess):
     """
     n = omega.shape[-1]
     triangle = [(i, j) for i in range(n) for j in range(i + 1)]
-    b, w, h = ({(i, j): x[:, i, j] for i, j in triangle} for x in (beta, omega, hess))
-    low, piv, ok = _hermitian_ldl(w, n)
-    inv = {}  # the strict lower triangle of M = L^{-1}, by forward substitution
-    for i in range(n):
-        for j in range(i):
-            entry = -low[i, j]
-            for k in range(j + 1, i):
-                entry = entry - low[i, k] * inv[k, j]
-            inv[i, j] = entry
+    b, w, h = (np.moveaxis(x, 0, -1) for x in (beta, omega, hess))
+    factor, ok = field_cholesky(w)
+    inv = lower_inverse(factor)  # M_kk = 1 / L_kk, so only M is kept
+    del factor
 
     def trace_w(x):
         total = 0.0
-        for k in range(n):
-            row = [inv[k, i] for i in range(k)]
-            q = x[k, k].real
-            for i, m in enumerate(row):
-                q = q + _abs2(m) * x[i, i].real + 2 * (x[k, i] * m.conj()).real
-                for j in range(i):
-                    q = q + 2 * (m * x[i, j] * row[j].conj()).real
-            total = total + q / piv[k]
+        for k, i in triangle:
+            m = inv[k, i]
+            total = total + _abs2(m) * x[i, i].real
+            for j in range(i):
+                total = total + 2 * (m * x[i, j] * inv[k, j].conj()).real
         return total
 
     def frobenius(x):
         return np.sqrt(sum((1 if i == j else 2) * _abs2(x[i, j]) for i, j in triangle))
 
     tr_beta, tr_hess = trace_w(b), trace_w(h)
-    alpha = {ij: b[ij] + (tr_hess * w[ij] - h[ij]) / (n - 1) for ij in b}
-    _, piv_alpha, ok_alpha = _hermitian_ldl(alpha, n)
+    factor_alpha, ok_alpha = field_cholesky(b + (tr_hess * w - h) / (n - 1))
     ratio = 1.0
-    for d_alpha, d in zip(piv_alpha, piv):
-        ratio = ratio * (d_alpha / d)
+    for k in range(n):
+        ratio = ratio * (factor_alpha[k, k] * inv[k, k]) ** 2
     gap = tr_beta + tr_hess - n * ratio ** (1.0 / n)
 
-    nu = sum((1.0 + sum(_abs2(inv[k, i]) for i in range(k))) / piv[k] for k in range(n))
+    nu = sum(_abs2(inv[ij]) for ij in triangle)
     norm_w = frobenius(w)
     scale = nu * (frobenius(b) + np.abs(tr_hess) * norm_w + frobenius(h))
     delta = _AMGM_ROUNDING * n**3 * np.finfo(float).eps * (nu * norm_w) * scale
@@ -526,27 +493,19 @@ def amgm_trace_gap_min(beta, omega, hess):
 
     ``beta``, ``omega`` and ``hess`` are stacked ``(..., n, n)`` arrays of one
     shape.  A closed-form screen (``_screened_gaps``) gives every sample a gap
-    g and a radius r.  The exact path on the ``_AMGM_PROBE`` least screened
-    gaps gives a provisional minimum p.  It runs again on every other sample
-    with ``g - r <= p``, on every sample that fails a pivot test (omega or
-    alpha not numerically positive definite) and on every sample whose bound
-    is not finite (NaN entries).  LAPACK treats each matrix of a batch on
-    its own, so the exact values on a subset are bitwise those of the full
-    batch, and so is their minimum.
+    g and a radius r, and ``pointwise.certified_max`` maximizes the negated
+    exact gap under the bounds ``r - g``, +inf where a pivot test fails
+    (omega or alpha not numerically positive definite) or the bound is not
+    finite (NaN entries).  LAPACK treats each matrix of a batch on its own,
+    so the exact values on a subset are bitwise those of the full batch.
     """
     n = np.shape(beta)[-1]
     beta, omega, hess = (np.reshape(x, (-1, n, n)) for x in (beta, omega, hess))
-    if len(beta) <= _AMGM_PROBE:
-        return float(amgm_trace_gap_batch(beta, omega, hess).min())
 
     def exact(points):
-        return amgm_trace_gap_batch(beta[points], omega[points], hess[points]).min()
+        return -amgm_trace_gap_batch(beta[points], omega[points], hess[points]).min()
 
     gap, radius, ok = _screened_gaps(beta, omega, hess)
-    probe = np.argpartition(gap, _AMGM_PROBE)[:_AMGM_PROBE]
-    provisional = exact(probe)
-    lower = gap - radius
-    cleared = (lower > provisional) & np.isfinite(lower) & ok
-    cleared[probe] = True
-    rest = np.flatnonzero(~cleared)
-    return float(np.minimum(provisional, exact(rest)) if rest.size else provisional)
+    bound = radius - gap
+    bound[~(ok & np.isfinite(bound))] = np.inf
+    return -float(certified_max(bound, exact, probe=_AMGM_PROBE))

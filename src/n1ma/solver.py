@@ -31,9 +31,10 @@ operator remembers that last product, so the true-residual check of the
 correction costs no extra application.
 
 The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
-pointwise decision is a Cholesky factorization written over grid fields: one
-vectorized step per entry of the triangle, with a NaN or non-positive pivot
-meaning "not above".  The cone test ``alpha - floor I > 0`` factors
+pointwise decision is a Cholesky factorization written over grid fields
+(``pointwise.field_cholesky``, shared with the cone audits): one vectorized
+step per entry of the triangle, with a NaN or non-positive pivot meaning
+"not above".  The cone test ``alpha - floor I > 0`` factors
 ``alpha - floor I``; the factor L of alpha gives ``log det alpha`` and the
 linearization tensor ``((tr A) I - A) / (n - 1)`` with ``A = alpha^-1 =
 L^-T L^-1``, so an iterate is factored twice and theta needs no third
@@ -64,9 +65,10 @@ included.
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
 trace/Frobenius enclosure of every point's spectrum rules out the points that
-cannot attain the extreme, and ``eigvalsh`` runs on the rest.  The values are
-bitwise those of ``eigvalsh`` over the whole grid.  The eigenvalue range of
-the background field is certified the same way.
+cannot attain the extreme, and ``eigvalsh`` runs on the rest
+(``pointwise.certified_max``).  The values are bitwise those of ``eigvalsh``
+over the whole grid.  The eigenvalue range of the background field is
+certified the same way.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from .grid import (
     grid_coordinates,
     spectral_gradient,
 )
+from .pointwise import certified_max, field_cholesky, lower_inverse
 
 __all__ = [
     "SolverOptions",
@@ -282,46 +285,18 @@ def alpha_field(problem, u):
     return _alpha_from_hessian(problem, complex_hessian(u))
 
 
-def _field_cholesky(a, shift=0.0):
-    """Lower Cholesky factor of ``a - shift I`` for a symmetric
-    component-major field a, as ``{(i, j): field}`` for ``j <= i``, and the
-    grid mask of the points where every pivot is positive.
-
-    Column by column, one vectorized step per entry of the triangle.  The
-    pivot test is ``x > 0``, so NaN fails; a failed pivot is replaced by 1,
-    which keeps the rest of the factor finite.
-    """
-    n = a.shape[0]
-    factor = {}
-    ok = True
-    for j in range(n):
-        pivot = a[j, j] - shift  # a new array, updated in place
-        for k in range(j):
-            pivot -= factor[j, k] * factor[j, k]
-        positive = pivot > 0
-        ok = ok & positive
-        pivot[~positive] = 1.0
-        factor[j, j] = np.sqrt(pivot, out=pivot)
-        for i in range(j + 1, n):
-            entry = a[i, j]
-            for k in range(j):
-                entry = entry - factor[i, k] * factor[j, k]
-            factor[i, j] = entry / factor[j, j]
-    return factor, ok
-
-
 def _log_det_above(alpha, floor):
     """``(L, log det alpha)`` if ``alpha - floor I`` is positive definite at
     every grid point, else None; L is the grid-field Cholesky factor of
-    alpha (``_field_cholesky``), and NaN entries fail the test.
+    alpha (``pointwise.field_cholesky``), and NaN entries fail the test.
 
     A positive floor is decided by the factorization of ``alpha - floor I``;
     the factorization of alpha must succeed too.
     """
     a = _component_major(alpha)
-    if floor and not np.all(_field_cholesky(a, floor)[1]):
+    if floor and not np.all(field_cholesky(a, floor)[1]):
         return None
-    factor, ok = _field_cholesky(a)
+    factor, ok = field_cholesky(a)
     if not np.all(ok):
         return None
     return factor, 2.0 * sum(np.log(factor[j, j]) for j in range(a.shape[0]))
@@ -350,19 +325,11 @@ def residual(problem, u, log_c):
 def _linearization_tensor(factor):
     """Coefficient tensor ``((tr A) I - A) / (n - 1)``, ``A = alpha^-1``, of
     the linearized operator, from the grid-field Cholesky factor L of alpha:
-    ``A = L^-T L^-1`` with ``L^-1`` by forward substitution.  Positive
-    definite wherever alpha is.
+    ``A = L^-T L^-1`` with ``L^-1`` from ``pointwise.lower_inverse``.
+    Positive definite wherever alpha is.
     """
-    n = math.isqrt(2 * len(factor))  # L has n (n + 1) / 2 entries
-    # lower-triangular L^-1, row by row
-    inv = {}
-    for i in range(n):
-        inv[i, i] = 1.0 / factor[i, i]
-        for j in range(i):
-            entry = factor[i, j] * inv[j, j]
-            for k in range(j + 1, i):
-                entry = entry + factor[i, k] * inv[k, j]
-            inv[i, j] = -entry * inv[i, i]
+    inv = lower_inverse(factor)
+    n = math.isqrt(2 * len(inv))  # n (n + 1) / 2 entries
     ainv = np.empty((n, n) + factor[0, 0].shape)
     for i in range(n):
         for j in range(i, n):
@@ -396,10 +363,9 @@ def _inverse_symbol(shape, theta_mean):
     return inverse
 
 
-def _preconditioner(shape, theta_mean):
-    """``M^-1``: the inverse constant-coefficient symbol of the mean
-    linearization, applied spectrally."""
-    inverse = _inverse_symbol(shape, theta_mean)
+def _preconditioner(shape, inverse):
+    """``M^-1``: the inverse constant-coefficient symbol ``inverse``
+    (``_inverse_symbol``) of the mean linearization, applied spectrally."""
 
     def apply(vflat):
         vh = sfft.rfftn(vflat.reshape(shape)) * inverse
@@ -419,16 +385,16 @@ def _operator_weights(theta):
     return weights
 
 
-def _preconditioned_operator(shape, weights, theta_mean):
+def _preconditioned_operator(shape, weights, inverse):
     """The matvec ``y -> A M^-1 y`` of the right-preconditioned system in
     one spectral pass, and a dict holding its last input ``"y"`` and output
-    ``"out"`` (copies).
+    ``"out"`` (copies); ``inverse`` is the inverse symbol of M.
 
     ``M^-1 y`` is never formed on the grid: the spectrum of y is scaled by
     the stacked Hessian multipliers over the symbol, and one batched inverse
     transform gives the Hessian blocks of ``M^-1 y``.
     """
-    scaled = _hessian_multipliers(shape) * _inverse_symbol(shape, theta_mean)
+    scaled = _hessian_multipliers(shape) * inverse
     last = {}
 
     def matvec(yflat):
@@ -465,10 +431,10 @@ def _krylov_correction(factor, rhs, rtol):
     """
     shape = factor[0, 0].shape
     theta = _linearization_tensor(factor)
-    theta_mean = theta.mean(axis=tuple(range(len(shape))))
+    inverse = _inverse_symbol(shape, theta.mean(axis=tuple(range(len(shape)))))
     weights = _operator_weights(theta)
-    del theta  # GMRES needs only the weights and the mean tensor
-    matvec, last = _preconditioned_operator(shape, weights, theta_mean)
+    del theta  # GMRES needs only the weights and the inverse symbol
+    matvec, last = _preconditioned_operator(shape, weights, inverse)
     op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     # right preconditioning: GMRES minimizes the true residual of
     # (A M^-1) y = rhs, and the correction is M^-1 y
@@ -476,7 +442,7 @@ def _krylov_correction(factor, rhs, rtol):
     product = last["out"] if np.array_equal(y, last.get("y")) else op.matvec(y)
     if np.linalg.norm(product - rhs) / np.linalg.norm(rhs) > 1e-3:
         return None
-    return _preconditioner(shape, theta_mean)(y).reshape(shape)
+    return _preconditioner(shape, inverse)(y).reshape(shape)
 
 
 def _newton_loop(problem, u0):
@@ -702,19 +668,14 @@ def _eig_enclosure(m):
 
 
 def _certified_max(m, bound, point_value, signs):
-    """``max`` over the grid of ``point_value(eigvalsh(m))``, equal to the
-    full-grid value, from ``eigvalsh`` on a subset of the points.
-
-    ``bound`` is a per-point upper bound of ``point_value``.  ``eigvalsh`` on
-    the ``_PROBE_POINTS`` largest bounds gives a provisional maximum p.  A
-    point cannot exceed p when its bound is below p, or when
-    ``s m + (p - slack) I`` passes a Cholesky test for every s in ``signs``:
-    s = +1 certifies ``-eig_min < p`` and s = -1 certifies ``eig_max < p``.
+    """``max`` over the grid of ``point_value(eigvalsh(m))``, bitwise the
+    full-grid value, by ``pointwise.certified_max`` on the per-point upper
+    bounds ``bound``.  A point below the provisional maximum p is certified
+    when ``s m + (p - slack) I`` passes a Cholesky test for every s in
+    ``signs``: s = +1 certifies ``-eig_min < p``, s = -1 ``eig_max < p``;
     ``slack`` covers the rounding of the factorization and of ``eigvalsh``
-    (Demmel 1989).  ``eigvalsh`` runs on the points left.  LAPACK factors
-    each matrix on its own, so their eigenvalues are bitwise those of the
-    full-grid call, and a field of bitwise equal matrices needs one.  NaN
-    entries keep their points.
+    (Demmel 1989).  LAPACK factors each matrix on its own, so a field of
+    bitwise equal matrices needs one ``eigvalsh``.
     """
     n = m.shape[0]
     flat = m.reshape(n, n, -1)
@@ -723,19 +684,18 @@ def _certified_max(m, bound, point_value, signs):
     def exact(points):
         return point_value(np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))).max()
 
+    def certify(points, provisional):
+        sub = flat[:, :, points]
+        slack = _SLACK_ULPS * n**3 * np.spacing(max(np.abs(sub).max(), abs(provisional)))
+        certified = True
+        for s in signs:
+            certified = certified & field_cholesky(sub if s > 0 else -sub, slack - provisional)[1]
+        return certified
+
     bits = flat.view(np.uint64)
     if bound.min() == bound.max() and (bits == bits[:, :, :1]).all():
         return float(exact([0]))
-    probe = min(_PROBE_POINTS, bound.size)
-    provisional = exact(np.argpartition(bound, -probe)[-probe:])
-    candidates = np.flatnonzero(~(bound < provisional))
-    sub = flat[:, :, candidates]
-    slack = _SLACK_ULPS * n**3 * np.spacing(max(np.abs(sub).max(), abs(provisional)))
-    certified = True
-    for s in signs:
-        certified = certified & _field_cholesky(sub if s > 0 else -sub, slack - provisional)[1]
-    rest = candidates[~certified]
-    return float(max(provisional, exact(rest))) if rest.size else float(provisional)
+    return float(certified_max(bound, exact, certify, probe=_PROBE_POINTS))
 
 
 def _sup_abs_eig(h):

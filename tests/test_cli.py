@@ -62,6 +62,17 @@ class TestSolve:
         assert os.path.exists(os.path.join(out, "residuals.csv"))
         assert os.path.exists(os.path.join(out, "u.csv"))
 
+    # sha256 of the manufactured solve's reports, which pin the solver's bits
+    GOLDEN = {
+        "solve.csv": "1c0450b2e7e524374e76f8eaa558ec8fc7a947e8b0fb7e01afcd96c3120bc7fc",
+        "residuals.csv": "a751a40ae399ec029bcacbc80b598e5f22dfdce6eea971c5b879f613eff0f931",
+    }
+
+    def test_manufactured_golden_digest(self, tmp_path):
+        out = str(tmp_path / "m")
+        assert main(["solve", "-c", "manufactured", "-o", out]) == 0
+        assert {name: digest(os.path.join(out, name)) for name in self.GOLDEN} == self.GOLDEN
+
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write(tmp_path, """
 [problem]

@@ -64,6 +64,12 @@ expression = 1.5 + 0.2*cos(x2)
         assert np.allclose(problem.gamma[..., 0, 0], 1.5 + 0.2 * np.cos(x2))
         assert np.abs(problem.gamma[..., 0, 1]).max() == 0.0
 
+    def test_constant_scalar_metric_is_one_matrix(self, tmp_path):
+        path = write(tmp_path, "[problem]\ngrid = 16\n[beta]\nexpression = 1.2\n")
+        problem = parse_config(path)
+        assert problem.gamma.strides[:3] == (0, 0, 0)
+        assert np.array_equal(problem.compact_gamma, 1.2 * np.eye(3))
+
     def test_entry_metric(self, tmp_path):
         path = write(tmp_path, """
 [problem]

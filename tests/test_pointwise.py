@@ -1,0 +1,130 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import n1ma
+from n1ma.pointwise import certified_max, field_cholesky, lower_inverse
+
+
+def hermitian_field(rng, count, n, scale=1.0):
+    """A ``(count, n, n)`` batch of well-conditioned Hermitian positive
+    definite matrices."""
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return scale * (a @ np.conj(np.swapaxes(a, -1, -2)) / n + 0.5 * np.eye(n))
+
+
+def lower(factor, n):
+    """The ``(count, n, n)`` lower triangular matrices of a factor dict."""
+    count = factor[0, 0].shape[0]
+    out = np.zeros((count, n, n), dtype=np.result_type(*factor.values()))
+    for (i, j), entry in factor.items():
+        out[:, i, j] = entry
+    return out
+
+
+class TestFieldCholesky:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_complex_field_matches_lapack(self, n, scale):
+        a = hermitian_field(np.random.default_rng(n), 300, n, scale)
+        factor, ok = field_cholesky(np.moveaxis(a, 0, -1))
+        assert ok.all()
+        expected = np.linalg.cholesky(a)
+        assert np.abs(lower(factor, n) - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the diagonal is real
+        assert all(factor[k, k].dtype == float for k in range(n))
+
+    def test_shift_and_real_field(self):
+        a = hermitian_field(np.random.default_rng(7), 200, 4).real
+        factor, ok = field_cholesky(np.moveaxis(a, 0, -1), 0.25)
+        assert ok.all() and all(entry.dtype == float for entry in factor.values())
+        expected = np.linalg.cholesky(a - 0.25 * np.eye(4))
+        assert np.abs(lower(factor, 4) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_nan_and_indefinite_points_fail_the_pivot_test(self):
+        a = hermitian_field(np.random.default_rng(3), 50, 3)
+        a[4, 1, 1] = np.nan
+        a[9, 2, 0] = a[9, 0, 2] = np.nan
+        a[17] = -a[17]
+        factor, ok = field_cholesky(np.moveaxis(a, 0, -1))
+        assert np.flatnonzero(~ok).tolist() == [4, 9, 17]
+        # a failed pivot is replaced by 1: the diagonal stays finite
+        assert all(np.isfinite(factor[k, k]).all() for k in range(3))
+
+    def test_lower_inverse(self):
+        a = hermitian_field(np.random.default_rng(5), 100, 4)
+        factor, _ = field_cholesky(np.moveaxis(a, 0, -1))
+        product = lower(factor, 4) @ lower(lower_inverse(factor), 4)
+        assert np.abs(product - np.eye(4)).max() <= 1e-12
+
+
+class TestCertifiedMax:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.values = rng.standard_normal(500)
+        self.bound = self.values + rng.uniform(0.0, 0.1, 500)
+        self.points = []
+
+    def exact(self, points):
+        self.points.append(len(points))
+        return self.values[points].max()
+
+    def test_valid_bounds_take_few_exact_points(self):
+        assert certified_max(self.bound, self.exact, probe=16) == self.values.max()
+        assert sum(self.points) < 50
+
+    def test_nan_bounds_keep_every_point(self):
+        bound = self.bound.copy()
+        bound[::3] = np.nan
+        assert certified_max(bound, self.exact, probe=16) == self.values.max()
+        assert certified_max(np.full(500, np.nan), self.exact, probe=1) == self.values.max()
+
+    @pytest.mark.parametrize("probe", [500, 501, 10**6])
+    def test_probe_at_least_the_batch(self, probe):
+        # the provisional value is then the full maximum, whatever the bounds
+        assert certified_max(np.zeros(500), self.exact, probe=probe) == self.values.max()
+        assert self.points[0] == 500
+
+    def test_certify_clears_candidates(self):
+        loose = self.values + 10.0
+
+        def certify(points, provisional):
+            return self.values[points] < provisional
+
+        assert certified_max(loose, self.exact, probe=16) == self.values.max()
+        assert self.points == [16, 500]
+        self.points.clear()
+        assert certified_max(loose, self.exact, certify, probe=16) == self.values.max()
+        # only the maximizer itself is left
+        assert self.points == [16, 1]
+
+
+# the cone audits may not pull in the solver, scipy or other heavy modules
+ALLOWED_IMPORTS = {"numpy", "math", "dataclasses", "__future__", ".errors", ".pointwise"}
+
+
+def imports(path):
+    """The top-level module of every absolute import of a source file, and
+    every relative import as ``.name``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                found.add(node.module.split(".")[0])
+            elif node.module:
+                found.add("." * node.level + node.module)
+            else:
+                found.update("." * node.level + alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name", ["pointwise.py", "eigencone.py"])
+def test_layering(name):
+    found = imports(Path(n1ma.__file__).parent / name)
+    assert found <= ALLOWED_IMPORTS, sorted(found - ALLOWED_IMPORTS)
+    if name == "eigencone.py":
+        assert ".pointwise" in found

@@ -221,7 +221,7 @@ def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
     # the linearization tensor reuses the factor of the accepted iterate
     problem = loop_problem(n, size, 0.6)
     calls = Counter()
-    for name in ("alpha_field", "_field_cholesky"):
+    for name in ("alpha_field", "field_cholesky"):
         original = getattr(solver, name)
 
         def counted(*args, _name=name, _original=original):
@@ -232,7 +232,7 @@ def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
     *_, iterations, converged, _ = _newton_loop(problem, np.zeros(problem.shape))
     assert converged and iterations >= 3
     assert calls["alpha_field"] >= iterations + 1
-    assert calls["_field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
+    assert calls["field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,11 +416,11 @@ def test_preconditioned_operator_is_the_linearization_of_m_inverse(shape):
     problem = TorusProblem(gamma=gamma, f=np.ones(shape))
     u = random_band_limited(rng, shape, max_mode=3, amplitude=0.3)
     theta = _linearization_tensor(solver._alpha_state(problem, u, 0.0)[0])
-    theta_mean = theta.mean(axis=tuple(range(n)))
-    matvec, last = solver._preconditioned_operator(shape, solver._operator_weights(theta), theta_mean)
+    inverse = solver._inverse_symbol(shape, theta.mean(axis=tuple(range(n))))
+    matvec, last = solver._preconditioned_operator(shape, solver._operator_weights(theta), inverse)
     y = rng.standard_normal(u.size)
     out = matvec(y)
-    expected = solver.linearized_apply(problem, u, solver._preconditioner(shape, theta_mean)(y).reshape(shape))
+    expected = solver.linearized_apply(problem, u, solver._preconditioner(shape, inverse)(y).reshape(shape))
     expected -= expected.mean()
     assert np.abs(out - expected.ravel()).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(last["y"], y) and np.array_equal(last["out"], out)
