@@ -65,6 +65,21 @@ def _print_table(rows):
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
 
 
+def _checks_report(path, rows, seed):
+    """Write ``(check, value, threshold, pass)`` rows under their header to
+    the CSV at path with the generator seed, print them, and return the exit
+    code of the pass column."""
+    rows = [["check", "value", "threshold", "pass"], *rows]
+    _write_csv(path, rows, comments=[f"generator=PCG64 seed={seed}"])
+    _print_table([[_cell(v) for v in row] for row in rows])
+    return EXIT_OK if all(bool(row[3]) for row in rows[1:]) else EXIT_INVARIANT
+
+
+def _random_hermitian(rng, n):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (h + h.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -133,8 +148,7 @@ def _form_rows(rng, trials):
     worst = 0.0
     agree = True
     for _ in range(trials):
-        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        h = 0.5 * (h + h.conj().T)
+        h = _random_hermitian(rng, 3)
         worst = max(worst, forms.hat_identity_residual(h, 3))
         agree = agree and forms.equivalence_suite(h, 3, rng=rng).agree
     return [
@@ -156,8 +170,7 @@ def cmd_verify(args):
         return EXIT_MAXITER
 
     audit = audit_solve(problem, result)
-    rows = [["check", "value", "threshold", "pass"]]
-    rows.append(["converged", True, True, True])
+    rows = [["converged", True, True, True]]
     rows.append(["c_upper_bound", audit.c_upper - audit.c, 0.0, audit.c_upper_ok])
     rows.append(["mass_identity", audit.mass_ok, True, audit.mass_ok])
     rows.append(["amgm_min_gap", audit.amgm_min_gap, -1e-9, audit.amgm_min_gap >= -1e-9])
@@ -172,15 +185,7 @@ def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     rows.extend(_cone_rows(rng, args.samples))
     rows.extend(_form_rows(rng, args.trials))
-
-    _write_csv(
-        os.path.join(out, "verify.csv"),
-        rows,
-        comments=[f"generator=PCG64 seed={args.seed}"],
-    )
-    _print_table([[_cell(v) for v in row] for row in rows])
-    ok = all(bool(row[3]) for row in rows[1:])
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _checks_report(os.path.join(out, "verify.csv"), rows, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +250,7 @@ def cmd_radial(args):
 
 def cmd_cones(args):
     out = _ensure_outdir(args.output)
-    rows = [["check", "value", "threshold", "pass"]]
-    rows.extend(_cone_rows(np.random.default_rng(args.seed), args.samples))
+    rows = _cone_rows(np.random.default_rng(args.seed), args.samples)
 
     rng = np.random.default_rng(args.seed + 1)
     lam = eigencone.sample_spectra(rng, args.samples, 4)
@@ -256,13 +260,7 @@ def cmd_cones(args):
     quasi = eigencone.is_quasi_n1_psh(lam, gamma, 1e-12)
     bad = int((small & ~quasi).sum())
     rows.append(["quasi_cone_inclusion", bad, 0, bad == 0])
-
-    _write_csv(
-        os.path.join(out, "cones.csv"), rows,
-        comments=[f"generator=PCG64 seed={args.seed}"],
-    )
-    _print_table([[_cell(v) for v in row] for row in rows])
-    return EXIT_OK if all(bool(r[3]) for r in rows[1:]) else EXIT_INVARIANT
+    return _checks_report(os.path.join(out, "cones.csv"), rows, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +275,7 @@ def cmd_forms_check(args):
     worst_star = 0.0
     disagreements = 0
     for _ in range(args.trials):
-        h = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
-        h = 0.5 * (h + h.conj().T)
+        h = _random_hermitian(rng, args.n)
         worst_hat = max(worst_hat, forms.hat_identity_residual(h, args.n))
         if not forms.equivalence_suite(h, args.n, rng=rng).agree:
             disagreements += 1
@@ -295,17 +292,11 @@ def cmd_forms_check(args):
             err = (twice - a * float((-1) ** (p + q))).max_norm()
             worst_star = max(worst_star, err / max(1.0, a.max_norm()))
     rows = [
-        ["check", "value", "threshold", "pass"],
         ["hat_identity_max_residual", worst_hat, 1e-12, worst_hat <= 1e-12],
         ["double_star_sign_max_err", worst_star, 1e-12, worst_star <= 1e-12],
         ["equivalence_disagreements", disagreements, 0, disagreements == 0],
     ]
-    _write_csv(
-        os.path.join(out, "forms.csv"), rows,
-        comments=[f"generator=PCG64 seed={args.seed}"],
-    )
-    _print_table([[_cell(v) for v in row] for row in rows])
-    return EXIT_OK if all(bool(r[3]) for r in rows[1:]) else EXIT_INVARIANT
+    return _checks_report(os.path.join(out, "forms.csv"), rows, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +377,7 @@ def main(argv=None):
     try:
         _check_flags(args)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

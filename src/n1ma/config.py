@@ -88,6 +88,17 @@ def _coordinates(parser):
         return grid_coordinates(sizes)
 
 
+def _grid_field(section, path, shape):
+    """The field in the file at path, which must have the grid's shape."""
+    with _labelled(f"[{section}] file"):
+        data = read_field(path)
+    if data.shape != shape:
+        raise ConfigError(
+            f"config.parse_config: [{section}] file: shape {data.shape} != grid {shape}"
+        )
+    return data
+
+
 def _field_from_section(parser, section, n, shape, coords):
     """A scalar field from an expression or a raw field file."""
     if parser.has_option(section, "expression"):
@@ -95,14 +106,7 @@ def _field_from_section(parser, section, n, shape, coords):
         with _labelled(f"[{section}] expression"):
             return compile_expression(text, n)(coords)
     if parser.has_option(section, "file"):
-        path = parser.get(section, "file")
-        with _labelled(f"[{section}] file"):
-            data = read_field(path)
-        if data.shape != shape:
-            raise ConfigError(
-                f"config.parse_config: [{section}] file: shape {data.shape} != grid {shape}"
-            )
-        return data
+        return _grid_field(section, parser.get(section, "file"), shape)
     return None
 
 
@@ -146,10 +150,7 @@ def _metric_from_section(parser, section, n, shape, coords):
         for i in range(n):
             for j in range(i, n):
                 path = f"{prefix}_{i + 1}{j + 1}.n1ma"
-                with _labelled(f"[{section}] file"):
-                    value = read_field(path)
-                gamma[..., i, j] = value
-                gamma[..., j, i] = value
+                gamma[..., i, j] = gamma[..., j, i] = _grid_field(section, path, shape)
         return gamma
     # one matrix, not a field: its spectrum is then computed once
     return np.eye(n)

@@ -14,11 +14,15 @@ class PositivityError(RuntimeError):
 
 
 class ConeExitError(RuntimeError):
-    """The solver could not keep the iterate inside the positivity cone."""
+    """The solver could not keep the iterate inside the positivity cone.
 
-    def __init__(self, message, history=None):
+    ``history`` is the sup residual history of the loop that left the cone;
+    ``levels`` is ``(grid shape, Newton steps)`` for every loop that ran."""
+
+    def __init__(self, message, history=None, levels=()):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+        self.levels = tuple(levels)
 
 
 class ConfigError(ValueError):

@@ -222,9 +222,8 @@ class FiberRow:
     ``"cold"``, ``"previous"`` (the last solved fiber's u), ``"secant"`` (the
     extrapolation of the last two) or ``"cold after failed warm start"``;
     ``newton_steps`` counts the Newton steps of every loop of the fiber's
-    solve (``SolveResult.levels``), an abandoned warm start included.  A
-    fiber whose solve ends in ConeExitError has no result, and counts the
-    steps of its last loop only."""
+    solve (``levels`` of its SolveResult or ConeExitError), an abandoned
+    warm start included."""
 
     t: float
     converged: bool
@@ -299,11 +298,12 @@ def family_run(spec):
         try:
             result = newton_solve(problem, u0=guess)
         except ConeExitError as exc:
-            result, failure, steps = None, "cone-exit", max(len(exc.history) - 1, 0)
+            result, failure, levels = None, "cone-exit", exc.levels
         else:
-            failure, steps = result.failure, sum(k for _, k in result.levels)
-        # only the cold loop that replaced a failed guess raises ConeExitError
-        if guess is not None and (result is None or len(result.levels) > 1):
+            failure, levels = result.failure, result.levels
+        steps = sum(k for _, k in levels)
+        # a guess that converges is the solve's only loop
+        if guess is not None and len(levels) > 1:
             start = "cold after failed warm start"
         if result is None or not result.converged:
             rows.append(FiberRow(t, False, failure, None, start, steps))

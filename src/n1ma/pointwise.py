@@ -67,13 +67,17 @@ def certified_max(bound, exact, certify=None, *, probe):
     ``exact(points)`` is the maximum of a per-point value over an index
     array, ``bound`` a 1-D array of per-point upper bounds of that value.
     ``exact`` on the ``probe`` largest bounds gives a provisional maximum p;
-    it runs again on the points whose bound is not below p (NaN included)
-    and that ``certify(points, p)``, a mask, does not clear.  When ``exact``
-    treats each point on its own, the result is bitwise the full value.
+    it runs again on the points outside the probe whose bound is not below p
+    (NaN included) and that ``certify(points, p)``, a mask, does not clear.
+    When ``exact`` treats each point on its own, the result is bitwise the
+    full value.
     """
     probe = min(probe, bound.size)
-    provisional = exact(np.argpartition(bound, -probe)[-probe:])
-    candidates = np.flatnonzero(~(bound < provisional))
-    if certify is not None:
+    probed = np.argpartition(bound, -probe)[-probe:]
+    provisional = exact(probed)
+    left_open = ~(bound < provisional)
+    left_open[probed] = False
+    candidates = np.flatnonzero(left_open)
+    if certify is not None and candidates.size:
         candidates = candidates[~certify(candidates, provisional)]
     return max(provisional, exact(candidates)) if candidates.size else provisional

@@ -11,7 +11,7 @@ experiment for the log-density family, reduced to a one-dimensional integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,11 @@ class RadialProfile:
     chi2: callable
     description: str = ""
     domain: tuple = (-5.0, -0.2)
-    check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (lo < hi < 0):
             raise DomainError("RadialProfile: domain must satisfy lo < hi < 0")
-        if self.check:
-            self._validate()
-
-    def _validate(self):
-        lo, hi = self.domain
         ts = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 11)
         h = 1e-4 * (hi - lo)
         for t in ts:

@@ -17,10 +17,11 @@ the mean linearization tensor, so GMRES minimizes the true linear residual.
 Each correction is solved only as far as the outer iteration needs: its
 relative tolerance is an Eisenstat-Walker forcing term that follows the sup
 residual, between 1e-10 and 1e-4.  A correction whose true relative
-residual exceeds 1e-3 ends the solve with the failure ``"krylov"``.  A
+residual exceeds 1e-3 ends the loop with the failure ``"krylov"``.  A
 backtracking line search enforces both residual decrease and a positivity
 floor on alpha; a loop whose line search finds no admissible step, or whose
-first iterate is not above the floor, leaves the cone (ConeExitError).
+first iterate is not above the floor, leaves the cone: it ends with the
+failure ``"cone-exit"``.
 
 Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
 symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
@@ -56,11 +57,15 @@ each finer level starts from the coarser solution prolonged spectrally (its
 the fine levels little or nothing to do.  Acceptance stays on the requested
 grid: ``converged`` means its sup residual is at most ``tolerance``.  When a
 coarser level fails, or its prolonged start is abandoned, the grid is solved
-cold from u = 0, and a cone exit of that loop raises ConeExitError.
-``SolveResult.iterations`` and ``residual_history`` cover every level that
-led to the returned u, coarse first, and ``SolveResult.levels`` lists
-``(grid shape, Newton steps)`` for every loop that ran, an abandoned start
-included.
+cold from u = 0.  ``SolveResult.iterations`` and ``residual_history`` cover
+every level that led to the returned u, coarse first, and
+``SolveResult.levels`` lists ``(grid shape, Newton steps)`` for every loop
+that ran, an abandoned start included.
+
+Failures travel as values: each loop returns its outcome and failure label,
+which the driver inspects to abandon a start; ``newton_solve`` alone raises,
+a ConeExitError carrying the ``levels`` of every loop when the loop it ends
+with left the cone.
 
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
@@ -446,6 +451,9 @@ def _krylov_correction(factor, rhs, rtol):
 
 
 def _newton_loop(problem, u0):
+    """One Newton loop from u0: ``(u, log_c, history, steps, converged,
+    failure)`` with failure None, ``"max-iterations"``, ``"krylov"`` or
+    ``"cone-exit"``."""
     opts = problem.options
     floor = problem.positivity_floor
     logf = np.log(problem.f)
@@ -453,21 +461,22 @@ def _newton_loop(problem, u0):
     def evaluate(v):
         """``(L, log_c, res_field, res)`` of the iterate v: the Cholesky
         factor of alpha, the eliminated constant and the residual, field and
-        sup; raises PositivityError unless ``alpha - floor I > 0``."""
-        factor, logdet = _alpha_state(problem, v, floor)
+        sup; None unless ``alpha - floor I > 0``."""
+        state = _log_det_above(alpha_field(problem, v), floor)
+        if state is None:
+            return None
+        factor, logdet = state
         log_c = float((logdet - logf).mean())
         res_field = logdet - log_c - logf
         return factor, log_c, res_field, float(np.abs(res_field).max())
 
     u = np.array(u0, dtype=float)
     u -= u.mean()
-    history = []
-
-    try:
-        factor, log_c, res_field, res = evaluate(u)
-    except PositivityError as exc:
-        raise ConeExitError(f"solver.newton_solve: initial iterate: {exc}", history) from None
-    history.append(res)
+    state = evaluate(u)
+    if state is None:
+        return u, math.nan, [], 0, False, "cone-exit"
+    factor, log_c, res_field, res = state
+    history = [res]
 
     for iteration in range(opts.max_iterations):
         if res <= opts.tolerance:
@@ -481,21 +490,14 @@ def _newton_loop(problem, u0):
         step = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = u + step * delta
-            try:
-                state = evaluate(trial)
-            except PositivityError:
-                step *= 0.5
-                continue
-            if state[-1] < res:
+            state = evaluate(trial)
+            if state is not None and state[-1] < res:
                 u = trial - trial.mean()
                 factor, log_c, res_field, res = state
                 break
             step *= 0.5
         else:
-            raise ConeExitError(
-                "solver.newton_solve: line search exhausted without an admissible step",
-                history,
-            )
+            return u, log_c, history, iteration, False, "cone-exit"
         history.append(res)
 
     converged = res <= opts.tolerance
@@ -558,17 +560,12 @@ def _prolonged(u, shape):
     return sfft.irfftn(padded, s=shape, axes=range(len(shape)))
 
 
-def _from_start(problem, start, levels):
-    """The outcome of ``_newton_loop`` from start when that loop converged,
-    else None: the start is abandoned.  Appends ``(grid shape, Newton
-    steps)`` to levels either way."""
-    try:
-        outcome = _newton_loop(problem, start)
-    except ConeExitError as exc:
-        levels.append((problem.shape, max(len(exc.history) - 1, 0)))
-        return None
+def _counted_loop(problem, start, levels):
+    """The outcome of ``_newton_loop`` from start; appends ``(grid shape,
+    Newton steps)`` to levels."""
+    outcome = _newton_loop(problem, start)
     levels.append((problem.shape, outcome[3]))
-    return outcome if outcome[4] else None
+    return outcome
 
 
 def _ladder_solve(problem, levels):
@@ -578,28 +575,18 @@ def _ladder_solve(problem, levels):
     Appends ``(grid shape, Newton steps)`` to ``levels`` for every loop,
     coarse to fine, and returns the outcome of ``_newton_loop``; the history
     and iteration count of a solve from a prolonged start include those of
-    the coarser levels it came from.  A coarser level that fails, or an
-    abandoned prolonged start, leads to the cold loop on this grid, whose
-    cone exit raises ConeExitError.
+    the coarser levels it came from.  A coarser level that does not
+    converge, or a prolonged start that does not, leads to the cold loop on
+    this grid, whose outcome is returned whatever it is.
     """
     if _coarser_shape(problem.shape) is not None:
-        try:
-            coarse = _ladder_solve(_restricted(problem), levels)
-        except ConeExitError:
-            coarse = None
-        if coarse is not None and coarse[4]:
-            u, _, history, iterations = coarse[:4]
-            fine = _from_start(problem, _prolonged(u, problem.shape), levels)
-            if fine is not None:
+        u, _, history, iterations, converged, _ = _ladder_solve(_restricted(problem), levels)
+        if converged:
+            fine = _counted_loop(problem, _prolonged(u, problem.shape), levels)
+            if fine[4]:
                 u, log_c, fine_history, steps, _, _ = fine
                 return u, log_c, history + fine_history, iterations + steps, True, None
-    try:
-        outcome = _newton_loop(problem, np.zeros(problem.shape))
-    except ConeExitError as exc:
-        levels.append((problem.shape, max(len(exc.history) - 1, 0)))
-        raise
-    levels.append((problem.shape, outcome[3]))
-    return outcome
+    return _counted_loop(problem, np.zeros(problem.shape), levels)
 
 
 def newton_solve(problem, u0=None):
@@ -615,13 +602,22 @@ def newton_solve(problem, u0=None):
     iteration budget (failure ``"max-iterations"``), an unusable Krylov
     correction (failure ``"krylov"``) or a constant c outside the positive
     floats (failure ``"constant-range"``) yields a failure result with the
-    residual history; a cone exit of the loop from u = 0 raises
-    ConeExitError.
+    residual history.  A cone exit of the loop from u = 0 raises
+    ConeExitError, whose ``history`` is that loop's and whose ``levels``
+    lists every loop that ran.
     """
     levels = []
-    outcome = None if u0 is None else _from_start(problem, u0, levels)
-    if outcome is None:
+    outcome = None if u0 is None else _counted_loop(problem, u0, levels)
+    if outcome is None or not outcome[4]:
         outcome = _ladder_solve(problem, levels)
+    if outcome[5] == "cone-exit":
+        shape, steps = levels[-1]
+        raise ConeExitError(
+            f"solver.newton_solve: the Newton loop on {'x'.join(map(str, shape))} "
+            f"left the cone after {steps} steps",
+            outcome[2],
+            levels,
+        )
     return _package(problem, *outcome, levels)
 
 

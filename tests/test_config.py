@@ -96,6 +96,19 @@ file = {fpath}
         problem = parse_config(path)
         assert np.array_equal(problem.f, data)
 
+    def test_metric_file_of_another_grid_rejected(self, tmp_path):
+        for i in range(3):
+            for j in range(i, 3):
+                write_field(tmp_path / f"g_{i + 1}{j + 1}.n1ma", np.full((8, 8, 8), float(i == j)))
+        path = write(tmp_path, f"""
+[problem]
+grid = 8,10,8
+[beta]
+file = {tmp_path}/g
+""")
+        with pytest.raises(ConfigError, match=r"\[beta\] file: shape \(8, 8, 8\) != grid \(8, 10, 8\)"):
+            parse_config(path)
+
     def test_nonpositive_density_rejected(self, tmp_path):
         path = write(tmp_path, """
 [problem]

@@ -256,7 +256,7 @@ class TestContinuation:
             if not np.any(u0):
                 return real(problem, u0)
             if failure == "cone-exit":
-                raise ConeExitError("planted warm-start failure")
+                return u0, np.nan, [], 0, False, "cone-exit"
             *head, _, _ = real(problem, u0)
             return (*head, False, "max-iterations")
 
@@ -276,6 +276,32 @@ class TestContinuation:
             assert [row.newton_steps for row in report.rows] == [
                 cold.iterations for _, cold in cold_fibers
             ]
+
+    def test_cone_exit_after_failed_warm_start_counts_every_loop(self, monkeypatch):
+        # f = exp(a cos x1) with a = 2 (1 - t) + 40 t: the t = 0.4 fiber has
+        # a = 17.2, whose solution lies below the positivity floor
+        x1, _, _ = grid_coordinates(SHAPE)
+        spec = FamilySpec(
+            start=TorusProblem(gamma=np.eye(3), f=np.exp(2.0 * np.cos(x1))),
+            end=TorusProblem(gamma=np.eye(3), f=np.exp(40.0 * np.cos(x1))),
+            t_grid=(0.0, 0.1, 0.4),
+        )
+        with pytest.raises(ConeExitError) as cone_exit:
+            newton_solve(spec.fiber(0.4))
+        ((shape, cold_steps),) = cone_exit.value.levels
+        assert shape == SHAPE and cold_steps >= 1
+        real = solver._newton_loop
+
+        def failing_warm_start(problem, u0):
+            if u0 is not None and np.any(u0):
+                return u0, 0.0, [1.0, 0.5, 0.25, 0.125], 3, False, "max-iterations"
+            return real(problem, u0)
+
+        monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)
+        row = family_run(spec).rows[-1]
+        assert (row.converged, row.failure) == (False, "cone-exit")
+        assert row.start == "cold after failed warm start"
+        assert row.newton_steps == 3 + cold_steps
 
     def test_repeated_and_unsorted_parameters(self, cold_fibers):
         spec = dataclasses.replace(acceptance_family(), t_grid=(0.2, 0.2, 0.1))

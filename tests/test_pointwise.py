@@ -94,11 +94,12 @@ class TestCertifiedMax:
             return self.values[points] < provisional
 
         assert certified_max(loose, self.exact, probe=16) == self.values.max()
-        assert self.points == [16, 500]
+        # the probed points are not evaluated twice
+        assert self.points == [16, 484]
         self.points.clear()
         assert certified_max(loose, self.exact, certify, probe=16) == self.values.max()
-        # only the maximizer itself is left
-        assert self.points == [16, 1]
+        # the maximizer is in the probe, so nothing is left
+        assert self.points == [16]
 
 
 # the cone audits may not pull in the solver, scipy or other heavy modules
@@ -122,9 +123,14 @@ def imports(path):
     return found
 
 
-@pytest.mark.parametrize("name", ["pointwise.py", "eigencone.py"])
+# the solver adds scipy and the grid, never the harness, config or CLI
+SOLVER_IMPORTS = ALLOWED_IMPORTS | {"scipy", "copy", ".grid"}
+
+
+@pytest.mark.parametrize("name", ["pointwise.py", "eigencone.py", "solver.py"])
 def test_layering(name):
+    allowed = SOLVER_IMPORTS if name == "solver.py" else ALLOWED_IMPORTS
     found = imports(Path(n1ma.__file__).parent / name)
-    assert found <= ALLOWED_IMPORTS, sorted(found - ALLOWED_IMPORTS)
+    assert found <= allowed, sorted(found - allowed)
     if name == "eigencone.py":
         assert ".pointwise" in found

@@ -378,6 +378,39 @@ class TestOneCoordinateOracle:
             newton_solve(problem)
 
 
+class TestConeExit:
+    """A loop that leaves the cone returns the failure ``"cone-exit"``;
+    ``newton_solve`` alone raises, with the steps of every loop."""
+
+    def density(self):
+        x1, _, _ = grid_coordinates(SHAPE)
+        return TorusProblem(gamma=np.eye(3), f=np.exp(16.0 * np.cos(x1)))
+
+    def test_newton_loop_returns_the_cone_exit(self):
+        *_, converged, failure = solver._newton_loop(self.density(), np.zeros(SHAPE))
+        assert (converged, failure) == (False, "cone-exit")
+
+    def test_initial_iterate_outside_the_cone(self):
+        x1, _, _ = grid_coordinates(SHAPE)
+        outcome = solver._newton_loop(self.density(), 10.0 * np.cos(x1))
+        assert outcome[2:] == ([], 0, False, "cone-exit")
+
+    def test_error_carries_the_levels(self):
+        with pytest.raises(ConeExitError) as info:
+            newton_solve(self.density())
+        ((shape, k),) = info.value.levels
+        assert shape == SHAPE and k >= 1
+        assert len(info.value.history) == k + 1
+        assert f"left the cone after {k} steps" in str(info.value)
+
+    def test_error_after_an_abandoned_start(self):
+        x1, _, _ = grid_coordinates(SHAPE)
+        with pytest.raises(ConeExitError) as info:
+            newton_solve(self.density(), u0=10.0 * np.cos(x1))
+        assert info.value.levels[0] == (SHAPE, 0)
+        assert len(info.value.levels) == 2
+
+
 class TestGridLadder:
     @pytest.mark.parametrize(
         "shape, coarser",
