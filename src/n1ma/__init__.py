@@ -1,7 +1,7 @@
 """Eigenvalue calculus, form algebra and a flat-torus determinant solver."""
 
 from . import eigencone, forms, grid, harness, radial, solver
-from .errors import ConeExitError, ConfigError, DomainError, PositivityError
+from .errors import ConfigError, DomainError
 
 __version__ = "0.1.0"
 
@@ -12,8 +12,6 @@ __all__ = [
     "harness",
     "radial",
     "solver",
-    "ConeExitError",
     "ConfigError",
     "DomainError",
-    "PositivityError",
 ]

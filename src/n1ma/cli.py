@@ -18,7 +18,7 @@ import numpy as np
 
 from . import eigencone, forms, radial
 from .config import parse_config
-from .errors import ConeExitError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .grid import field_to_csv, write_field
 from .harness import FamilySpec, audit_solve, family_run
 from .solver import TorusProblem, manufactured_problem, newton_solve
@@ -75,6 +75,13 @@ def _checks_report(path, rows, seed):
     return EXIT_OK if all(bool(row[3]) for row in rows[1:]) else EXIT_INVARIANT
 
 
+def _failed(command, result):
+    """Report an unconverged solve on stderr and return its exit code:
+    2 for a cone exit, 3 for any other failure."""
+    print(f"{command}: solver did not converge ({result.failure})", file=sys.stderr)
+    return EXIT_CONE if result.failure == "cone-exit" else EXIT_MAXITER
+
+
 def _random_hermitian(rng, n):
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (h + h.conj().T)
@@ -88,11 +95,7 @@ def _random_hermitian(rng, n):
 def cmd_solve(args):
     problem = _load_problem(args.config)
     out = _ensure_outdir(args.output)
-    try:
-        result = newton_solve(problem)
-    except ConeExitError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return EXIT_CONE
+    result = newton_solve(problem)
     header = [
         "c", "osc", "grad_sup", "hess_sup", "min_alpha_eig",
         "iterations", "final_residual", "converged",
@@ -113,7 +116,7 @@ def cmd_solve(args):
     _print_table([header, [_cell(v) for v in row]])
     for shape, steps in result.levels:
         print(f"level {'x'.join(map(str, shape))}: {steps} Newton steps")
-    return EXIT_OK if result.converged else EXIT_MAXITER
+    return EXIT_OK if result.converged else _failed("solve", result)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +163,9 @@ def _form_rows(rng, trials):
 def cmd_verify(args):
     problem = _load_problem(args.config)
     out = _ensure_outdir(args.output)
-    try:
-        result = newton_solve(problem)
-    except ConeExitError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_CONE
+    result = newton_solve(problem)
     if not result.converged:
-        print(f"verify: solver did not converge ({result.failure})", file=sys.stderr)
-        return EXIT_MAXITER
+        return _failed("verify", result)
 
     audit = audit_solve(problem, result)
     rows = [["converged", True, True, True]]

@@ -143,10 +143,15 @@ def compile_expression(text, n_vars):
     The result takes a sequence of coordinate arrays and evaluates with numpy
     broadcasting; a constant expression broadcasts to the coordinates' shape.
     Its ``variables`` attribute is the set of coordinate names the
-    expression reads, empty for a constant.
+    expression reads, empty for a constant.  Parsing and evaluation recurse
+    once per operator or parenthesis level, so an expression too deep for
+    the interpreter's recursion limit is a ConfigError.
     """
     parser = _Parser(_tokenize(text), {f"x{i + 1}" for i in range(n_vars)})
-    node = parser.parse()
+    try:
+        node = parser.parse()
+    except RecursionError:
+        raise ConfigError("expressions: expression nested too deeply to parse") from None
 
     def evaluate(coords):
         if len(coords) != n_vars:
@@ -157,7 +162,10 @@ def compile_expression(text, n_vars):
         # numbers are numpy floats, so a fault such as 1/0 or 10^400 gives
         # inf or NaN, which the callers' finiteness checks reject
         with np.errstate(all="ignore"):
-            value = node(env)
+            try:
+                value = node(env)
+            except RecursionError:
+                raise ConfigError("expressions: expression nested too deeply to evaluate") from None
         shape = np.broadcast_shapes(*(c.shape for c in env.values()))
         return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConeExitError, DomainError
+from .errors import DomainError
 from .eigencone import domination_witness
 from .grid import complex_hessian
 from .solver import TorusProblem, newton_solve
@@ -222,15 +222,18 @@ class FiberRow:
     ``"cold"``, ``"previous"`` (the last solved fiber's u), ``"secant"`` (the
     extrapolation of the last two) or ``"cold after failed warm start"``;
     ``newton_steps`` counts the Newton steps of every loop of the fiber's
-    solve (``levels`` of its SolveResult or ConeExitError), an abandoned
-    warm start included."""
+    solve (``levels`` of its SolveResult), an abandoned warm start
+    included."""
 
     t: float
-    converged: bool
     failure: str | None
     audit: AuditRow | None
     start: str
     newton_steps: int
+
+    @property
+    def converged(self):
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -295,22 +298,17 @@ def family_run(spec):
     for t in spec.t_grid:
         problem = spec.fiber(t)
         start, guess = _predictor(t, solved)
-        try:
-            result = newton_solve(problem, u0=guess)
-        except ConeExitError as exc:
-            result, failure, levels = None, "cone-exit", exc.levels
-        else:
-            failure, levels = result.failure, result.levels
-        steps = sum(k for _, k in levels)
+        result = newton_solve(problem, u0=guess)
+        steps = sum(k for _, k in result.levels)
         # a guess that converges is the solve's only loop
-        if guess is not None and len(levels) > 1:
+        if guess is not None and len(result.levels) > 1:
             start = "cold after failed warm start"
-        if result is None or not result.converged:
-            rows.append(FiberRow(t, False, failure, None, start, steps))
+        if not result.converged:
+            rows.append(FiberRow(t, result.failure, None, start, steps))
             stat = np.inf
             continue
         audit = audit_solve(problem, result)
-        rows.append(FiberRow(t, True, None, audit, start, steps))
+        rows.append(FiberRow(t, None, audit, start, steps))
         stat = max(stat, audit.c + 1.0 / audit.c + audit.osc)
         solved = [*solved[-1:], (t, result.u)]
     return EstimateReport(tuple(rows), float(stat), spec.bounds.uniformity_budget)

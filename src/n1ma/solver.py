@@ -62,10 +62,10 @@ every level that led to the returned u, coarse first, and
 ``SolveResult.levels`` lists ``(grid shape, Newton steps)`` for every loop
 that ran, an abandoned start included.
 
-Failures travel as values: each loop returns its outcome and failure label,
-which the driver inspects to abandon a start; ``newton_solve`` alone raises,
-a ConeExitError carrying the ``levels`` of every loop when the loop it ends
-with left the cone.
+Failures travel as values: each loop returns its failure label, which the
+driver inspects to abandon a start, and ``newton_solve`` returns every
+outcome as a SolveResult.  Only bad input raises: ``residual`` and
+``linearized_apply`` reject a u whose alpha is not positive definite.
 
 The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
 eigenvalues, certified from a subset of the grid: a Gershgorin and
@@ -87,7 +87,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import ConeExitError, DomainError, PositivityError
+from .errors import DomainError
 from .grid import (
     _hessian_multipliers,
     _spectral_stack,
@@ -234,23 +234,27 @@ def _checked_density(f):
 class SolveResult:
     """Solution field (sup u = 0), constant and solve diagnostics.
 
-    ``iterations`` and ``residual_history`` cover every grid level that led
-    to u, coarse first; ``levels`` is ``(grid shape, Newton steps)`` for
-    every Newton loop that ran, in order: an abandoned ``u0`` start first,
-    then the grid levels coarse to fine.
+    ``failure`` is None exactly when the solve converged.  ``iterations``
+    and ``residual_history`` cover every grid level that led to u, coarse
+    first; ``levels`` is ``(grid shape, Newton steps)`` for every Newton
+    loop that ran, in order: an abandoned ``u0`` start first, then the grid
+    levels coarse to fine.
     """
 
     u: np.ndarray
     c: float
     residual_history: tuple
     iterations: int
-    converged: bool
     failure: str | None = None
     levels: tuple = ()
     min_alpha_eig: float = np.nan
     grad_sup: float = np.nan
     hess_sup: float = np.nan
     osc: float = np.nan
+
+    @property
+    def converged(self):
+        return self.failure is None
 
     @property
     def final_residual(self):
@@ -307,23 +311,22 @@ def _log_det_above(alpha, floor):
     return factor, 2.0 * sum(np.log(factor[j, j]) for j in range(a.shape[0]))
 
 
-def _alpha_state(problem, u, floor):
+def _alpha_state(problem, u):
     """``(L, log det alpha)`` for the field u, L the Cholesky factor of
-    alpha; raises PositivityError unless ``alpha - floor I`` is positive
-    definite on the whole grid."""
-    state = _log_det_above(alpha_field(problem, u), floor)
+    alpha; raises DomainError unless alpha is positive definite on the
+    whole grid."""
+    state = _log_det_above(alpha_field(problem, u), 0.0)
     if state is None:
-        raise PositivityError(f"solver: alpha is not above {floor:.3e} I on the whole grid")
+        raise DomainError("solver: u lies outside the cone: alpha_u is not positive definite on the grid")
     return state
 
 
 def residual(problem, u, log_c):
     """Log-form residual ``log det alpha_u - log_c - log f`` on the grid.
 
-    Raises PositivityError when alpha_u is not positive definite somewhere;
-    the caller is expected to damp its step.
+    Raises DomainError when alpha_u is not positive definite somewhere.
     """
-    _, logdet = _alpha_state(problem, u, 0.0)
+    _, logdet = _alpha_state(problem, u)
     return logdet - log_c - np.log(problem.f)
 
 
@@ -347,7 +350,7 @@ def _linearization_tensor(factor):
 
 def linearized_apply(problem, u, v):
     """Directional derivative of ``log det alpha_u`` in the direction v."""
-    factor, _ = _alpha_state(problem, u, 0.0)
+    factor, _ = _alpha_state(problem, u)
     theta = _linearization_tensor(factor)
     hv = complex_hessian(v)
     return np.einsum("...ij,...ij->...", theta, hv)
@@ -451,9 +454,9 @@ def _krylov_correction(factor, rhs, rtol):
 
 
 def _newton_loop(problem, u0):
-    """One Newton loop from u0: ``(u, log_c, history, steps, converged,
-    failure)`` with failure None, ``"max-iterations"``, ``"krylov"`` or
-    ``"cone-exit"``."""
+    """One Newton loop from u0: ``(u, log_c, history, steps, failure)`` with
+    failure None (converged), ``"max-iterations"``, ``"krylov"`` or
+    ``"cone-exit"``; u is the last iterate inside the cone, else u0."""
     opts = problem.options
     floor = problem.positivity_floor
     logf = np.log(problem.f)
@@ -474,17 +477,17 @@ def _newton_loop(problem, u0):
     u -= u.mean()
     state = evaluate(u)
     if state is None:
-        return u, math.nan, [], 0, False, "cone-exit"
+        return u, math.nan, [], 0, "cone-exit"
     factor, log_c, res_field, res = state
     history = [res]
 
     for iteration in range(opts.max_iterations):
         if res <= opts.tolerance:
-            return u, log_c, history, iteration, True, None
+            return u, log_c, history, iteration, None
 
         delta = _krylov_correction(factor, -res_field.ravel(), _forcing_term(res, opts))
         if delta is None:
-            return u, log_c, history, iteration, False, "krylov"
+            return u, log_c, history, iteration, "krylov"
         delta -= delta.mean()
 
         step = 1.0
@@ -497,27 +500,25 @@ def _newton_loop(problem, u0):
                 break
             step *= 0.5
         else:
-            return u, log_c, history, iteration, False, "cone-exit"
+            return u, log_c, history, iteration, "cone-exit"
         history.append(res)
 
-    converged = res <= opts.tolerance
-    failure = None if converged else "max-iterations"
-    return u, log_c, history, opts.max_iterations, converged, failure
+    failure = None if res <= opts.tolerance else "max-iterations"
+    return u, log_c, history, opts.max_iterations, failure
 
 
-def _package(problem, u, log_c, history, iterations, converged, failure, levels):
+def _package(problem, u, log_c, history, iterations, failure, levels):
     u_out = u - u.max()
     with np.errstate(over="ignore"):
         c = float(np.exp(log_c))
-    if not 0.0 < c < math.inf:
+    if failure is None and not 0.0 < c < math.inf:
         # a density so small or large that c leaves the float range
-        converged, failure = False, "constant-range"
+        failure = "constant-range"
     result = SolveResult(
         u=u_out,
         c=c,
         residual_history=tuple(history),
         iterations=iterations,
-        converged=converged,
         failure=failure,
         levels=tuple(levels),
     )
@@ -580,12 +581,12 @@ def _ladder_solve(problem, levels):
     this grid, whose outcome is returned whatever it is.
     """
     if _coarser_shape(problem.shape) is not None:
-        u, _, history, iterations, converged, _ = _ladder_solve(_restricted(problem), levels)
-        if converged:
+        u, _, history, iterations, failure = _ladder_solve(_restricted(problem), levels)
+        if failure is None:
             fine = _counted_loop(problem, _prolonged(u, problem.shape), levels)
-            if fine[4]:
-                u, log_c, fine_history, steps, _, _ = fine
-                return u, log_c, history + fine_history, iterations + steps, True, None
+            if fine[4] is None:
+                u, log_c, fine_history, steps, _ = fine
+                return u, log_c, history + fine_history, iterations + steps, None
     return _counted_loop(problem, np.zeros(problem.shape), levels)
 
 
@@ -598,26 +599,18 @@ def newton_solve(problem, u0=None):
     starts from the prolonged solution of a coarser grid when the problem's
     grid has one (see ``_ladder_solve``), else from u = 0.
 
-    Returns a SolveResult with ``sup u = 0``.  Non-convergence within the
-    iteration budget (failure ``"max-iterations"``), an unusable Krylov
-    correction (failure ``"krylov"``) or a constant c outside the positive
-    floats (failure ``"constant-range"``) yields a failure result with the
-    residual history.  A cone exit of the loop from u = 0 raises
-    ConeExitError, whose ``history`` is that loop's and whose ``levels``
-    lists every loop that ran.
+    Returns a SolveResult with ``sup u = 0`` for every outcome.  A cone
+    exit (failure ``"cone-exit"``), non-convergence within the iteration
+    budget (``"max-iterations"``), an unusable Krylov correction
+    (``"krylov"``) or a constant c outside the positive floats
+    (``"constant-range"``) yields a failure result whose u is the last
+    iterate inside the cone of the final loop (its start, with c NaN, when
+    even that is outside); c, history and diagnostics are that iterate's.
     """
     levels = []
     outcome = None if u0 is None else _counted_loop(problem, u0, levels)
-    if outcome is None or not outcome[4]:
+    if outcome is None or outcome[4] is not None:
         outcome = _ladder_solve(problem, levels)
-    if outcome[5] == "cone-exit":
-        shape, steps = levels[-1]
-        raise ConeExitError(
-            f"solver.newton_solve: the Newton loop on {'x'.join(map(str, shape))} "
-            f"left the cone after {steps} steps",
-            outcome[2],
-            levels,
-        )
     return _package(problem, *outcome, levels)
 
 
@@ -645,13 +638,14 @@ def _eig_enclosure(m):
     (Wolkowicz-Styan), widened by ``_SLACK_ULPS n^2`` ulps of the largest
     |entry| to cover the rounding of both the bounds and ``eigvalsh``.  The
     Frobenius term is a sum of squares, free of cancellation, formed on m
-    scaled by a power of two so that it neither underflows nor overflows.
+    scaled by ``2^(e - 1)``, the largest |entry| in ``[2^(e-1), 2^e)``, so
+    that it neither underflows nor overflows, and the scale stays finite.
     NaN or infinite entries give NaN bounds.
     """
     n = m.shape[0]
     big = np.abs(m).max()
     slack = _SLACK_ULPS * n * n * np.spacing(big)
-    scale = np.ldexp(1.0, int(np.frexp(big)[1]))
+    scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
     diag = [m[i, i] / scale for i in range(n)]
     off = {(i, j): np.abs(m[i, j]) / scale for i in range(n) for j in range(i + 1, n)}
     mu = sum(diag) / n

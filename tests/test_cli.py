@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from conftest import one_coordinate_solution
 from n1ma import solver
 from n1ma.cli import main
 from n1ma.config import parse_config
-from n1ma.grid import read_field, write_field
+from n1ma.grid import grid_coordinates, read_field, write_field
 from n1ma.harness import family_run
 
 FLAT = """
@@ -108,6 +109,45 @@ expression = exp(0.8*cos(x1)*cos(x3))
         assert main(["solve", "-c", cfg, "-o", str(out)]) == 3
         assert (out / "solve.csv").read_text().splitlines()[1].endswith(",False")
         assert solver.newton_solve(parse_config(cfg)).failure == "constant-range"
+
+    def test_cone_exit_writes_the_failure(self, tmp_path, capsys):
+        # the solution of exp(16 cos x1) lies below the positivity floor
+        cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 16\n[density]\nexpression = exp(16*cos(x1))\n")
+        out = tmp_path / "o"
+        assert main(["solve", "-c", cfg, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "solve: solver did not converge (cone-exit)\n"
+        header, row = (out / "solve.csv").read_text().splitlines()
+        assert row.endswith(",False")
+        iterations = int(dict(zip(header.split(","), row.split(",")))["iterations"])
+        assert iterations >= 1
+        residuals = (out / "residuals.csv").read_text().splitlines()
+        assert len(residuals) == 1 + iterations + 1
+        assert read_field(out / "u.n1ma").max() == 0.0 and (out / "u.csv").exists()
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["+".join(["1"] * 2000), "(" * 1200 + "1" + ")" * 1200, "-" * 1200 + "1"],
+        ids=["long-sum", "nested-parentheses", "unary-minuses"],
+    )
+    def test_deep_expression_exit_code(self, tmp_path, capsys, expression):
+        cfg = write(tmp_path, f"[problem]\nn = 3\ngrid = 8\n[density]\nexpression = {expression}\n")
+        assert main(["solve", "-c", cfg, "-o", str(tmp_path / "o")]) == 5
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["1e-1", "1e-2", "1e-3", "1e-4"])
+    def test_near_singular_density_matches_the_oracle(self, tmp_path, delta):
+        # a miniature of the singular setting: as delta -> 0, f tends to
+        # |sin(x1/2)|^-0.8, singular at x1 = 0, whose square root stays
+        # integrable
+        density = f"(sin(x1/2)^2 + {delta})^(-0.4)"
+        cfg = write(tmp_path, f"[problem]\nn = 3\ngrid = 32\n[density]\nexpression = {density}\n")
+        out = tmp_path / "o"
+        assert main(["solve", "-c", cfg, "-o", str(out)]) == 0
+        x1, _, _ = grid_coordinates((32, 32, 32))
+        u, c, _ = one_coordinate_solution((np.sin(x1 / 2) ** 2 + float(delta)) ** -0.4, 3)
+        header, row = (out / "solve.csv").read_text().splitlines()
+        assert float(dict(zip(header.split(","), row.split(",")))["c"]) == pytest.approx(c, rel=1e-10, abs=0.0)
+        assert np.abs(read_field(out / "u.n1ma") - u).max() <= 1e-9
 
     def test_levels_printed(self, tmp_path, capsys):
         cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 32,32,24\n[density]\nexpression = exp(0.2*cos(x1))\n")

@@ -47,8 +47,12 @@ KEYS = {
     "density1": (["expression", "file"], EXPRESSIONS),
     "bounds": (["c_beta_omega", "budget"], NUMBERS),
 }
-# values every key must reject
-HOSTILE = ["0", "-1", "1e-320", "1e308", "nan", "inf", "", "x1", "x4", "log(0)", "9^9^9", "((1)", "1/0", "5%"]
+# values every key must reject: bad numbers, bad expressions, and
+# expressions deeper than the parser and evaluator can recurse
+HOSTILE = [
+    "0", "-1", "1e-320", "1e308", "nan", "inf", "", "x1", "x4", "log(0)", "9^9^9", "((1)", "1/0", "5%",
+    "+".join(["1"] * 2000), "(" * 1200 + "1" + ")" * 1200, "-" * 1200 + "1", "exp(" * 400 + "0" + ")" * 400,
+]
 # file values point into the example's directory: a valid 8^3 field, a
 # metric prefix with valid entry files, a missing file and the directory
 FILES = ["{dir}/good.n1ma", "{dir}/metric", "{dir}/missing.n1ma", "{dir}"]
@@ -118,6 +122,10 @@ def configs(draw, command):
         ("solve", "[problem]\ngrid = 8\n", 0),
         ("solve", "[problem]\ngrid = 8\n[solver]\nmax_iter = 3\nepsilon = 0.5\n"
          "[density]\nexpression = exp(8*cos(x1))\n", 2),
+        ("verify", "[problem]\ngrid = 8\n[solver]\nmax_iter = 3\nepsilon = 0.5\n"
+         "[density]\nexpression = exp(8*cos(x1))\n", 2),
+        ("family", "[problem]\ngrid = 8\n[solver]\nmax_iter = 3\nepsilon = 0.5\n"
+         "[family]\nt_values = 0, 0.5\n[density]\nexpression = exp(8*cos(x1))\n", 2),
         ("verify", "[problem]\ngrid = 8\n[solver]\nmax_iter = 1\n"
          "[density]\nexpression = exp(0.3*cos(x2))\n", 3),
         ("family", "[problem]\ngrid = 8\n[family]\nt_values = 0, 0.5\n[bounds]\nbudget = 1\n", 4),

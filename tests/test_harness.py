@@ -5,7 +5,7 @@ import pytest
 
 from conftest import acceptance_family
 from n1ma import harness, solver
-from n1ma.errors import ConeExitError, DomainError
+from n1ma.errors import DomainError
 from n1ma.grid import grid_coordinates, random_band_limited
 from n1ma.harness import (
     DeclaredBounds,
@@ -92,13 +92,12 @@ class TestC2Ratio:
         a = 0.6
         u = a * np.cos(x1)
         result = diagnostics(problem, SolveResult(
-            u=u - u.max(), c=1.0, residual_history=(0.0,), iterations=0, converged=True,
+            u=u - u.max(), c=1.0, residual_history=(0.0,), iterations=0,
         ))
         assert c2_ratio(result) == pytest.approx((a / 4) / ((a / 2) ** 2 + 1), rel=1e-12)
 
     def test_requires_diagnostics(self):
-        bare = SolveResult(u=np.zeros(SHAPE), c=1.0, residual_history=(0.0,),
-                           iterations=0, converged=True)
+        bare = SolveResult(u=np.zeros(SHAPE), c=1.0, residual_history=(0.0,), iterations=0)
         with pytest.raises(DomainError):
             c2_ratio(bare)
 
@@ -256,9 +255,9 @@ class TestContinuation:
             if not np.any(u0):
                 return real(problem, u0)
             if failure == "cone-exit":
-                return u0, np.nan, [], 0, False, "cone-exit"
-            *head, _, _ = real(problem, u0)
-            return (*head, False, "max-iterations")
+                return u0, np.nan, [], 0, "cone-exit"
+            *head, _ = real(problem, u0)
+            return (*head, "max-iterations")
 
         monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)
         report = family_run(acceptance_family())
@@ -286,15 +285,15 @@ class TestContinuation:
             end=TorusProblem(gamma=np.eye(3), f=np.exp(40.0 * np.cos(x1))),
             t_grid=(0.0, 0.1, 0.4),
         )
-        with pytest.raises(ConeExitError) as cone_exit:
-            newton_solve(spec.fiber(0.4))
-        ((shape, cold_steps),) = cone_exit.value.levels
+        cone_exit = newton_solve(spec.fiber(0.4))
+        assert cone_exit.failure == "cone-exit"
+        ((shape, cold_steps),) = cone_exit.levels
         assert shape == SHAPE and cold_steps >= 1
         real = solver._newton_loop
 
         def failing_warm_start(problem, u0):
             if u0 is not None and np.any(u0):
-                return u0, 0.0, [1.0, 0.5, 0.25, 0.125], 3, False, "max-iterations"
+                return u0, 0.0, [1.0, 0.5, 0.25, 0.125], 3, "max-iterations"
             return real(problem, u0)
 
         monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)
@@ -302,6 +301,26 @@ class TestContinuation:
         assert (row.converged, row.failure) == (False, "cone-exit")
         assert row.start == "cold after failed warm start"
         assert row.newton_steps == 3 + cold_steps
+
+    def test_fiber_that_leaves_the_cone_is_a_row(self):
+        # the t = 0.4 fiber has f = exp(17.2 cos x1), whose solution lies
+        # below the positivity floor; its solve returns, it does not raise
+        x1, _, _ = grid_coordinates(SHAPE)
+        spec = FamilySpec(
+            start=TorusProblem(gamma=np.eye(3), f=np.exp(2.0 * np.cos(x1))),
+            end=TorusProblem(gamma=np.eye(3), f=np.exp(40.0 * np.cos(x1))),
+            t_grid=(0.0, 0.4),
+        )
+        cold = newton_solve(spec.fiber(0.4))
+        report = family_run(dataclasses.replace(spec, t_grid=(0.4,)))
+        (row,) = report.rows
+        assert "converged" not in {f.name for f in dataclasses.fields(row)}
+        assert (row.converged, row.failure, row.audit) == (False, "cone-exit", None)
+        assert row.start == "cold" and row.newton_steps == cold.iterations
+        assert report.uniformity == np.inf and not report.all_converged
+        # a failed fiber leaves the run going
+        first, last = family_run(spec).rows
+        assert first.converged and last.failure == "cone-exit"
 
     def test_repeated_and_unsorted_parameters(self, cold_fibers):
         spec = dataclasses.replace(acceptance_family(), t_grid=(0.2, 0.2, 0.1))

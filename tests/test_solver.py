@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from conftest import one_coordinate_solution
 from n1ma import solver
 from n1ma.config import parse_config
 from n1ma.eigencone import hat_transform
-from n1ma.errors import ConeExitError, DomainError, PositivityError
+from n1ma.errors import DomainError
 from n1ma.grid import complex_hessian, grid_coordinates, random_band_limited
 from n1ma.solver import (
     SolveResult,
@@ -25,6 +27,19 @@ from n1ma.solver import (
 
 SHAPE = (16, 16, 16)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class LeftTheCone(Exception):
+    """A solve ended with the failure ``"cone-exit"``."""
+
+
+def solved(problem):
+    """``newton_solve(problem)``; raises LeftTheCone on a cone exit, so that
+    an xfail can name that failure and no other."""
+    result = newton_solve(problem)
+    if result.failure == "cone-exit":
+        raise LeftTheCone(f"levels {result.levels}")
+    return result
 
 
 class TestSolverOptions:
@@ -170,10 +185,13 @@ class TestResidual:
         assert np.allclose(r, -np.log(2.0))
 
     def test_positivity_error(self):
+        # a u outside the cone is bad input, not a numerical outcome
         problem = flat_problem(SHAPE)
         x1, _, _ = grid_coordinates(SHAPE)
-        with pytest.raises(PositivityError):
+        with pytest.raises(DomainError, match="outside the cone"):
             residual(problem, 10.0 * np.cos(x1), 0.0)
+        with pytest.raises(DomainError, match="outside the cone"):
+            linearized_apply(problem, 10.0 * np.cos(x1), np.ones(SHAPE))
 
     def test_gauge_invariance(self):
         problem, u_star = manufactured_problem(0.4, (32, 32, 32))
@@ -297,14 +315,26 @@ class TestNewtonSolve:
         assert result.levels[0] == (SHAPE, 0)
         assert result.levels[1:] == cold.levels
 
-    def test_cone_exit_from_zero_raises(self):
+    def test_cone_exit_from_zero_is_a_failure_result(self):
         x1, _, _ = grid_coordinates(SHAPE)
         f = np.exp(3.0 * np.cos(x1))
         _, _, least = one_coordinate_solution(f, 3)
         assert least == pytest.approx(0.135, abs=1e-3)
         problem = TorusProblem(gamma=np.eye(3), f=f, options=SolverOptions(positivity_scale=0.3))
-        with pytest.raises(ConeExitError):
-            newton_solve(problem)
+        result = newton_solve(problem)
+        assert (result.converged, result.failure) == (False, "cone-exit")
+        # u is the last iterate above the floor (up to the rounding of its
+        # shift to sup u = 0), with its own diagnostics
+        assert result.min_alpha_eig >= problem.positivity_floor - 1e-12
+        assert result.u.max() == 0.0
+
+    def test_start_outside_the_cone_is_a_failure_result(self):
+        # a floor above the least eigenvalue of Gamma puts u = 0 outside
+        result = newton_solve(flat_problem(SHAPE, SolverOptions(positivity_scale=2.0)))
+        assert result.failure == "cone-exit"
+        assert result.levels == ((SHAPE, 0),)
+        assert math.isnan(result.c)
+        assert result.residual_history == () and result.iterations == 0
 
     def test_higher_complex_dimension(self):
         shape = (10, 10, 10, 10)
@@ -321,6 +351,12 @@ class TestNewtonSolve:
         from n1ma.harness import audit_solve
 
         assert audit_solve(problem, result).all_ok
+
+    def test_converged_is_derived_from_failure(self):
+        assert "converged" not in {f.name for f in dataclasses.fields(SolveResult)}
+        bare = dict(u=np.zeros(SHAPE), c=1.0, residual_history=(0.0,), iterations=0)
+        assert SolveResult(**bare).converged
+        assert not SolveResult(**bare, failure="krylov").converged
 
     def test_nonconvergence_reports_history(self):
         x1, _, x3 = grid_coordinates(SHAPE)
@@ -347,7 +383,7 @@ class TestOneCoordinateOracle:
             pytest.param(
                 a,
                 marks=pytest.mark.xfail(
-                    raises=ConeExitError,
+                    raises=LeftTheCone,
                     strict=True,
                     reason="the line search from u = 0 leaves the cone although the "
                     "solution's least eigenvalue is above the floor (ROADMAP item 3)",
@@ -362,7 +398,7 @@ class TestOneCoordinateOracle:
         u, c, least = one_coordinate_solution(f, 3)
         problem = TorusProblem(gamma=np.eye(3), f=f)
         assert least > problem.positivity_floor
-        result = newton_solve(problem)
+        result = solved(problem)
         assert result.converged
         assert result.c == pytest.approx(c, rel=1e-10, abs=0.0)
         assert np.abs(result.u - u).max() <= 1e-9
@@ -374,41 +410,49 @@ class TestOneCoordinateOracle:
         _, _, least = one_coordinate_solution(f, 3)
         problem = TorusProblem(gamma=np.eye(3), f=f)
         assert least < problem.positivity_floor
-        with pytest.raises(ConeExitError):
-            newton_solve(problem)
+        assert newton_solve(problem).failure == "cone-exit"
 
 
 class TestConeExit:
-    """A loop that leaves the cone returns the failure ``"cone-exit"``;
-    ``newton_solve`` alone raises, with the steps of every loop."""
+    """A loop that leaves the cone returns the failure ``"cone-exit"``, and
+    ``newton_solve`` returns it as a SolveResult with the steps of every
+    loop."""
 
     def density(self):
         x1, _, _ = grid_coordinates(SHAPE)
         return TorusProblem(gamma=np.eye(3), f=np.exp(16.0 * np.cos(x1)))
 
     def test_newton_loop_returns_the_cone_exit(self):
-        *_, converged, failure = solver._newton_loop(self.density(), np.zeros(SHAPE))
-        assert (converged, failure) == (False, "cone-exit")
+        outcome = solver._newton_loop(self.density(), np.zeros(SHAPE))
+        assert len(outcome) == 5 and outcome[-1] == "cone-exit"
 
     def test_initial_iterate_outside_the_cone(self):
         x1, _, _ = grid_coordinates(SHAPE)
         outcome = solver._newton_loop(self.density(), 10.0 * np.cos(x1))
-        assert outcome[2:] == ([], 0, False, "cone-exit")
+        assert outcome[2:] == ([], 0, "cone-exit")
 
-    def test_error_carries_the_levels(self):
-        with pytest.raises(ConeExitError) as info:
-            newton_solve(self.density())
-        ((shape, k),) = info.value.levels
+    def test_failure_carries_the_levels(self):
+        problem = self.density()
+        result = newton_solve(problem)
+        assert (result.converged, result.failure) == (False, "cone-exit")
+        ((shape, k),) = result.levels
         assert shape == SHAPE and k >= 1
-        assert len(info.value.history) == k + 1
-        assert f"left the cone after {k} steps" in str(info.value)
+        assert result.iterations == k and len(result.residual_history) == k + 1
+        # u, c and the diagnostics are those of the last iterate in the cone
+        assert result.min_alpha_eig >= problem.positivity_floor - 1e-12
+        # (alpha is near-singular at the floor, so det loses digits)
+        logdet = np.log(np.linalg.det(alpha_field(problem, result.u)))
+        assert math.log(result.c) == pytest.approx(float((logdet - np.log(problem.f)).mean()), rel=1e-9)
+        assert np.abs(residual(problem, result.u, math.log(result.c))).max() == pytest.approx(
+            result.final_residual, rel=1e-6
+        )
 
-    def test_error_after_an_abandoned_start(self):
+    def test_failure_after_an_abandoned_start(self):
         x1, _, _ = grid_coordinates(SHAPE)
-        with pytest.raises(ConeExitError) as info:
-            newton_solve(self.density(), u0=10.0 * np.cos(x1))
-        assert info.value.levels[0] == (SHAPE, 0)
-        assert len(info.value.levels) == 2
+        result = newton_solve(self.density(), u0=10.0 * np.cos(x1))
+        assert result.failure == "cone-exit"
+        assert result.levels[0] == (SHAPE, 0)
+        assert len(result.levels) == 2
 
 
 class TestGridLadder:
@@ -478,7 +522,7 @@ class TestDiagnostics:
         u = a * np.cos(x1)
         u = u - u.max()
         result = diagnostics(problem, SolveResult(
-            u=u, c=1.0, residual_history=(0.0,), iterations=0, converged=True,
+            u=u, c=1.0, residual_history=(0.0,), iterations=0,
         ))
         assert result.grad_sup == pytest.approx(a / 2, rel=1e-12)
         assert result.hess_sup == pytest.approx(a / 4, rel=1e-12)

@@ -208,8 +208,8 @@ def loop_problem(n, size, amplitude):
 def test_newton_loop_makes_no_lapack_calls(monkeypatch, n):
     problem = loop_problem(n, 8, 0.3)
     calls = count_linalg_calls(monkeypatch)
-    *_, iterations, converged, _ = _newton_loop(problem, np.zeros(problem.shape))
-    assert converged and iterations >= 3
+    *_, iterations, failure = _newton_loop(problem, np.zeros(problem.shape))
+    assert failure is None and iterations >= 3
     # the Krylov residual check goes through the counters: they are live
     assert calls["norm"] > 0
     assert not any(calls[name] for name in LAPACK), dict(calls)
@@ -229,8 +229,8 @@ def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
             return _original(*args)
 
         monkeypatch.setattr(solver, name, counted)
-    *_, iterations, converged, _ = _newton_loop(problem, np.zeros(problem.shape))
-    assert converged and iterations >= 3
+    *_, iterations, failure = _newton_loop(problem, np.zeros(problem.shape))
+    assert failure is None and iterations >= 3
     assert calls["alpha_field"] >= iterations + 1
     assert calls["field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
 
@@ -332,6 +332,28 @@ def test_diagnostics_take_one_hessian_and_few_eigenvalues(monkeypatch, manufactu
     assert sum(points) <= 0.05 * u.size
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_enclosure_of_the_largest_finite_entries(monkeypatch):
+    # an entry of 2^1023 or more must not overflow the power-of-two scale
+    # of the enclosure, which would make every bound NaN
+    shape = (8, 8, 8)
+    m = np.zeros((3, 3) + shape)
+    for i in range(3):
+        m[i, i] = i + 1.0
+    m[0, 1, 3, 4, 5] = m[1, 0, 3, 4, 5] = 1.5e308
+    grid_major = np.moveaxis(m, (0, 1), (-2, -1))
+    full = np.linalg.eigvalsh(grid_major)
+    points = count_eigvalsh_points(monkeypatch)
+    for extreme, expected in [
+        (lambda: _eig_range(m), (float(full[..., 0].min()), float(full[..., -1].max()))),
+        (lambda: _min_eig(grid_major), float(full[..., 0].min())),
+        (lambda: _sup_abs_eig(grid_major), float(np.abs(full).max())),
+    ]:
+        points.clear()
+        assert extreme() == expected
+        assert sum(points) < m[0, 0].size
+
+
 def count_operator_applications(monkeypatch):
     """Count calls of the linearized operator, preconditioner applies aside."""
     counts = Counter()
@@ -415,7 +437,7 @@ def test_preconditioned_operator_is_the_linearization_of_m_inverse(shape):
     gamma[..., 0, 1] = gamma[..., 1, 0] = 0.2 * np.sin(xs[-1])
     problem = TorusProblem(gamma=gamma, f=np.ones(shape))
     u = random_band_limited(rng, shape, max_mode=3, amplitude=0.3)
-    theta = _linearization_tensor(solver._alpha_state(problem, u, 0.0)[0])
+    theta = _linearization_tensor(solver._alpha_state(problem, u)[0])
     inverse = solver._inverse_symbol(shape, theta.mean(axis=tuple(range(n))))
     matvec, last = solver._preconditioned_operator(shape, solver._operator_weights(theta), inverse)
     y = rng.standard_normal(u.size)
