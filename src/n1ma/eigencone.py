@@ -465,7 +465,11 @@ def _screened_gaps(beta, omega, hess):
         return total
 
     def frobenius(x):
-        return np.sqrt(sum((1 if i == j else 2) * _abs2(x[i, j]) for i, j in triangle))
+        """``|x|_F`` of every matrix of a sample-major stack, in one
+        contiguous pass over its real components."""
+        flat = x.reshape(len(x), -1)
+        flat = flat.view(flat.real.dtype)
+        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
     tr_beta, tr_hess = trace_w(b), trace_w(h)
     factor_alpha, ok_alpha = field_cholesky(b + (tr_hess * w - h) / (n - 1))
@@ -475,8 +479,8 @@ def _screened_gaps(beta, omega, hess):
     gap = tr_beta + tr_hess - n * ratio ** (1.0 / n)
 
     nu = sum(_abs2(inv[ij]) for ij in triangle)
-    norm_w = frobenius(w)
-    scale = nu * (frobenius(b) + np.abs(tr_hess) * norm_w + frobenius(h))
+    norm_w = frobenius(omega)
+    scale = nu * (frobenius(beta) + np.abs(tr_hess) * norm_w + frobenius(hess))
     delta = _AMGM_ROUNDING * n**3 * np.finfo(float).eps * (nu * norm_w) * scale
     top = np.abs(tr_beta + tr_hess) + 2 * n * delta
     spread = 2 * n * delta * (top + delta) ** (n - 1)

@@ -43,7 +43,10 @@ factorization.  The tensor's eigenvalues are ``hat(1 / eig alpha) / (n - 1)``,
 positive whenever alpha is, so ellipticity needs no separate check.  Matrix
 fields keep the public shape ``grid + (n, n)`` but are stored component-major,
 as views of ``(n, n) + grid`` buffers, so every entry is a contiguous grid
-field; a constant background is a zero-stride view of one matrix.
+field; a constant background is a zero-stride view of one matrix.  The
+pointwise kernels allocate only single grid fields as temporaries and write
+each matrix-field result into a buffer the caller is done with: alpha into
+its Hessian's, the linearization tensor into that of ``alpha^-1``.
 
 A solve tries at most one start before its cold solve: a given ``u0``, or
 without one the prolonged solution of a coarser grid.  A start whose loop
@@ -172,7 +175,13 @@ class TorusProblem:
             )
         if not np.all(np.isfinite(gamma)):
             raise DomainError("TorusProblem: gamma must be finite")
-        if not np.allclose(gamma, gamma.swapaxes(0, 1)):
+        # np.allclose(gamma, gamma.swapaxes(0, 1)) one entry pair at a time:
+        # allclose is not symmetric in its arguments, so both orders are asked
+        if not all(
+            np.allclose(gamma[i, j], gamma[j, i]) and np.allclose(gamma[j, i], gamma[i, j])
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
             raise DomainError("TorusProblem: gamma must be symmetric")
         lo, hi = _eig_range(gamma)
         if not lo > 0:
@@ -272,18 +281,22 @@ def _grid_major(a):
 
 
 def _trace_free_part(m, scale):
-    """``((tr m) I - m) * scale`` for a component-major field m, stored
-    component-major; ``scale`` is a number or a grid field."""
+    """``((tr m) I - m) * scale`` for a component-major field m, written
+    into m and returned; ``scale`` is a number."""
     n = m.shape[0]
     tr = sum(m[i, i] for i in range(n))
-    out = np.multiply(m, -scale, out=np.empty(m.shape))
     for i in range(n):
-        out[i, i] = (tr - m[i, i]) * scale
-    return out
+        for j in range(n):
+            if i != j:
+                m[i, j] *= -scale
+        np.subtract(tr, m[i, i], out=m[i, i])
+        m[i, i] *= scale
+    return m
 
 
 def _alpha_from_hessian(problem, h):
-    """Gamma + ((trace h) I - h) / (n - 1) for a Hessian field h."""
+    """Gamma + ((trace h) I - h) / (n - 1) for a Hessian field h, built in
+    h's buffer: h is consumed."""
     alpha = _trace_free_part(_component_major(h), 1.0 / (problem.n - 1))
     alpha += _component_major(problem.gamma)
     return _grid_major(alpha)
@@ -334,17 +347,17 @@ def _linearization_tensor(factor):
     """Coefficient tensor ``((tr A) I - A) / (n - 1)``, ``A = alpha^-1``, of
     the linearized operator, from the grid-field Cholesky factor L of alpha:
     ``A = L^-T L^-1`` with ``L^-1`` from ``pointwise.lower_inverse``.
-    Positive definite wherever alpha is.
+    Positive definite wherever alpha is; built in the buffer of A.
     """
     inv = lower_inverse(factor)
     n = math.isqrt(2 * len(inv))  # n (n + 1) / 2 entries
     ainv = np.empty((n, n) + factor[0, 0].shape)
     for i in range(n):
         for j in range(i, n):
-            entry = inv[j, i] * inv[j, j]
+            entry = np.multiply(inv[j, i], inv[j, j], out=ainv[i, j])
             for k in range(j + 1, n):
-                entry = entry + inv[k, i] * inv[k, j]
-            ainv[i, j] = ainv[j, i] = entry
+                entry += inv[k, i] * inv[k, j]
+            ainv[j, i] = entry
     return _grid_major(_trace_free_part(ainv, 1.0 / (n - 1)))
 
 
@@ -615,16 +628,21 @@ def newton_solve(problem, u0=None):
 
 
 def diagnostics(problem, result):
-    """Fill the gradient, Hessian, oscillation and cone-margin diagnostics."""
+    """Fill the gradient, Hessian, oscillation and cone-margin diagnostics.
+
+    Each field is dropped once used, and alpha is built in the Hessian's
+    buffer, so at most one matrix field is alive at a time."""
     u = result.u
     grad = spectral_gradient(u)
     grad_sup = float(np.sqrt((grad**2).sum(axis=-1)).max()) / 2.0
+    del grad
     h = complex_hessian(u)
+    hess_sup = _sup_abs_eig(h)
     return dataclasses.replace(
         result,
         min_alpha_eig=_min_eig(_alpha_from_hessian(problem, h)),
         grad_sup=grad_sup,
-        hess_sup=_sup_abs_eig(h),
+        hess_sup=hess_sup,
         osc=float(u.max() - u.min()),
     )
 
@@ -641,20 +659,67 @@ def _eig_enclosure(m):
     scaled by ``2^(e - 1)``, the largest |entry| in ``[2^(e-1), 2^e)``, so
     that it neither underflows nor overflows, and the scale stays finite.
     NaN or infinite entries give NaN bounds.
+
+    Every temporary is one entry field: the sums accumulate in place, in the
+    order of the formulas, and a constant (zero-stride) m is never copied.
     """
     n = m.shape[0]
-    big = np.abs(m).max()
+    # |m|.max() without an |m| copy; abs() turns the -0.0 that max() returns
+    # on a field of zeros into the +0.0 of |m|.max()
+    big = max(abs(m.max()), abs(m.min()))
     slack = _SLACK_ULPS * n * n * np.spacing(big)
     scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
-    diag = [m[i, i] / scale for i in range(n)]
-    off = {(i, j): np.abs(m[i, j]) / scale for i in range(n) for j in range(i + 1, n)}
-    mu = sum(diag) / n
-    dev2 = sum((d - mu) ** 2 for d in diag) + 2 * sum(a * a for a in off.values())
-    spread = np.sqrt((n - 1) / n * dev2)
-    radius = [sum(off[min(i, j), max(i, j)] for j in range(n) if j != i) for i in range(n)]
-    lo = np.maximum(mu - spread, np.minimum.reduce([d - r for d, r in zip(diag, radius)]))
-    hi = np.minimum(mu + spread, np.maximum.reduce([d + r for d, r in zip(diag, radius)]))
-    return lo * scale - slack, hi * scale + slack
+
+    def entry(i, j):
+        """``m[i, j] / scale``, its |.| off the diagonal, in a new array (one
+        even for a single ``(n, n)`` matrix)."""
+        out = np.divide(m[i, j], scale, out=np.empty(m.shape[2:]))
+        return out if i == j else np.abs(out, out=out)
+
+    def summed(terms):
+        """The sum of the new arrays ``terms``, in order, in the first one."""
+        total = next(terms)
+        for term in terms:
+            total += term
+        return total
+
+    def deviation2(i):
+        d = entry(i, i)
+        d -= mu
+        return np.square(d, out=d)
+
+    mu = summed(entry(i, i) for i in range(n))
+    mu /= n
+    dev2 = summed(deviation2(i) for i in range(n))
+    offdiagonal = (entry(i, j) for i in range(n) for j in range(i + 1, n))
+    off2 = summed(np.square(a, out=a) for a in offdiagonal)
+    off2 *= 2
+    dev2 += off2
+    del off2
+    dev2 *= (n - 1) / n
+    spread = np.sqrt(dev2, out=dev2)
+    lo = np.subtract(mu, spread, out=np.empty_like(mu))
+    hi = np.add(mu, spread, out=mu)
+    del spread, dev2
+    # Gershgorin: min_i (d_i - r_i) and max_i (d_i + r_i), reduced in order
+    for i in range(n):
+        radius = summed(entry(min(i, j), max(i, j)) for j in range(n) if j != i)
+        d = entry(i, i)
+        low = np.subtract(d, radius, out=np.empty_like(d))
+        up = np.add(d, radius, out=d)
+        if i == 0:
+            least, largest = low, up
+        else:
+            np.minimum(least, low, out=least)
+            np.maximum(largest, up, out=largest)
+        del radius, d, low, up
+    np.maximum(lo, least, out=lo)
+    np.minimum(hi, largest, out=hi)
+    lo *= scale
+    lo -= slack
+    hi *= scale
+    hi += slack
+    return lo, hi
 
 
 def _certified_max(m, bound, point_value, signs):
@@ -692,7 +757,9 @@ def _sup_abs_eig(h):
     """``max |eig h|`` over the grid, bitwise the full-grid ``eigvalsh`` value."""
     h = _component_major(h)
     lo, hi = _eig_enclosure(h)
-    return _certified_max(h, np.maximum(hi, -lo), lambda e: np.maximum(-e[:, 0], e[:, -1]), (1, -1))
+    bound = np.maximum(hi, np.negative(lo, out=lo), out=hi)
+    del lo
+    return _certified_max(h, bound, lambda e: np.maximum(-e[:, 0], e[:, -1]), (1, -1))
 
 
 def _min_eig(alpha):
@@ -700,7 +767,7 @@ def _min_eig(alpha):
     ``eigvalsh`` value."""
     alpha = _component_major(alpha)
     lo, _ = _eig_enclosure(alpha)
-    return -_certified_max(alpha, -lo, lambda e: -e[:, 0], (1,))
+    return -_certified_max(alpha, np.negative(lo, out=lo), lambda e: -e[:, 0], (1,))
 
 
 def _eig_range(m):

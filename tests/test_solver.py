@@ -83,6 +83,22 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             TorusProblem(gamma=gamma, f=np.ones(SHAPE))
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_symmetry_is_checked_at_every_point_in_both_orders(self, entry):
+        # np.allclose(a, b) asks |a - b| <= 1e-8 + 1e-5 |b|: with b = 2 and
+        # a = 2 + d only the order (a, b) fails, so each order must be asked
+        gamma = np.broadcast_to(3.0 * np.eye(3), SHAPE + (3, 3)).copy()
+        gamma[..., 0, 1] = gamma[..., 1, 0] = 2.0
+        point = gamma[3, 4, 5]
+        point[entry] += 1e-9
+        TorusProblem(gamma=gamma, f=np.ones(SHAPE))  # inside the tolerance
+        # d = 2.0010001e-5 lies between 1e-8 + 1e-5 * 2 and 1e-8 + 1e-5 (2 + d)
+        point[entry] = 2.0 + 2.0010001e-5
+        assert np.allclose(point[entry[::-1]], point[entry])
+        assert not np.allclose(point[entry], point[entry[::-1]])
+        with pytest.raises(DomainError):
+            TorusProblem(gamma=gamma, f=np.ones(SHAPE))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_density(self, bad):
         f = np.ones(SHAPE)

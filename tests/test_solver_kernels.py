@@ -7,10 +7,13 @@ properties pin each kernel to the eigenvalue/inverse formula it replaces, on
 matrix fields that include least eigenvalues just above and just below the
 floor.  The batched spectral derivatives are pinned to per-block transforms,
 the one-pass GMRES operator to the reference linearization, the certified
-eigenvalue extremes to the full-grid ``eigvalsh`` values, and the inexact
-Newton-Krylov loop to its forcing terms and its work.
+eigenvalue extremes to the full-grid ``eigvalsh`` values, the in-place
+eigenvalue enclosure to its whole-field formulas and the pointwise kernels to
+a memory budget, and the inexact Newton-Krylov loop to its forcing terms and
+its work.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -252,7 +255,7 @@ def test_certified_extremes_equal_full_grid_eigvalsh(n, seed, constant, scale):
         h = complex_hessian(scale * random_band_limited(rng, shape, max_mode=3))
     g = rng.standard_normal((n, n))
     problem = TorusProblem(gamma=g @ g.T + np.eye(n), f=np.ones(shape))
-    alpha = _alpha_from_hessian(problem, h)
+    alpha = _alpha_from_hessian(problem, h.copy())  # consumes its Hessian
     assert _sup_abs_eig(h) == float(np.abs(np.linalg.eigvalsh(h)).max())
     eigs = np.linalg.eigvalsh(alpha)
     assert _min_eig(alpha) == float(eigs[..., 0].min())
@@ -352,6 +355,115 @@ def test_enclosure_of_the_largest_finite_entries(monkeypatch):
         points.clear()
         assert extreme() == expected
         assert sum(points) < m[0, 0].size
+
+
+def reference_enclosure(m):
+    """The enclosure formulas of ``_eig_enclosure`` on whole-field
+    temporaries: the reference its in-place sums must equal bit for bit."""
+    n = m.shape[0]
+    big = np.abs(m).max()
+    slack = solver._SLACK_ULPS * n * n * np.spacing(big)
+    scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
+    diag = [m[i, i] / scale for i in range(n)]
+    off = {(i, j): np.abs(m[i, j]) / scale for i in range(n) for j in range(i + 1, n)}
+    mu = sum(diag) / n
+    dev2 = sum((d - mu) ** 2 for d in diag) + 2 * sum(a * a for a in off.values())
+    spread = np.sqrt((n - 1) / n * dev2)
+    radius = [sum(off[min(i, j), max(i, j)] for j in range(n) if j != i) for i in range(n)]
+    lo = np.maximum(mu - spread, np.minimum.reduce([d - r for d, r in zip(diag, radius)]))
+    hi = np.minimum(mu + spread, np.maximum.reduce([d + r for d, r in zip(diag, radius)]))
+    return lo * scale - slack, hi * scale + slack
+
+
+def assert_enclosure_is_the_reference(m):
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = list(zip(solver._eig_enclosure(m), reference_enclosure(m)))
+    for got, expected in pairs:
+        got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+        assert got.shape == expected.shape
+        # bit patterns: signed zeros and NaNs included
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.integers(-300, 300),
+)
+def test_enclosure_is_bitwise_the_reference(n, seed, log_scale):
+    m = np.random.default_rng(seed).standard_normal((n, n, 6, 5, 4)) * 10.0**log_scale
+    assert_enclosure_is_the_reference(m + m.swapaxes(0, 1))
+
+
+def special_fields(n):
+    """Fields the enclosure must bound like the reference: zeros of either
+    sign, NaN and infinite entries, one matrix, a constant field and an
+    entry near the float limit."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a += a.T
+    zeros = np.zeros((n, n, 4, 4, 4))
+    signed = zeros.copy()
+    signed[0, 1] = signed[1, 0] = signed[n - 1, n - 1] = -0.0
+    nan, inf = (np.broadcast_to(a.reshape(n, n, 1, 1, 1), (n, n, 4, 4, 4)).copy() for _ in range(2))
+    nan[1, 1, 0, 0, 0] = nan[0, 2, 1, 2, 3] = np.nan
+    inf[0, 2, 1, 1, 1] = inf[2, 0, 1, 1, 1] = np.inf
+    inf[1, 1, 2, 2, 2] = -np.inf
+    huge = np.zeros((n, n, 8, 8, 8))
+    for i in range(n):
+        huge[i, i] = i + 1.0
+    huge[0, 1, 3, 4, 5] = huge[1, 0, 3, 4, 5] = 1.5e308
+    return {
+        "zeros": zeros,
+        "negative-zeros": -zeros,
+        "signed-zeros": signed,
+        "nan": nan,
+        "inf": inf,
+        "matrix": a,
+        "constant": np.broadcast_to(a.reshape(n, n, 1, 1, 1), (n, n, 8, 8, 8)),
+        "huge": huge,
+    }
+
+
+@pytest.mark.parametrize("kind", list(special_fields(3)))
+@pytest.mark.parametrize("n", [3, 4])
+def test_enclosure_of_special_fields_is_bitwise_the_reference(n, kind):
+    assert_enclosure_is_the_reference(special_fields(n)[kind])
+
+
+def traced_peak(fn):
+    """Peak traced allocation while ``fn()`` runs, above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# peaks in grid fields: the enclosure (of a field and of a constant field)
+# and the diagnostics; alpha_field stays within complex_hessian's own peak
+KERNEL_BUDGETS = {(32, 32, 32): (12, 21), (16, 12, 10, 8): (13, 29)}
+
+
+@pytest.mark.parametrize("shape", list(KERNEL_BUDGETS))
+def test_pointwise_kernels_allocate_single_fields(shape):
+    n = len(shape)
+    u = random_band_limited(np.random.default_rng(n), shape, max_mode=3, amplitude=0.2)
+    u -= u.max()
+    problem = TorusProblem(gamma=np.eye(n), f=np.ones(shape))
+    h = np.moveaxis(complex_hessian(u), (-2, -1), (0, 1))
+    constant = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * n), h.shape)
+    result = solver.SolveResult(u=u, c=1.0, residual_history=(0.0,), iterations=0)
+    enclosure, diagnosed = KERNEL_BUDGETS[shape]
+    field = u.nbytes
+    assert traced_peak(lambda: solver._eig_enclosure(h)) <= enclosure * field
+    assert traced_peak(lambda: solver._eig_enclosure(constant)) <= enclosure * field
+    hessian = traced_peak(lambda: complex_hessian(u))
+    assert traced_peak(lambda: solver.alpha_field(problem, u)) <= hessian + field / 4
+    assert traced_peak(lambda: diagnostics(problem, result)) <= diagnosed * field
 
 
 def count_operator_applications(monkeypatch):
