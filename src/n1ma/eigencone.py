@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .pointwise import certified_max, field_cholesky, lower_inverse
+from .pointwise import ROUNDING, certified_max, field_cholesky, lower_inverse
 
 __all__ = [
     "hat_transform",
@@ -394,9 +394,6 @@ def amgm_trace_gap_batch(beta, omega, hess):
 # sample, and the exact path above on the few samples that can hold the minimum.
 # ---------------------------------------------------------------------------
 
-_AMGM_PROBE = 16  # samples with the largest bounds given the exact path first
-_AMGM_ROUNDING = 8  # C of the backward-error model delta = C n^3 eps kappa scale
-
 
 def _abs2(z):
     return (z * z.conj()).real
@@ -426,7 +423,7 @@ def _screened_gaps(beta, omega, hess):
     is multiplied by kappa.  So each path finds the eigenvalues lambda_k of
     ``omega^{-1} alpha``, or their sum and product, as if from a matrix
     within ``delta = C n^3 eps kappa scale`` of the exact one (Weyl), with
-    ``C = _AMGM_ROUNDING`` for the sum of the steps' constants.  Where alpha
+    ``C = pointwise.ROUNDING`` for the sum of the steps' constants.  Where alpha
     passes its pivot test, every ``lambda_k >= -delta``, so every
     ``|lambda_k| <= top = |tr_omega alpha| + 2 n delta``.  Then:
 
@@ -445,7 +442,7 @@ def _screened_gaps(beta, omega, hess):
     So ``r = 4 n delta + n min(spread^(1/n), spread / (n max(ratio - spread,
     0)^((n-1)/n)))``.  A loose radius costs only a few more exact
     evaluations.  On the 10^5-sample streams of ``n1ma cones`` the largest
-    ``|g - exact|`` is below ``1e-5 r``, and on batches of alphas of every
+    ``|g - exact|`` is below ``1e-6 r``, and on batches of alphas of every
     rank at scales 1e-3..1e3 below ``0.02 r``.
     """
     n = omega.shape[-1]
@@ -481,7 +478,7 @@ def _screened_gaps(beta, omega, hess):
     nu = sum(_abs2(inv[ij]) for ij in triangle)
     norm_w = frobenius(omega)
     scale = nu * (frobenius(beta) + np.abs(tr_hess) * norm_w + frobenius(hess))
-    delta = _AMGM_ROUNDING * n**3 * np.finfo(float).eps * (nu * norm_w) * scale
+    delta = ROUNDING * n**3 * np.finfo(float).eps * (nu * norm_w) * scale
     top = np.abs(tr_beta + tr_hess) + 2 * n * delta
     spread = 2 * n * delta * (top + delta) ** (n - 1)
     floor = np.maximum(ratio - spread, 0.0)
@@ -512,4 +509,4 @@ def amgm_trace_gap_min(beta, omega, hess):
     gap, radius, ok = _screened_gaps(beta, omega, hess)
     bound = radius - gap
     bound[~(ok & np.isfinite(bound))] = np.inf
-    return -float(certified_max(bound, exact, probe=_AMGM_PROBE))
+    return -float(certified_max(bound, exact))

@@ -16,12 +16,12 @@ with GMRES, right-preconditioned by the inverse constant-coefficient symbol of
 the mean linearization tensor, so GMRES minimizes the true linear residual.
 Each correction is solved only as far as the outer iteration needs: its
 relative tolerance is an Eisenstat-Walker forcing term that follows the sup
-residual, between 1e-10 and 1e-4.  A correction whose true relative
-residual exceeds 1e-3 ends the loop with the failure ``"krylov"``.  A
-backtracking line search enforces both residual decrease and a positivity
-floor on alpha; a loop whose line search finds no admissible step, or whose
-first iterate is not above the floor, leaves the cone: it ends with the
-failure ``"cone-exit"``.
+residual, at most 1e-4 and at least ``min(1e-4, sqrt(0.1 tol))``.  A
+correction whose true relative residual exceeds 1e-3 ends the loop with the
+failure ``"krylov"``.  A backtracking line search enforces both residual
+decrease and a positivity floor on alpha; a loop whose line search finds no
+admissible step, or whose first iterate is not above the floor, leaves the
+cone: it ends with the failure ``"cone-exit"``.
 
 Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
 symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
@@ -69,14 +69,6 @@ Failures travel as values: each loop returns its failure label, which the
 driver inspects to abandon a start, and ``newton_solve`` returns every
 outcome as a SolveResult.  Only bad input raises: ``residual`` and
 ``linearized_apply`` reject a u whose alpha is not positive definite.
-
-The diagnostics ``hess_sup`` and ``min_alpha_eig`` are extremes of pointwise
-eigenvalues, certified from a subset of the grid: a Gershgorin and
-trace/Frobenius enclosure of every point's spectrum rules out the points that
-cannot attain the extreme, and ``eigvalsh`` runs on the rest
-(``pointwise.certified_max``).  The values are bitwise those of ``eigvalsh``
-over the whole grid.  The eigenvalue range of the background field is
-certified the same way.
 """
 
 from __future__ import annotations
@@ -100,7 +92,7 @@ from .grid import (
     grid_coordinates,
     spectral_gradient,
 )
-from .pointwise import certified_max, field_cholesky, lower_inverse
+from .pointwise import eig_extreme, field_cholesky, lower_inverse
 
 __all__ = [
     "SolverOptions",
@@ -118,18 +110,10 @@ __all__ = [
 # Loosest relative GMRES tolerance of a Newton correction: ten times inside
 # the 1e-3 true relative residual above which a correction is rejected.
 _FORCING_CAP = 1e-4
-# Tightest relative GMRES tolerance (see _forcing_term), and the Krylov
-# dimension of the one GMRES cycle of a correction.
-_KRYLOV_RTOL = 1e-10
+# Krylov dimension of the one GMRES cycle of a correction.
 _KRYLOV_MAXITER = 200
 # Step halvings of the line search.
 _MAX_BACKTRACKS = 40
-
-# Certified diagnostics: eigvalsh first runs on this many points of most
-# extreme eigenvalue bound; the bounds are widened by this many ulps of the
-# field's largest |entry| per matrix entry.
-_PROBE_POINTS = 64
-_SLACK_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -183,9 +167,10 @@ class TorusProblem:
             for j in range(i + 1, n)
         ):
             raise DomainError("TorusProblem: gamma must be symmetric")
-        lo, hi = _eig_range(gamma)
+        lo = -eig_extreme(gamma, (1,))
         if not lo > 0:
             raise DomainError("TorusProblem: gamma must be positive definite on the grid")
+        hi = eig_extreme(gamma, (-1,))
         object.__setattr__(self, "gamma", _grid_major(stored))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_min_gamma_eig", lo)
@@ -434,10 +419,11 @@ def _forcing_term(res, opts):
 
     Eisenstat-Walker forcing: eta ~ res keeps the outer convergence quadratic,
     the ``0.1 tol / res`` floor stops the last correction from solving below
-    what the outer tolerance needs, and the clamp keeps eta inside
-    ``[_KRYLOV_RTOL, _FORCING_CAP]``.
+    what the outer tolerance needs, and the cap keeps eta at most
+    ``_FORCING_CAP``.  Since res and ``0.1 tol / res`` are not both below
+    ``sqrt(0.1 tol)``, eta is at least ``min(_FORCING_CAP, sqrt(0.1 tol))``.
     """
-    return max(_KRYLOV_RTOL, min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res)))
+    return min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res))
 
 
 def _krylov_correction(factor, rhs, rtol):
@@ -637,148 +623,13 @@ def diagnostics(problem, result):
     grad_sup = float(np.sqrt((grad**2).sum(axis=-1)).max()) / 2.0
     del grad
     h = complex_hessian(u)
-    hess_sup = _sup_abs_eig(h)
+    hess_sup = eig_extreme(_component_major(h), (1, -1))
     return dataclasses.replace(
         result,
-        min_alpha_eig=_min_eig(_alpha_from_hessian(problem, h)),
+        min_alpha_eig=-eig_extreme(_component_major(_alpha_from_hessian(problem, h)), (1,)),
         grad_sup=grad_sup,
         hess_sup=hess_sup,
         osc=float(u.max() - u.min()),
-    )
-
-
-def _eig_enclosure(m):
-    """Per-point bounds ``lo <= eig <= hi`` on the eigenvalues of a symmetric
-    component-major field m, and on their ``eigvalsh`` values.
-
-    The intersection of the Gershgorin interval and the trace/Frobenius
-    interval ``mu +- sqrt((n - 1) / n * |m - mu I|_F^2)``, ``mu = tr m / n``
-    (Wolkowicz-Styan), widened by ``_SLACK_ULPS n^2`` ulps of the largest
-    |entry| to cover the rounding of both the bounds and ``eigvalsh``.  The
-    Frobenius term is a sum of squares, free of cancellation, formed on m
-    scaled by ``2^(e - 1)``, the largest |entry| in ``[2^(e-1), 2^e)``, so
-    that it neither underflows nor overflows, and the scale stays finite.
-    NaN or infinite entries give NaN bounds.
-
-    Every temporary is one entry field: the sums accumulate in place, in the
-    order of the formulas, and a constant (zero-stride) m is never copied.
-    """
-    n = m.shape[0]
-    # |m|.max() without an |m| copy; abs() turns the -0.0 that max() returns
-    # on a field of zeros into the +0.0 of |m|.max()
-    big = max(abs(m.max()), abs(m.min()))
-    slack = _SLACK_ULPS * n * n * np.spacing(big)
-    scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
-
-    def entry(i, j):
-        """``m[i, j] / scale``, its |.| off the diagonal, in a new array (one
-        even for a single ``(n, n)`` matrix)."""
-        out = np.divide(m[i, j], scale, out=np.empty(m.shape[2:]))
-        return out if i == j else np.abs(out, out=out)
-
-    def summed(terms):
-        """The sum of the new arrays ``terms``, in order, in the first one."""
-        total = next(terms)
-        for term in terms:
-            total += term
-        return total
-
-    def deviation2(i):
-        d = entry(i, i)
-        d -= mu
-        return np.square(d, out=d)
-
-    mu = summed(entry(i, i) for i in range(n))
-    mu /= n
-    dev2 = summed(deviation2(i) for i in range(n))
-    offdiagonal = (entry(i, j) for i in range(n) for j in range(i + 1, n))
-    off2 = summed(np.square(a, out=a) for a in offdiagonal)
-    off2 *= 2
-    dev2 += off2
-    del off2
-    dev2 *= (n - 1) / n
-    spread = np.sqrt(dev2, out=dev2)
-    lo = np.subtract(mu, spread, out=np.empty_like(mu))
-    hi = np.add(mu, spread, out=mu)
-    del spread, dev2
-    # Gershgorin: min_i (d_i - r_i) and max_i (d_i + r_i), reduced in order
-    for i in range(n):
-        radius = summed(entry(min(i, j), max(i, j)) for j in range(n) if j != i)
-        d = entry(i, i)
-        low = np.subtract(d, radius, out=np.empty_like(d))
-        up = np.add(d, radius, out=d)
-        if i == 0:
-            least, largest = low, up
-        else:
-            np.minimum(least, low, out=least)
-            np.maximum(largest, up, out=largest)
-        del radius, d, low, up
-    np.maximum(lo, least, out=lo)
-    np.minimum(hi, largest, out=hi)
-    lo *= scale
-    lo -= slack
-    hi *= scale
-    hi += slack
-    return lo, hi
-
-
-def _certified_max(m, bound, point_value, signs):
-    """``max`` over the grid of ``point_value(eigvalsh(m))``, bitwise the
-    full-grid value, by ``pointwise.certified_max`` on the per-point upper
-    bounds ``bound``.  A point below the provisional maximum p is certified
-    when ``s m + (p - slack) I`` passes a Cholesky test for every s in
-    ``signs``: s = +1 certifies ``-eig_min < p``, s = -1 ``eig_max < p``;
-    ``slack`` covers the rounding of the factorization and of ``eigvalsh``
-    (Demmel 1989).  LAPACK factors each matrix on its own, so a field of
-    bitwise equal matrices needs one ``eigvalsh``.
-    """
-    n = m.shape[0]
-    flat = m.reshape(n, n, -1)
-    bound = bound.ravel()
-
-    def exact(points):
-        return point_value(np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))).max()
-
-    def certify(points, provisional):
-        sub = flat[:, :, points]
-        slack = _SLACK_ULPS * n**3 * np.spacing(max(np.abs(sub).max(), abs(provisional)))
-        certified = True
-        for s in signs:
-            certified = certified & field_cholesky(sub if s > 0 else -sub, slack - provisional)[1]
-        return certified
-
-    bits = flat.view(np.uint64)
-    if bound.min() == bound.max() and (bits == bits[:, :, :1]).all():
-        return float(exact([0]))
-    return float(certified_max(bound, exact, certify, probe=_PROBE_POINTS))
-
-
-def _sup_abs_eig(h):
-    """``max |eig h|`` over the grid, bitwise the full-grid ``eigvalsh`` value."""
-    h = _component_major(h)
-    lo, hi = _eig_enclosure(h)
-    bound = np.maximum(hi, np.negative(lo, out=lo), out=hi)
-    del lo
-    return _certified_max(h, bound, lambda e: np.maximum(-e[:, 0], e[:, -1]), (1, -1))
-
-
-def _min_eig(alpha):
-    """Least eigenvalue of alpha over the grid, bitwise the full-grid
-    ``eigvalsh`` value."""
-    alpha = _component_major(alpha)
-    lo, _ = _eig_enclosure(alpha)
-    return -_certified_max(alpha, np.negative(lo, out=lo), lambda e: -e[:, 0], (1,))
-
-
-def _eig_range(m):
-    """``(least, largest)`` eigenvalue of a symmetric component-major field m
-    over the grid, or of one ``(n, n)`` matrix; bitwise the ``eigvalsh``
-    values over the whole grid."""
-    m = np.ascontiguousarray(m)
-    lo, hi = _eig_enclosure(m)
-    return (
-        -_certified_max(m, -lo, lambda e: -e[:, 0], (1,)),
-        _certified_max(m, hi, lambda e: e[:, -1], (-1,)),
     )
 
 

@@ -288,16 +288,17 @@ expression = exp(0.3*sin(x3 + x4))
 c_beta_omega = 4
 """)
         calls = []
-        eig_range = solver._eig_range
+        eig_extreme = solver.eig_extreme
 
-        def counted(m):
-            calls.append(m.shape)
-            return eig_range(m)
+        def counted(m, signs):
+            calls.append(signs)
+            return eig_extreme(m, signs)
 
-        monkeypatch.setattr(solver, "_eig_range", counted)
+        monkeypatch.setattr(solver, "eig_extreme", counted)
         spec = parse_config(path)
         assert family_run(spec).all_converged
-        assert len(calls) == 2 + sum(t > 0 for t in ts)
+        # a range is the only caller that asks for a largest eigenvalue alone
+        assert calls.count((-1,)) == 2 + sum(t > 0 for t in ts)
 
         # the t = 0 fiber is the constant start problem, one 4x4 matrix
         tracemalloc.start()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import n1ma
-from n1ma.pointwise import certified_max, field_cholesky, lower_inverse
+from n1ma import pointwise
+from n1ma.pointwise import PROBE, certified_max, field_cholesky, lower_inverse
 
 
 def hermitian_field(rng, count, n, scale=1.0):
@@ -63,8 +64,8 @@ class TestFieldCholesky:
 class TestCertifiedMax:
     def setup_method(self):
         rng = np.random.default_rng(11)
-        self.values = rng.standard_normal(500)
-        self.bound = self.values + rng.uniform(0.0, 0.1, 500)
+        self.values = rng.standard_normal(5000)
+        self.bound = self.values + rng.uniform(0.0, 0.1, 5000)
         self.points = []
 
     def exact(self, points):
@@ -72,20 +73,22 @@ class TestCertifiedMax:
         return self.values[points].max()
 
     def test_valid_bounds_take_few_exact_points(self):
-        assert certified_max(self.bound, self.exact, probe=16) == self.values.max()
-        assert sum(self.points) < 50
+        assert certified_max(self.bound, self.exact) == self.values.max()
+        assert self.points[0] == PROBE and sum(self.points) < PROBE + 50
 
     def test_nan_bounds_keep_every_point(self):
         bound = self.bound.copy()
         bound[::3] = np.nan
-        assert certified_max(bound, self.exact, probe=16) == self.values.max()
-        assert certified_max(np.full(500, np.nan), self.exact, probe=1) == self.values.max()
+        assert certified_max(bound, self.exact) == self.values.max()
+        assert certified_max(np.full(5000, np.nan), self.exact) == self.values.max()
 
     @pytest.mark.parametrize("probe", [500, 501, 10**6])
-    def test_probe_at_least_the_batch(self, probe):
+    def test_probe_at_least_the_batch(self, monkeypatch, probe):
         # the provisional value is then the full maximum, whatever the bounds
-        assert certified_max(np.zeros(500), self.exact, probe=probe) == self.values.max()
-        assert self.points[0] == 500
+        monkeypatch.setattr(pointwise, "PROBE", probe)
+        self.values = self.values[:500]
+        assert certified_max(np.zeros(500), self.exact) == self.values.max()
+        assert self.points == [500]
 
     def test_certify_clears_candidates(self):
         loose = self.values + 10.0
@@ -93,13 +96,13 @@ class TestCertifiedMax:
         def certify(points, provisional):
             return self.values[points] < provisional
 
-        assert certified_max(loose, self.exact, probe=16) == self.values.max()
+        assert certified_max(loose, self.exact) == self.values.max()
         # the probed points are not evaluated twice
-        assert self.points == [16, 484]
+        assert self.points == [PROBE, 5000 - PROBE]
         self.points.clear()
-        assert certified_max(loose, self.exact, certify, probe=16) == self.values.max()
+        assert certified_max(loose, self.exact, certify) == self.values.max()
         # the maximizer is in the probe, so nothing is left
-        assert self.points == [16]
+        assert self.points == [PROBE]
 
 
 # the cone audits may not pull in the solver, scipy or other heavy modules

@@ -22,17 +22,15 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from n1ma import solver
+from n1ma import pointwise, solver
 from n1ma.grid import _wavenumbers, complex_hessian, grid_coordinates, random_band_limited, spectral_gradient
+from n1ma.pointwise import eig_extreme
 from n1ma.solver import (
     TorusProblem,
     _alpha_from_hessian,
-    _eig_range,
     _linearization_tensor,
     _log_det_above,
-    _min_eig,
     _newton_loop,
-    _sup_abs_eig,
     diagnostics,
     manufactured_problem,
     newton_solve,
@@ -238,6 +236,26 @@ def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
     assert calls["field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
 
 
+def component_major(m):
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
+def min_eig(m):
+    """Least eigenvalue of a grid-major field, by ``eig_extreme``."""
+    return -eig_extreme(component_major(m), (1,))
+
+
+def sup_abs_eig(m):
+    """Largest |eigenvalue| of a grid-major field, by ``eig_extreme``."""
+    return eig_extreme(component_major(m), (1, -1))
+
+
+def eig_range(m):
+    """``(least, largest)`` eigenvalue of a component-major field, by
+    ``eig_extreme``."""
+    return -eig_extreme(m, (1,)), eig_extreme(m, (-1,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([3, 4, 5]),
@@ -256,11 +274,11 @@ def test_certified_extremes_equal_full_grid_eigvalsh(n, seed, constant, scale):
     g = rng.standard_normal((n, n))
     problem = TorusProblem(gamma=g @ g.T + np.eye(n), f=np.ones(shape))
     alpha = _alpha_from_hessian(problem, h.copy())  # consumes its Hessian
-    assert _sup_abs_eig(h) == float(np.abs(np.linalg.eigvalsh(h)).max())
+    assert sup_abs_eig(h) == float(np.abs(np.linalg.eigvalsh(h)).max())
     eigs = np.linalg.eigvalsh(alpha)
-    assert _min_eig(alpha) == float(eigs[..., 0].min())
+    assert min_eig(alpha) == float(eigs[..., 0].min())
     # the metric spectrum of TorusProblem and config
-    assert _eig_range(np.moveaxis(alpha, (-2, -1), (0, 1))) == (float(eigs[..., 0].min()), float(eigs[..., -1].max()))
+    assert eig_range(component_major(alpha)) == (float(eigs[..., 0].min()), float(eigs[..., -1].max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,23 +286,26 @@ def test_certified_extremes_equal_full_grid_eigvalsh(n, seed, constant, scale):
     n=st.sampled_from([3, 4, 5]),
     seed=st.integers(0, 2**32 - 1),
     shared=st.booleans(),
-    scale=st.sampled_from([1.0, 1e-8, 1e8]),
+    scale=st.sampled_from([1.0, 1e-8, 1e8, "mixed"]),
 )
 def test_certificates_keep_every_possible_extreme(n, seed, shared, scale):
     # Randomly rotated spectra make the Gershgorin and Frobenius bounds loose
     # at every point: the probe rarely holds the extreme, and the Cholesky
     # certificates decide.  A shared spectrum makes every point tie up to
-    # the rounding of eigvalsh.
+    # the rounding of eigvalsh.  A mixed field scales each point between
+    # 1e-150 and 1e150, so that every point's slack is its own.
     rng = np.random.default_rng(seed)
     points = 2000
+    if scale == "mixed":
+        scale = 10.0 ** rng.uniform(-150.0, 150.0, size=(points, 1, 1))
     eigs = rng.uniform(-1.0, 3.0, size=(1 if shared else points, 1, n))
     q, _ = np.linalg.qr(rng.standard_normal((points, n, n)))
     m = scale * (q * eigs) @ q.transpose(0, 2, 1)
     m = (m + m.transpose(0, 2, 1)) / 2
     full = np.linalg.eigvalsh(m)
-    assert _min_eig(m) == float(full[:, 0].min())
-    assert _sup_abs_eig(m) == float(np.abs(full).max())
-    assert _eig_range(np.moveaxis(m, (-2, -1), (0, 1))) == (float(full[:, 0].min()), float(full[:, -1].max()))
+    assert min_eig(m) == float(full[:, 0].min())
+    assert sup_abs_eig(m) == float(np.abs(full).max())
+    assert eig_range(component_major(m)) == (float(full[:, 0].min()), float(full[:, -1].max()))
 
 
 def test_tied_bounds_do_not_make_a_field_uniform():
@@ -294,9 +315,22 @@ def test_tied_bounds_do_not_make_a_field_uniform():
     b = a * np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
     m = np.stack([a, b] * 50)
     full = np.linalg.eigvalsh(m)
-    assert _min_eig(m) == float(full[:, 0].min())
-    assert _sup_abs_eig(m) == float(np.abs(full).max())
-    assert _eig_range(np.moveaxis(m, (-2, -1), (0, 1))) == (float(full[:, 0].min()), float(full[:, -1].max()))
+    assert min_eig(m) == float(full[:, 0].min())
+    assert sup_abs_eig(m) == float(np.abs(full).max())
+    assert eig_range(component_major(m)) == (float(full[:, 0].min()), float(full[:, -1].max()))
+
+
+def test_metric_range_reads_the_triangle_eigvalsh_reads():
+    # a metric symmetric only to allclose's tolerance, with tight bounds at
+    # every point: they must bound the lower triangle, which eigvalsh and
+    # the Cholesky tests read
+    shape = (8, 8, 8)
+    g = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+    g[..., 0, 1] = 0.3
+    g[..., 1, 0] = 0.3 + 1e-9 * np.random.default_rng(0).uniform(size=shape)
+    eigs = np.linalg.eigvalsh(g)
+    problem = TorusProblem(gamma=g, f=np.ones(shape))
+    assert problem.gamma_eig_range == (float(eigs[..., 0].min()), float(eigs[..., -1].max()))
 
 
 def count_eigvalsh_points(monkeypatch):
@@ -348,36 +382,58 @@ def test_enclosure_of_the_largest_finite_entries(monkeypatch):
     full = np.linalg.eigvalsh(grid_major)
     points = count_eigvalsh_points(monkeypatch)
     for extreme, expected in [
-        (lambda: _eig_range(m), (float(full[..., 0].min()), float(full[..., -1].max()))),
-        (lambda: _min_eig(grid_major), float(full[..., 0].min())),
-        (lambda: _sup_abs_eig(grid_major), float(np.abs(full).max())),
+        (lambda: eig_range(m), (float(full[..., 0].min()), float(full[..., -1].max()))),
+        (lambda: min_eig(grid_major), float(full[..., 0].min())),
+        (lambda: sup_abs_eig(grid_major), float(np.abs(full).max())),
     ]:
         points.clear()
         assert extreme() == expected
         assert sum(points) < m[0, 0].size
 
 
+def test_one_huge_entry_widens_no_other_bounds(monkeypatch):
+    # each point's slack scales with its own entries: one diagonal entry of
+    # 1.5e308 sends its own point to eigvalsh, not every point of the grid
+    u = random_band_limited(np.random.default_rng(17), (16, 16, 16), max_mode=3)
+    h = component_major(complex_hessian(u))
+    h[0, 0, 3, 4, 5] = 1.5e308
+    full = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
+    points = count_eigvalsh_points(monkeypatch)
+    for signs, expected in [
+        ((1,), -float(full[..., 0].min())),
+        ((-1,), float(full[..., -1].max())),
+        ((1, -1), float(np.abs(full).max())),
+    ]:
+        points.clear()
+        assert eig_extreme(h, signs) == expected
+        assert sum(points) <= 2 * pointwise.PROBE, signs
+
+
 def reference_enclosure(m):
     """The enclosure formulas of ``_eig_enclosure`` on whole-field
-    temporaries: the reference its in-place sums must equal bit for bit."""
+    temporaries: the reference its in-place sums must equal bit for bit.
+    Each point is scaled by the power of two of its own largest |entry|
+    (at least the least normal float) and widened by ``ROUNDING n^2 eps``
+    in those units."""
     n = m.shape[0]
-    big = np.abs(m).max()
-    slack = solver._SLACK_ULPS * n * n * np.spacing(big)
-    scale = np.ldexp(1.0, int(np.frexp(big)[1]) - 1)
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    big = np.max([np.abs(m[i, j]) for i, j in lower], axis=0)
+    scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1], -1021) - 1)
+    slack = pointwise.ROUNDING * n * n * np.finfo(float).eps
     diag = [m[i, i] / scale for i in range(n)]
-    off = {(i, j): np.abs(m[i, j]) / scale for i in range(n) for j in range(i + 1, n)}
+    off = {(i, j): np.abs(m[i, j]) / scale for i, j in lower if i != j}
     mu = sum(diag) / n
     dev2 = sum((d - mu) ** 2 for d in diag) + 2 * sum(a * a for a in off.values())
     spread = np.sqrt((n - 1) / n * dev2)
-    radius = [sum(off[min(i, j), max(i, j)] for j in range(n) if j != i) for i in range(n)]
+    radius = [sum(off[max(i, j), min(i, j)] for j in range(n) if j != i) for i in range(n)]
     lo = np.maximum(mu - spread, np.minimum.reduce([d - r for d, r in zip(diag, radius)]))
     hi = np.minimum(mu + spread, np.maximum.reduce([d + r for d, r in zip(diag, radius)]))
-    return lo * scale - slack, hi * scale + slack
+    return (lo - slack) * scale, (hi + slack) * scale
 
 
 def assert_enclosure_is_the_reference(m):
     with np.errstate(invalid="ignore", over="ignore"):
-        pairs = list(zip(solver._eig_enclosure(m), reference_enclosure(m)))
+        pairs = list(zip(pointwise._eig_enclosure(m), reference_enclosure(m)))
     for got, expected in pairs:
         got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
         assert got.shape == expected.shape
@@ -459,8 +515,8 @@ def test_pointwise_kernels_allocate_single_fields(shape):
     result = solver.SolveResult(u=u, c=1.0, residual_history=(0.0,), iterations=0)
     enclosure, diagnosed = KERNEL_BUDGETS[shape]
     field = u.nbytes
-    assert traced_peak(lambda: solver._eig_enclosure(h)) <= enclosure * field
-    assert traced_peak(lambda: solver._eig_enclosure(constant)) <= enclosure * field
+    assert traced_peak(lambda: pointwise._eig_enclosure(h)) <= enclosure * field
+    assert traced_peak(lambda: pointwise._eig_enclosure(constant)) <= enclosure * field
     hessian = traced_peak(lambda: complex_hessian(u))
     assert traced_peak(lambda: solver.alpha_field(problem, u)) <= hessian + field / 4
     assert traced_peak(lambda: diagnostics(problem, result)) <= diagnosed * field
@@ -509,10 +565,12 @@ def record_forcing(monkeypatch):
     return records
 
 
-def assert_within_forcing(records):
+def assert_within_forcing(records, tolerance):
+    # eta >= min(cap, sqrt(0.1 tol)), up to the rounding of 0.1 tol / res
+    least = min(solver._FORCING_CAP, np.sqrt(0.1 * tolerance)) * (1 - 4 * np.finfo(float).eps)
     assert records
     for eta, true_res in records:
-        assert solver._KRYLOV_RTOL <= eta <= solver._FORCING_CAP
+        assert least <= eta <= solver._FORCING_CAP
         assert true_res <= 2 * eta
 
 
@@ -521,7 +579,7 @@ def test_corrections_meet_their_forcing_terms(monkeypatch):
     records = record_forcing(monkeypatch)
     result = newton_solve(problem)
     assert result.converged and result.iterations == len(records) == 4
-    assert_within_forcing(records)
+    assert_within_forcing(records, problem.options.tolerance)
     # the last correction is solved no tighter than the outer tolerance needs
     assert records[-1][0] == solver._FORCING_CAP
     assert np.abs(result.u - u_star).max() <= 1e-9
@@ -535,7 +593,7 @@ def test_oscillating_corrections_meet_their_forcing_terms(monkeypatch):
     problem = TorusProblem(gamma=np.eye(3), f=f)
     records = record_forcing(monkeypatch)
     assert newton_solve(problem).converged
-    assert_within_forcing(records)
+    assert_within_forcing(records, problem.options.tolerance)
 
 
 @pytest.mark.parametrize("shape", [(16, 12, 10), (8, 10, 8, 12)])
