@@ -20,7 +20,7 @@ from . import eigencone, forms, radial
 from .config import parse_config
 from .errors import ConfigError, DomainError
 from .grid import field_to_csv, write_field
-from .harness import FamilySpec, audit_solve, family_run
+from .harness import AMGM_FLOOR, FamilySpec, audit_solve, family_run
 from .solver import TorusProblem, manufactured_problem, newton_solve
 
 EXIT_OK = 0
@@ -75,11 +75,16 @@ def _checks_report(path, rows, seed):
     return EXIT_OK if all(bool(row[3]) for row in rows[1:]) else EXIT_INVARIANT
 
 
+def _failure_code(failures):
+    """Exit code of unconverged solves with these failure labels: 2 if one
+    left the cone, else 3."""
+    return EXIT_CONE if "cone-exit" in failures else EXIT_MAXITER
+
+
 def _failed(command, result):
-    """Report an unconverged solve on stderr and return its exit code:
-    2 for a cone exit, 3 for any other failure."""
+    """Report an unconverged solve on stderr and return its exit code."""
     print(f"{command}: solver did not converge ({result.failure})", file=sys.stderr)
-    return EXIT_CONE if result.failure == "cone-exit" else EXIT_MAXITER
+    return _failure_code((result.failure,))
 
 
 def _random_hermitian(rng, n):
@@ -171,12 +176,14 @@ def cmd_verify(args):
     rows = [["converged", True, True, True]]
     rows.append(["c_upper_bound", audit.c_upper - audit.c, 0.0, audit.c_upper_ok])
     rows.append(["mass_identity", audit.mass_ok, True, audit.mass_ok])
-    rows.append(["amgm_min_gap", audit.amgm_min_gap, -1e-9, audit.amgm_min_gap >= -1e-9])
+    rows.append(["amgm_min_gap", audit.amgm_min_gap, AMGM_FLOOR, audit.amgm_min_gap >= AMGM_FLOOR])
 
-    # density scaling: doubling f must leave u fixed and halve c
-    scaled = newton_solve(problem.with_density(2.0 * problem.f), u0=result.u)
+    # density scaling: doubling f must leave u fixed and halve c; a density
+    # whose double is past the float range is halved instead
+    factor = 2.0 if problem.f.max() <= np.finfo(float).max / 2 else 0.5
+    scaled = newton_solve(problem.with_density(factor * problem.f), u0=result.u)
     u_shift = float(np.abs(scaled.u - result.u).max())
-    c_rel = abs(scaled.c * 2.0 - result.c) / result.c
+    c_rel = abs(scaled.c * factor - result.c) / result.c
     rows.append(["density_scaling_u", u_shift, 1e-9, u_shift <= 1e-9])
     rows.append(["density_scaling_c", c_rel, 1e-9, c_rel <= 1e-9])
 
@@ -204,10 +211,8 @@ def cmd_family(args):
     for row in report.rows:
         print(f"fiber t={row.t!r}: {row.start} start, {row.newton_steps} Newton steps")
     failures = [row.failure for row in report.rows if not row.converged]
-    if "cone-exit" in failures:
-        return EXIT_CONE
     if failures:
-        return EXIT_MAXITER
+        return _failure_code(failures)
     audits_ok = all(row.audit.all_ok for row in report.rows)
     if not (report.within_budget and audits_ok):
         return EXIT_INVARIANT

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _MASS_TOLERANCE = 1e-10
+# least accepted pointwise AM-GM gap of a converged solve
+AMGM_FLOOR = -1e-9
 
 
 def c_upper_bound(problem, result):
@@ -109,7 +111,7 @@ class AuditRow:
 
     @property
     def all_ok(self):
-        return self.c_upper_ok and self.mass_ok and self.amgm_min_gap >= -1e-9
+        return self.c_upper_ok and self.mass_ok and self.amgm_min_gap >= AMGM_FLOOR
 
 
 def audit_solve(problem, result):

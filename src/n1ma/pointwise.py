@@ -6,14 +6,14 @@ solver and the cone audits share the Cholesky factor ``field_cholesky``, its
 inverse ``lower_inverse``, and ``certified_max``, the maximum of a per-point
 value from its exact value on the few points that bounds leave open.  The
 solver's eigenvalue extremes (``hess_sup``, ``min_alpha_eig`` and the range
-of the metric) come from ``eig_extreme``: an enclosure of every point's
-spectrum and Cholesky tests rule out the points that cannot attain the
-extreme, and ``eigvalsh`` runs on the rest, so the values are bitwise those of
-``eigvalsh`` over every point.
+of the metric) come from ``eig_extreme``: every point's Gershgorin bounds,
+widened by its own slack, and Cholesky tests rule out the points that cannot
+attain the extreme, and ``eigvalsh`` runs on the rest, so the values are
+bitwise those of ``eigvalsh`` over every point.
 
 Every certified bound has one rounding model: a computation on one point errs
 by at most ``ROUNDING n^k eps`` times that point's own magnitude (k = 2 for
-the enclosure, 3 for the Cholesky tests and the AM-GM screen of
+the Gershgorin bounds, 3 for the Cholesky tests and the AM-GM screen of
 ``eigencone``), so one point's huge entry widens no other point's bounds.
 """
 
@@ -118,76 +118,29 @@ def _eig_enclosure(m):
     """Per-point bounds ``lo <= eig <= hi`` on the eigenvalues of a symmetric
     component-major field m, and on their ``eigvalsh`` values.
 
-    The intersection of the Gershgorin interval and the trace/Frobenius
-    interval ``mu +- sqrt((n - 1) / n * |m - mu I|_F^2)``, ``mu = tr m / n``
-    (Wolkowicz-Styan), read from the lower triangle like ``eigvalsh``.  Each
-    point is scaled by its own ``_magnitude`` s, so that the squares neither
-    underflow nor overflow.  In these units the bounds widen by ``ROUNDING
-    n^2 eps`` to cover the rounding of both the bounds and ``eigvalsh``:
-    ``lo = (lo' - ROUNDING n^2 eps) s``.  A point with a NaN or infinite
-    entry gets NaN or infinite bounds, which leave it open.
-
-    Every temporary is one entry field: the sums accumulate in place, in the
-    order of the formulas, and a constant (zero-stride) m is never copied.
+    The Gershgorin interval ``[min_i (m_ii - r_i), max_i (m_ii + r_i)]``,
+    ``r_i = sum_(j != i) |m_ij|``, read from the lower triangle like
+    ``eigvalsh`` and widened by ``ROUNDING n^2 eps`` times the point's
+    ``_magnitude`` for the rounding of both.  Sums past the float range give
+    infinite bounds, and a NaN or infinite entry a NaN or infinite bound.
+    Every temporary is one entry field; a zero-stride m is never copied.
     """
     n = m.shape[0]
     points = m.shape[2:]
-    scale = _magnitude(m)
-
-    def entry(i, j):
-        """``m[i, j] / scale``, its |.| off the diagonal, in a new array (one
-        even for a single ``(n, n)`` matrix)."""
-        out = np.divide(m[i, j], scale, out=np.empty(points))
-        return out if i == j else np.abs(out, out=out)
-
-    def summed(terms):
-        """The sum of the new arrays ``terms``, in order, in the first one;
-        each term is dropped before the next is made."""
-        total = next(terms)
-        for term in terms:
-            total += term
-            del term
-        return total
-
-    def squared(a):
-        return np.square(a, out=a)
-
-    def deviation2(i):
-        d = entry(i, i)
-        d -= mu
-        return squared(d)
-
-    # Gershgorin: min_i (d_i - r_i) and max_i (d_i + r_i), reduced in order
-    for i in range(n):
-        radius = summed(entry(max(i, j), min(i, j)) for j in range(n) if j != i)
-        d = entry(i, i)
-        low = np.subtract(d, radius, out=np.empty_like(d))
-        up = np.add(d, radius, out=d)
-        if i == 0:
-            least, largest = low, up
-        else:
-            np.minimum(least, low, out=least)
-            np.maximum(largest, up, out=largest)
-        del radius, d, low, up
-    mu = summed(entry(i, i) for i in range(n))
-    mu /= n
-    dev2 = summed(deviation2(i) for i in range(n))
-    off2 = summed(squared(entry(i, j)) for i in range(n) for j in range(i))
-    off2 *= 2
-    dev2 += off2
-    del off2
-    dev2 *= (n - 1) / n
-    spread = np.sqrt(dev2, out=dev2)
-    lo = np.subtract(mu, spread, out=np.empty_like(mu))
-    hi = np.add(mu, spread, out=mu)
-    del spread, dev2
-    np.maximum(lo, least, out=lo)
-    np.minimum(hi, largest, out=hi)
-    slack = ROUNDING * n * n * _EPS
-    lo -= slack
-    lo *= scale
-    hi += slack
-    hi *= scale
+    slack = _magnitude(m)
+    slack *= ROUNDING * n * n * _EPS
+    lo, hi = np.full(points, np.inf), np.full(points, -np.inf)
+    radius, term = np.empty(points), np.empty(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            radius[...] = 0.0
+            for j in range(n):
+                if j != i:
+                    radius += np.abs(m[max(i, j), min(i, j)], out=term)
+            np.minimum(lo, np.subtract(m[i, i], radius, out=term), out=lo)
+            np.maximum(hi, np.add(m[i, i], radius, out=term), out=hi)
+        lo -= slack
+        hi += slack
     return lo, hi
 
 
@@ -206,16 +159,20 @@ def eig_extreme(m, signs):
     """
     n = m.shape[0]
     flat = m.reshape(n, n, -1)
+
+    def exact(points):
+        e = np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))
+        return np.max([-e[:, 0] if s > 0 else e[:, -1] for s in signs])
+
+    bits = flat.view(np.uint64)
+    if (bits == bits[:, :, :1]).all():
+        return float(exact([0]))
     lo, hi = _eig_enclosure(m)
     bound = np.negative(lo, out=lo) if signs[0] > 0 else hi
     if len(signs) > 1:
         np.maximum(bound, hi, out=bound)
     bound = bound.ravel()
     del lo, hi
-
-    def exact(points):
-        e = np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))
-        return np.max([-e[:, 0] if s > 0 else e[:, -1] for s in signs])
 
     def certify(points, provisional):
         sub = flat[:, :, points]
@@ -227,7 +184,4 @@ def eig_extreme(m, signs):
                 certified = certified & field_cholesky(sub if s > 0 else -sub, slack - provisional)[1]
         return certified
 
-    bits = flat.view(np.uint64)
-    if bound.min() == bound.max() and (bits == bits[:, :, :1]).all():
-        return float(exact([0]))
     return float(certified_max(bound, exact, certify))

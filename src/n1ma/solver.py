@@ -48,22 +48,23 @@ pointwise kernels allocate only single grid fields as temporaries and write
 each matrix-field result into a buffer the caller is done with: alpha into
 its Hessian's, the linearization tensor into that of ``alpha^-1``.
 
-A solve tries at most one start before its cold solve: a given ``u0``, or
-without one the prolonged solution of a coarser grid.  A start whose loop
-leaves the cone or does not converge is abandoned, and the grid is solved as
-if it had not been given.  Without ``u0``, a solve is nested across grids
-(grid sequencing, Kelley 2003).  A grid whose largest axis exceeds 16 and
-whose axes all halve to even sizes of at least 8 has a coarser level: the
-same problem sampled at every other grid point.  The coarsest level is solved from u = 0, and
-each finer level starts from the coarser solution prolonged spectrally (its
-``rfftn`` zero-padded, the coarse Nyquist modes dropped).  Smooth data leave
-the fine levels little or nothing to do.  Acceptance stays on the requested
-grid: ``converged`` means its sup residual is at most ``tolerance``.  When a
-coarser level fails, or its prolonged start is abandoned, the grid is solved
-cold from u = 0.  ``SolveResult.iterations`` and ``residual_history`` cover
-every level that led to the returned u, coarse first, and
-``SolveResult.levels`` lists ``(grid shape, Newton steps)`` for every loop
-that ran, an abandoned start included.
+A given ``u0`` starts one Newton loop on the problem's grid.  A ``u0`` whose
+loop leaves the cone or does not converge is abandoned, and the grid is
+solved as if it had not been given, so a grid with a coarser level may try
+the prolonged start too before its cold solve.  Without ``u0``, a solve is
+nested across grids (grid sequencing, Kelley 2003).  A grid whose largest
+axis exceeds 16 and whose axes all halve to even sizes of at least 8 has a
+coarser level: the same problem sampled at every other grid point.  The
+coarsest level is solved from u = 0, and each finer level starts from the
+coarser solution prolonged spectrally (its ``rfftn`` zero-padded, the coarse
+Nyquist modes dropped).  Smooth data leave the fine levels little or nothing
+to do.  Acceptance stays on the requested grid: ``converged`` means its sup
+residual is at most ``tolerance``.  When a coarser level fails, or its
+prolonged start is abandoned, the grid is solved cold from u = 0.
+``SolveResult.iterations`` and ``residual_history`` cover every level that
+led to the returned u, coarse first, and ``SolveResult.levels`` lists
+``(grid shape, Newton steps)`` for every loop that ran, an abandoned start
+included.
 
 Failures travel as values: each loop returns its failure label, which the
 driver inspects to abandon a start, and ``newton_solve`` returns every

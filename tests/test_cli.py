@@ -190,6 +190,13 @@ class TestVerify:
         assert text.startswith("# generator=PCG64 seed=3\n")
         assert "density_scaling_c" in text
 
+    def test_density_past_half_the_float_range(self, tmp_path, capsys):
+        # 2 f overflows, so the density-scaling audit halves f instead
+        cfg = write(tmp_path, "[problem]\nn = 3\ngrid = 8\n[density]\nexpression = 1.5e308\n")
+        out = str(tmp_path / "v")
+        assert main(["verify", "-c", cfg, "-o", out, "--samples", "100", "--trials", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write(tmp_path, FLAT)
         outs = []

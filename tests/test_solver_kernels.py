@@ -8,9 +8,9 @@ matrix fields that include least eigenvalues just above and just below the
 floor.  The batched spectral derivatives are pinned to per-block transforms,
 the one-pass GMRES operator to the reference linearization, the certified
 eigenvalue extremes to the full-grid ``eigvalsh`` values, the in-place
-eigenvalue enclosure to its whole-field formulas and the pointwise kernels to
-a memory budget, and the inexact Newton-Krylov loop to its forcing terms and
-its work.
+Gershgorin enclosure to its whole-field formula and to the eigenvalues it
+bounds, the pointwise kernels to a memory budget, and the inexact
+Newton-Krylov loop to its forcing terms and its work.
 """
 
 import tracemalloc
@@ -289,7 +289,7 @@ def test_certified_extremes_equal_full_grid_eigvalsh(n, seed, constant, scale):
     scale=st.sampled_from([1.0, 1e-8, 1e8, "mixed"]),
 )
 def test_certificates_keep_every_possible_extreme(n, seed, shared, scale):
-    # Randomly rotated spectra make the Gershgorin and Frobenius bounds loose
+    # Randomly rotated spectra make the Gershgorin bounds loose
     # at every point: the probe rarely holds the extreme, and the Cholesky
     # certificates decide.  A shared spectrum makes every point tie up to
     # the rounding of eigvalsh.  A mixed field scales each point between
@@ -309,7 +309,7 @@ def test_certificates_keep_every_possible_extreme(n, seed, shared, scale):
 
 
 def test_tied_bounds_do_not_make_a_field_uniform():
-    # equal Gershgorin and Frobenius bounds at every point, two spectra:
+    # equal Gershgorin bounds at every point, two spectra:
     # (-1, -1, 2) and (-2, 1, 1)
     a = np.ones((3, 3)) - np.eye(3)
     b = a * np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
@@ -371,8 +371,8 @@ def test_diagnostics_take_one_hessian_and_few_eigenvalues(monkeypatch, manufactu
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_enclosure_of_the_largest_finite_entries(monkeypatch):
-    # an entry of 2^1023 or more must not overflow the power-of-two scale
-    # of the enclosure, which would make every bound NaN
+    # an entry of 2^1023 or more must not overflow the per-point slack of
+    # the enclosure, which would make every bound NaN
     shape = (8, 8, 8)
     m = np.zeros((3, 3) + shape)
     for i in range(3):
@@ -410,25 +410,19 @@ def test_one_huge_entry_widens_no_other_bounds(monkeypatch):
 
 
 def reference_enclosure(m):
-    """The enclosure formulas of ``_eig_enclosure`` on whole-field
+    """The Gershgorin bounds of ``_eig_enclosure`` on whole-field
     temporaries: the reference its in-place sums must equal bit for bit.
-    Each point is scaled by the power of two of its own largest |entry|
-    (at least the least normal float) and widened by ``ROUNDING n^2 eps``
-    in those units."""
+    Each point is widened by ``ROUNDING n^2 eps`` times the power of two of
+    its own largest |entry| (at least the least normal float)."""
     n = m.shape[0]
     lower = [(i, j) for i in range(n) for j in range(i + 1)]
     big = np.max([np.abs(m[i, j]) for i, j in lower], axis=0)
     scale = np.ldexp(1.0, np.maximum(np.frexp(big)[1], -1021) - 1)
-    slack = pointwise.ROUNDING * n * n * np.finfo(float).eps
-    diag = [m[i, i] / scale for i in range(n)]
-    off = {(i, j): np.abs(m[i, j]) / scale for i, j in lower if i != j}
-    mu = sum(diag) / n
-    dev2 = sum((d - mu) ** 2 for d in diag) + 2 * sum(a * a for a in off.values())
-    spread = np.sqrt((n - 1) / n * dev2)
-    radius = [sum(off[max(i, j), min(i, j)] for j in range(n) if j != i) for i in range(n)]
-    lo = np.maximum(mu - spread, np.minimum.reduce([d - r for d, r in zip(diag, radius)]))
-    hi = np.minimum(mu + spread, np.maximum.reduce([d + r for d, r in zip(diag, radius)]))
-    return (lo - slack) * scale, (hi + slack) * scale
+    slack = pointwise.ROUNDING * n * n * np.finfo(float).eps * scale
+    radius = [sum(np.abs(m[max(i, j), min(i, j)]) for j in range(n) if j != i) for i in range(n)]
+    lo = np.minimum.reduce([m[i, i] - r for i, r in enumerate(radius)])
+    hi = np.maximum.reduce([m[i, i] + r for i, r in enumerate(radius)])
+    return lo - slack, hi + slack
 
 
 def assert_enclosure_is_the_reference(m):
@@ -450,6 +444,47 @@ def assert_enclosure_is_the_reference(m):
 def test_enclosure_is_bitwise_the_reference(n, seed, log_scale):
     m = np.random.default_rng(seed).standard_normal((n, n, 6, 5, 4)) * 10.0**log_scale
     assert_enclosure_is_the_reference(m + m.swapaxes(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.one_of(st.integers(-300, 300), st.just("mixed")),
+    tight=st.booleans(),
+    planted=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+)
+def test_enclosure_contains_every_eigvalsh_value(n, seed, log_scale, tight, planted):
+    # the contract behind the bitwise reference: every finite point's
+    # eigvalsh values lie in its bounds, at any scale, also when each point
+    # has its own; a NaN or infinite entry leaves a bound NaN or infinite.
+    # A tight field holds d I + c (J - I) under a sign flip at every point:
+    # one of its Gershgorin bounds is an eigenvalue, so only the slack
+    # covers the rounding.
+    rng = np.random.default_rng(seed)
+    points = (6, 5, 4)
+    if log_scale == "mixed":
+        log_scale = rng.uniform(-300.0, 300.0, size=points)
+    if tight:
+        d, c = rng.standard_normal((2,) + points)
+        flip = rng.choice([-1.0, 1.0], size=(n,) + points)
+        m = (c + (d - c) * np.eye(n).reshape((n, n, 1, 1, 1))) * flip * flip[:, None]
+    else:
+        m = rng.standard_normal((n, n) + points)
+        m = m + m.swapaxes(0, 1)
+    m = m * 10.0**log_scale
+    bad = np.zeros(points, dtype=bool)
+    if planted is not None:
+        for _ in range(3):
+            i, j = rng.integers(n, size=2)
+            point = tuple(rng.integers(points))
+            m[(i, j) + point] = m[(j, i) + point] = planted
+            bad[point] = True
+    lo, hi = pointwise._eig_enclosure(m)
+    eigs = np.linalg.eigvalsh(np.moveaxis(m, (0, 1), (-2, -1))[~bad])
+    assert (lo[~bad] <= eigs[:, 0]).all()
+    assert (eigs[:, -1] <= hi[~bad]).all()
+    assert not (np.isfinite(lo) & np.isfinite(hi))[bad].any()
 
 
 def special_fields(n):
