@@ -10,7 +10,9 @@ Derivatives take one ``scipy.fft.rfftn`` of the field and one batched
 ``irfftn`` over the stack of multiplied spectra: the d(d+1)/2 upper-triangle
 Hessian blocks, or the d gradient components.  Each block equals, bit for bit,
 its own ``scipy.fft.irfftn``; batching removes the per-call overhead that
-dominates on small grids.
+dominates on small grids.  ``scipy.fft`` is imported by the functions that
+transform, on first use, so a program that never differentiates a field
+(the cone and form audits) does not load it.
 
 Also hosts the raw field file format: a 32-byte little-endian header
 (magic ``N1MA``, version, axis count, per-axis sizes) followed by the C-order
@@ -23,7 +25,6 @@ import struct
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import DomainError
 
@@ -119,13 +120,16 @@ def _block_index(d):
     return index
 
 
-def _spectral_stack(spectrum, multipliers, shape):
-    """``irfftn(m * spectrum)`` for every m in ``multipliers``, stacked along
+def _spectral_stack(u, multipliers):
+    """``irfftn(m * rfftn(u))`` for every m in ``multipliers``, stacked along
     a new first axis, as one batched inverse transform."""
+    from scipy.fft import irfftn, rfftn
+
+    spectrum = rfftn(u)
     stacked = np.empty((len(multipliers),) + spectrum.shape, dtype=complex)
     for p, m in enumerate(multipliers):
         np.multiply(m, spectrum, out=stacked[p])
-    return sfft.irfftn(stacked, s=shape, axes=range(1, len(shape) + 1), overwrite_x=True)
+    return irfftn(stacked, s=u.shape, axes=range(1, u.ndim + 1), overwrite_x=True)
 
 
 def spectral_gradient(u):
@@ -133,7 +137,7 @@ def spectral_gradient(u):
     u = np.asarray(u, dtype=float)
     shape = _validate_shape(u.shape)
     _, kd = _wavenumbers(shape)
-    grad = _spectral_stack(sfft.rfftn(u), [1j * k for k in kd], shape)
+    grad = _spectral_stack(u, [1j * k for k in kd])
     return np.moveaxis(grad, 0, -1)
 
 
@@ -147,7 +151,7 @@ def complex_hessian(u):
     """
     u = np.asarray(u, dtype=float)
     shape = _validate_shape(u.shape)
-    blocks = _spectral_stack(sfft.rfftn(u), _hessian_multipliers(shape), shape)
+    blocks = _spectral_stack(u, _hessian_multipliers(shape))
     return np.moveaxis(blocks[_block_index(u.ndim)], (0, 1), (-2, -1))
 
 

@@ -29,7 +29,9 @@ upper-triangle Hessian blocks ``h_p`` of ``M^-1 y``, then ``sum_p w_p h_p``
 with ``w_p = theta_ii`` on the diagonal and ``2 theta_ij`` off it.  GMRES
 closes its cycle with ``b - A M^-1 y`` at the iterate it returns; the
 operator remembers that last product, so the true-residual check of the
-correction costs no extra application.
+correction costs no extra application.  SciPy is loaded on first use:
+``scipy.fft`` at the first transform and ``scipy.sparse.linalg`` at the
+first GMRES correction, so importing the solver loads neither.
 
 The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
 pointwise decision is a Cholesky factorization written over grid fields
@@ -80,8 +82,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DomainError
 from .grid import (
@@ -373,10 +373,11 @@ def _inverse_symbol(shape, theta_mean):
 def _preconditioner(shape, inverse):
     """``M^-1``: the inverse constant-coefficient symbol ``inverse``
     (``_inverse_symbol``) of the mean linearization, applied spectrally."""
+    from scipy.fft import irfftn, rfftn
 
     def apply(vflat):
-        vh = sfft.rfftn(vflat.reshape(shape)) * inverse
-        return sfft.irfftn(vh, s=shape, axes=range(len(shape))).ravel()
+        vh = rfftn(vflat.reshape(shape)) * inverse
+        return irfftn(vh, s=shape, axes=range(len(shape))).ravel()
 
     return apply
 
@@ -405,7 +406,7 @@ def _preconditioned_operator(shape, weights, inverse):
     last = {}
 
     def matvec(yflat):
-        blocks = _spectral_stack(sfft.rfftn(yflat.reshape(shape)), scaled, shape)
+        blocks = _spectral_stack(yflat.reshape(shape), scaled)
         lv = np.einsum("p...,p...->...", weights, blocks)
         lv -= lv.mean()
         out = lv.ravel()
@@ -425,6 +426,22 @@ def _forcing_term(res, opts):
     ``sqrt(0.1 tol)``, eta is at least ``min(_FORCING_CAP, sqrt(0.1 tol))``.
     """
     return min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res))
+
+
+# module functions, not imported names, so that tests and the benchmark's
+# span tracer can rebind them before scipy is loaded
+def LinearOperator(*args, **kwargs):
+    """``scipy.sparse.linalg.LinearOperator``, loaded on first use."""
+    from scipy.sparse.linalg import LinearOperator as operator
+
+    return operator(*args, **kwargs)
+
+
+def gmres(*args, **kwargs):
+    """``scipy.sparse.linalg.gmres``, loaded on first use."""
+    from scipy.sparse.linalg import gmres as krylov
+
+    return krylov(*args, **kwargs)
 
 
 def _krylov_correction(factor, rhs, rtol):
@@ -547,6 +564,8 @@ def _prolonged(u, shape):
     """Spectral interpolation of the coarse field u to the grid ``shape``:
     its ``rfftn`` zero-padded with the coarse Nyquist modes dropped, scaled
     by the point-count ratio, and one ``irfftn``."""
+    from scipy.fft import irfftn, rfftn
+
     coarse = u.shape
     kept_coarse, kept_fine = [], []
     for s, fine in zip(coarse[:-1], shape[:-1]):
@@ -556,9 +575,9 @@ def _prolonged(u, shape):
     kept_coarse.append(np.arange(coarse[-1] // 2))
     kept_fine.append(kept_coarse[-1])
     padded = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-    padded[np.ix_(*kept_fine)] = sfft.rfftn(u)[np.ix_(*kept_coarse)]
+    padded[np.ix_(*kept_fine)] = rfftn(u)[np.ix_(*kept_coarse)]
     padded *= math.prod(shape) / math.prod(coarse)
-    return sfft.irfftn(padded, s=shape, axes=range(len(shape)))
+    return irfftn(padded, s=shape, axes=range(len(shape)))
 
 
 def _counted_loop(problem, start, levels):

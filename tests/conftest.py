@@ -1,5 +1,10 @@
 """Shared fixtures: the expensive solves are session-scoped and reused."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -12,6 +17,20 @@ from n1ma.solver import (
     manufactured_problem,
     newton_solve,
 )
+
+
+def fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports n1ma from this
+    checkout; return the completed process, output captured as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 def one_coordinate_solution(f, n):

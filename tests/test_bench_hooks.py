@@ -7,6 +7,7 @@ traced benchmark runs without failing any other test.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,23 @@ def load_spans():
     return module
 
 
-def test_tracer_counts_a_manufactured_solve():
+def traced_bindings(spans):
+    """Every ``(owner, attribute)`` the tracer rebinds."""
+    bindings = [
+        (spans._owner(path), attr) for targets in spans.SPANS.values() for path, attr in targets
+    ]
+    bindings += [(solver, "_preconditioner"), (solver, "LinearOperator")]
+    return bindings + [(np.linalg, attr) for attr in spans.LINALG]
+
+
+def traced_manufactured_solve():
+    """The Krylov and Newton counts of a traced 16^3 manufactured solve, and
+    whether ``uninstall`` restored every binding."""
+    spans = load_spans()
     problem, u_star = manufactured_problem(0.4, (16, 16, 16))
-    originals = (solver._preconditioner, solver.LinearOperator, solver.gmres, np.linalg.norm)
-    tracer = load_spans().Tracer()
+    bindings = traced_bindings(spans)
+    originals = [owner.__dict__[attr] for owner, attr in bindings]
+    tracer = spans.Tracer()
     tracer.install()
     try:
         result = newton_solve(problem)
@@ -39,18 +53,45 @@ def test_tracer_counts_a_manufactured_solve():
     assert result.converged
     assert np.abs(result.u - u_star).max() <= 1e-9
     metrics = tracer.metrics()
-    assert metrics["solver.matvecs"] > 0
     assert metrics["solver.newton_steps"] == result.iterations
-    assert (solver._preconditioner, solver.LinearOperator, solver.gmres, np.linalg.norm) == originals
+    counts = {key: metrics[key] for key in ("solver.matvecs", "solver.precond_applies", "solver.newton_steps")}
+    restored = [owner.__dict__[attr] for owner, attr in bindings] == originals
+    return counts, restored
+
+
+def test_tracer_counts_a_manufactured_solve():
+    counts, restored = traced_manufactured_solve()
+    assert counts["solver.matvecs"] > 0
+    assert counts["solver.precond_applies"] > 0
+    assert restored
+
+
+# the same traced solve in a fresh interpreter, with the tracer installed
+# before anything has loaded scipy
+FRESH_SOLVE = """
+import json, sys
+sys.path.insert(0, {tests!r})
+import test_bench_hooks
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+print(json.dumps(test_bench_hooks.traced_manufactured_solve()))
+"""
+
+
+def test_tracer_counts_the_same_solve_before_scipy_is_loaded():
+    # imported here: conftest loads scipy, and the fresh interpreter imports
+    # this module
+    from conftest import fresh_python
+
+    proc = fresh_python(FRESH_SOLVE.format(tests=str(ROOT / "tests")))
+    assert proc.returncode == 0, proc.stderr
+    counts, restored = json.loads(proc.stdout.splitlines()[-1])
+    assert restored
+    assert counts == traced_manufactured_solve()[0]
 
 
 def test_tracer_counts_a_family_run():
     spans = load_spans()
-    bindings = [
-        (spans._owner(path), attr) for targets in spans.SPANS.values() for path, attr in targets
-    ]
-    bindings += [(solver, "_preconditioner"), (solver, "LinearOperator")]
-    bindings += [(np.linalg, attr) for attr in spans.LINALG]
+    bindings = traced_bindings(spans)
     originals = [owner.__dict__[attr] for owner, attr in bindings]
     spec = parse_config(str(ROOT / "configs" / "family.ini"))
     tracer = spans.Tracer()
