@@ -4,7 +4,8 @@ Outputs are CSV files (decimal point, comma separator, LF line endings) plus
 a printed summary.  Randomized suites draw from a seeded PCG64 generator
 recorded in the report header, so fixed seed and config give byte-identical
 outputs.  Exit codes: 0 success, 2 cone-exit, 3 non-convergence,
-4 invariant violation, 5 bad config or arguments.
+4 invariant violation, 5 bad config or arguments (a run too large for
+memory included).
 """
 
 from __future__ import annotations
@@ -319,6 +320,9 @@ class _Parser(argparse.ArgumentParser):
 # least accepted value of the count, seed, dimension and exponent flags of
 # any subcommand; the radial module checks --levels itself
 _FLAG_LEAST = {"samples": 1, "trials": 1, "seed": 0, "n": 3, "p": 0}
+# most samples whose (samples, 3, 3) complex stack of the AM-GM audit fits
+# numpy's largest array size; fewer may still not fit in memory
+_MOST_SAMPLES = np.iinfo(np.intp).max // (9 * np.dtype(complex).itemsize)
 
 
 def _check_flags(args):
@@ -327,6 +331,8 @@ def _check_flags(args):
         # stated as the valid range, so that NaN fails it
         if not least <= value < math.inf:
             raise ConfigError(f"cli: --{flag} must be at least {least} and finite, got {value}")
+    if getattr(args, "samples", 1) > _MOST_SAMPLES:
+        raise ConfigError(f"cli: --samples must be at most {_MOST_SAMPLES}, got {args.samples}")
 
 
 def build_parser():
@@ -382,6 +388,9 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

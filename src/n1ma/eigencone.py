@@ -357,9 +357,40 @@ def sample_spectra(rng, count, n, low=-3.0, high=3.0):
     return rng.uniform(low, high, size=(count, n))
 
 
+# Samples per chunk of the per-sample work of the cone-point sampling and the
+# AM-GM screen, so that their temporaries stay a few chunks in size.
+_CHUNK = 4096
+
+
+def _chunks(count):
+    """Slices of ``range(count)`` in runs of ``_CHUNK``."""
+    return [slice(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK)]
+
+
+def _random_gram(rng, count, n):
+    """``a a^H / n`` for a stack ``a`` of ``(count, n, n)`` complex Gaussian
+    matrices, in a's own buffer.
+
+    The real parts are drawn first and then the imaginary parts, each as one
+    whole-batch draw, through one float temporary; the products are formed a
+    chunk of samples at a time (one BLAS call per matrix, as over the whole
+    stack)."""
+    out = np.empty((count, n, n), dtype=complex)
+    part = rng.standard_normal((count, n, n))
+    out.real = part
+    rng.standard_normal(out=part)
+    out.imag = part
+    del part
+    for chunk in _chunks(count):
+        a = out[chunk]
+        np.divide(a @ np.conj(np.swapaxes(a, -1, -2)), n, out=a)
+    return out
+
+
 def _random_hpd(rng, count, n, ridge=0.2):
-    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    return a @ np.conj(np.swapaxes(a, -1, -2)) / n + ridge * np.eye(n)
+    out = _random_gram(rng, count, n)
+    out += ridge * np.eye(n)
+    return out
 
 
 def sample_cone_points(rng, count, n):
@@ -369,16 +400,23 @@ def sample_cone_points(rng, count, n):
     inverts the linear hat map to find the Hessian realizing that alpha:
     with ``S = alpha - beta`` and ``s = tr(omega^{-1} S)``, the matrix
     ``hess = s * omega - (n - 1) * S`` reproduces alpha exactly.
-    Returns a dict with keys beta, omega, hess, alpha.
+    Returns a dict with keys beta, omega, hess.
+
+    Only the three returned ``(count, n, n)`` stacks stay alive: alpha is
+    drawn into the buffer that becomes S and then hess, and every step after
+    the draws runs on chunks of samples, so the temporaries are one float
+    stack during the draws and a few chunks after them.
     """
     beta = _random_hpd(rng, count, n)
     omega = _random_hpd(rng, count, n)
-    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    alpha = a @ np.conj(np.swapaxes(a, -1, -2)) / n  # PSD, occasionally near-singular
-    s_mat = alpha - beta
-    s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
-    hess = s[:, None, None] * omega - (n - 1) * s_mat
-    return {"beta": beta, "omega": omega, "hess": hess, "alpha": alpha}
+    hess = _random_gram(rng, count, n)  # alpha: PSD, occasionally near-singular
+    for chunk in _chunks(count):
+        s_mat = hess[chunk]
+        s_mat -= beta[chunk]
+        s = np.trace(np.linalg.solve(omega[chunk], s_mat), axis1=-2, axis2=-1).real
+        s_mat *= n - 1
+        np.subtract(s[:, None, None] * omega[chunk], s_mat, out=s_mat)
+    return {"beta": beta, "omega": omega, "hess": hess}
 
 
 def amgm_trace_gap_batch(beta, omega, hess):
@@ -444,6 +482,12 @@ def _screened_gaps(beta, omega, hess):
     evaluations.  On the 10^5-sample streams of ``n1ma cones`` the largest
     ``|g - exact|`` is below ``1e-6 r``, and on batches of alphas of every
     rank at scales 1e-3..1e3 below ``0.02 r``.
+
+    **Memory.**  Every output of a sample depends on that sample alone, so
+    ``amgm_trace_gap_min`` passes a chunk of samples at a time, and every
+    temporary is a field of the chunk's size: the two factors, M, and
+    alpha, of which only the lower triangle that ``field_cholesky`` reads
+    is formed.
     """
     n = omega.shape[-1]
     triangle = [(i, j) for i in range(n) for j in range(i + 1)]
@@ -469,7 +513,10 @@ def _screened_gaps(beta, omega, hess):
         return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
     tr_beta, tr_hess = trace_w(b), trace_w(h)
-    factor_alpha, ok_alpha = field_cholesky(b + (tr_hess * w - h) / (n - 1))
+    alpha = np.empty(w.shape, np.result_type(b, w, h))  # upper triangle unread
+    for i, j in triangle:
+        alpha[i, j] = b[i, j] + (tr_hess * w[i, j] - h[i, j]) / (n - 1)
+    factor_alpha, ok_alpha = field_cholesky(alpha)
     ratio = 1.0
     for k in range(n):
         ratio = ratio * (factor_alpha[k, k] * inv[k, k]) ** 2
@@ -499,6 +546,8 @@ def amgm_trace_gap_min(beta, omega, hess):
     (omega or alpha not numerically positive definite) or the bound is not
     finite (NaN entries).  LAPACK treats each matrix of a batch on its own,
     so the exact values on a subset are bitwise those of the full batch.
+    The screen runs on chunks of ``_CHUNK`` samples into one bound array, so
+    it allocates little beyond that array.
     """
     n = np.shape(beta)[-1]
     beta, omega, hess = (np.reshape(x, (-1, n, n)) for x in (beta, omega, hess))
@@ -506,7 +555,9 @@ def amgm_trace_gap_min(beta, omega, hess):
     def exact(points):
         return -amgm_trace_gap_batch(beta[points], omega[points], hess[points]).min()
 
-    gap, radius, ok = _screened_gaps(beta, omega, hess)
-    bound = radius - gap
-    bound[~(ok & np.isfinite(bound))] = np.inf
+    bound = np.empty(len(beta))
+    for chunk in _chunks(len(beta)):
+        gap, radius, ok = _screened_gaps(beta[chunk], omega[chunk], hess[chunk])
+        part = np.subtract(radius, gap, out=bound[chunk])
+        part[~(ok & np.isfinite(part))] = np.inf
     return -float(certified_max(bound, exact))

@@ -155,7 +155,8 @@ def eig_extreme(m, signs):
     eps`` times the point's ``_magnitude``, at least that of |p|, covers the
     rounding of the factorization and of ``eigvalsh`` (Demmel 1989).  LAPACK
     factors each matrix on its own, so a field of bitwise equal matrices
-    needs one ``eigvalsh``.
+    needs one ``eigvalsh``, and so does a field of zeros of both signs, whose
+    constant enclosure would leave every point open.
     """
     n = m.shape[0]
     flat = m.reshape(n, n, -1)
@@ -167,6 +168,10 @@ def eig_extreme(m, signs):
     bits = flat.view(np.uint64)
     if (bits == bits[:, :, :1]).all():
         return float(exact([0]))
+    if not flat.any():
+        # zeros of both signs: no point's +-0 can exceed the probe's maximum,
+        # and a constant bound probes the points the (constant) enclosure would
+        return float(certified_max(np.full(flat.shape[2], -np.inf), exact))
     lo, hi = _eig_enclosure(m)
     bound = np.negative(lo, out=lo) if signs[0] > 0 else hi
     if len(signs) > 1:

@@ -210,12 +210,21 @@ class TestVerify:
         assert outs[0] == outs[1]
 
     # sha256 of the fixed-seed reports as the full-batch AM-GM minimum and the
-    # per-vector frame normalization wrote them
+    # per-vector frame normalization wrote them, and as the whole-batch cone
+    # sampling wrote them: 10007 and 20000 samples span several chunks of the
+    # sampling and the screen, 10007 with a ragged tail, and 1 sample is less
+    # than one chunk
     GOLDEN = {
         ("cones", "--samples", "2000", "--seed", "0"):
             "e1e8bc7c5755207696c8e9607b76d911055e8c0e3bb0e377d29daeb3a8e054e1",
         ("cones", "--samples", "2000", "--seed", "5"):
             "c687cfbac1a0907d3c9a9563e4701b008943f080e885e3b448e5208e73973b91",
+        ("cones", "--samples", "10007", "--seed", "3"):
+            "78ddb4da99cd38b2da9f3007b0f8a9e3fedfd4c692566c433e5f946d6cde1f46",
+        ("cones", "--samples", "1"):
+            "96380f12daf9a7d4c1404840e88f412ebdcf460766cb26dca0c088d5460f9436",
+        ("verify", "-c", "manufactured", "--samples", "20000", "--seed", "7"):
+            "7bd0c07a4a1e8603380cbaf394f37b3c814840227cd8dd23000b85f22beeee23",
         ("forms-check", "--n", "3", "--trials", "8", "--seed", "5"):
             "affe3759fbd582725741224995dd405f9e2fe7fa64e2b4b183dadcf1b453efba",
         ("forms-check", "--n", "4", "--trials", "8", "--seed", "5"):
@@ -226,7 +235,7 @@ class TestVerify:
     def test_golden_digest(self, tmp_path, argv):
         out = str(tmp_path / "g")
         assert main([*argv, "-o", out]) == 0
-        name = "cones.csv" if argv[0] == "cones" else "forms.csv"
+        name = {"cones": "cones.csv", "forms-check": "forms.csv", "verify": "verify.csv"}[argv[0]]
         assert digest(os.path.join(out, name)) == self.GOLDEN[argv]
 
     def test_deterministic_cones(self, tmp_path):

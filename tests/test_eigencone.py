@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,54 @@ class TestAmGmTraceGapMin:
         # the row as the full-batch minimum wrote it
         assert [row[1] for row in rows if row[0] == "amgm_trace_gap_min"] == [0.09847506847128451]
         assert 0 < sum(exact) < 100
+
+
+def whole_batch_cone_points(rng, count, n):
+    """``sample_cone_points`` as whole-batch formulas: (beta, omega, hess)."""
+
+    def gram():
+        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        return a @ np.conj(np.swapaxes(a, -1, -2)) / n
+
+    beta = gram() + 0.2 * np.eye(n)
+    omega = gram() + 0.2 * np.eye(n)
+    s_mat = gram() - beta
+    s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
+    return beta, omega, s[:, None, None] * omega - (n - 1) * s_mat
+
+
+class TestChunkedConeBatch:
+    CHUNK = eigencone._CHUNK
+
+    @pytest.mark.parametrize("count, n", [(1, 3), (CHUNK, 3), (2 * CHUNK + 3, 3), (CHUNK + 1, 4), (7, 5)])
+    def test_sampling_is_bitwise_the_whole_batch_formulas(self, count, n):
+        pts = sample_cone_points(np.random.default_rng(count), count, n)
+        assert sorted(pts) == ["beta", "hess", "omega"]
+        reference = whole_batch_cone_points(np.random.default_rng(count), count, n)
+        for name, expected in zip(("beta", "omega", "hess"), reference):
+            assert np.array_equal(pts[name].view(np.uint64), expected.view(np.uint64)), name
+
+    def test_minimum_in_the_ragged_tail(self):
+        count = 2 * self.CHUNK + 5
+        pts = sample_cone_points(np.random.default_rng(4), count, 3)
+        triple = (pts["beta"], pts["omega"], pts["hess"])
+        # the flat point, gap 0, is the least sample
+        pts["beta"][-2], pts["omega"][-2], pts["hess"][-2] = np.eye(3), np.eye(3), 0.0
+        exact = amgm_trace_gap_batch(*triple)
+        assert exact.argmin() == count - 2
+        assert np.array_equal(amgm_trace_gap_min(*triple), float(exact.min()))
+
+    def test_cli_batch_keeps_three_stacks(self):
+        """The 10^5-sample sampling and screen of ``n1ma cones`` allocate
+        little beyond the three stacks they return and read."""
+        tracemalloc.start()
+        try:
+            pts = sample_cone_points(np.random.default_rng(0), 10**5, 3)
+            amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sum(x.nbytes for x in pts.values())
 
 
 class TestPshProductGap:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n1ma import eigencone
 from n1ma.cli import main
 from n1ma.grid import FORMAT_VERSION, MAGIC, write_field
 
@@ -173,3 +174,24 @@ def field_files(draw):
 def test_random_field_files_end_in_a_documented_exit(command, data):
     text = "[problem]\nn = 3\ngrid = 8\n[solver]\nmax_iter = 3\n[density]\nfile = {dir}/density.n1ma\n"
     assert run(command, text, {"density.n1ma": data}) in EXIT_CODES
+
+
+# 2^62 samples: past numpy's largest array size, refused before any work
+HUGE = str(2**62)
+
+
+@pytest.mark.parametrize("argv", [["cones", "--samples", HUGE], ["verify", "-c", "manufactured", "--samples", HUGE]])
+def test_impossible_sample_count_is_bad_arguments(tmp_path, capsys, argv):
+    assert main([*argv, "-o", str(tmp_path)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_out_of_memory_is_bad_arguments(tmp_path, capsys, monkeypatch):
+    def sampler(rng, count, n, *args):
+        raise MemoryError(f"Unable to allocate the arrays of {count} samples")
+
+    monkeypatch.setattr(eigencone, "sample_spectra", sampler)
+    assert main(["cones", "--samples", "1000", "-o", str(tmp_path)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cones: out of memory: Unable to allocate the arrays of 1000 samples"]

@@ -137,3 +137,19 @@ def test_layering(name):
     assert found <= allowed, sorted(found - allowed)
     if name == "eigencone.py":
         assert ".pointwise" in found
+
+
+def test_zero_field_of_both_signs_takes_one_eigvalsh(monkeypatch):
+    """A 12^4, n = 4 field of zeros with -0.0 at random entries misses the
+    uniform-field shortcut; every value is +-0, so the probe's one
+    ``eigvalsh`` decides, with the sign the enclosure's probe gave."""
+    m = np.where(np.random.default_rng(0).random((4, 4) + (12,) * 4) < 0.5, -0.0, 0.0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    values = [pointwise.eig_extreme(m, signs) for signs in ((1, -1), (1,), (-1,))]
+    assert calls == [PROBE] * 3
+    # as the enclosure path wrote them, where eigvalsh over every point gives -0.0
+    assert [repr(v) for v in values] == ["0.0", "0.0", "0.0"]
+    e = eigvalsh(np.moveaxis(m.reshape(4, 4, -1), -1, 0))
+    assert repr(float(np.max([-e[:, 0], e[:, -1]]))) == "-0.0"
