@@ -4,8 +4,8 @@ Outputs are CSV files (decimal point, comma separator, LF line endings) plus
 a printed summary.  Randomized suites draw from a seeded PCG64 generator
 recorded in the report header, so fixed seed and config give byte-identical
 outputs.  Exit codes: 0 success, 2 cone-exit, 3 non-convergence,
-4 invariant violation, 5 bad config or arguments (a run too large for
-memory included).
+4 invariant violation, 5 bad config or arguments (among them a run too
+large for memory and an output directory that cannot be made).
 """
 
 from __future__ import annotations
@@ -391,6 +391,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an -o that names a file, or cannot be made or written
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

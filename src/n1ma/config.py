@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .expressions import compile_expression
 from .grid import grid_coordinates, read_field
 from .harness import DeclaredBounds, FamilySpec
@@ -42,8 +42,10 @@ def _read(path):
     if not os.path.exists(path):
         raise ConfigError(f"config.parse_config: no such file: {path}")
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+        # OSError: a directory or an unreadable file
         raise ConfigError(f"config.parse_config: {path}: {exc}") from None
     return parser
 

@@ -8,17 +8,18 @@ object is the linear hat transform
 which turns the positivity condition "(Delta u) * omega - dd^c u >= 0" into
 entrywise inequalities on hat(lam).  The module provides the cone membership
 predicates built from it (psh, m-subharmonic, hat-psh and the quasi variant
-relative to a background metric), the determinant-type operators, and the two
-arithmetic-geometric-mean comparison gaps used by the verification harness.
+relative to a background metric), the hat determinant ``ma_hat``, and the two
+arithmetic-geometric-mean comparison gaps of the audits: the product gap of
+an omega-psh spectrum, and the trace-form gap of ``det(omega^-1 alpha_u)``
+over stacked ``(beta, omega, hess)`` matrix triples with a certified minimum.
 
-All functions broadcast over leading axes: an input of shape ``(..., n)`` is
-treated as a stack of spectra.  Everything here is a pure function of its
+The spectrum functions broadcast over leading axes: an input of shape
+``(..., n)`` is treated as a stack of spectra; the trace-form gap takes
+stacks of shape ``(..., n, n)``.  Everything here is a pure function of its
 arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,23 +34,13 @@ __all__ = [
     "is_m_subharmonic",
     "is_n1_psh",
     "is_quasi_n1_psh",
-    "cone_membership",
     "ma_hat",
-    "ConeParams",
-    "HermitianPoint",
-    "endomorphism_eigenvalues",
-    "ma_n1",
-    "amgm_trace_gap",
     "psh_product_gap",
-    "DominationVerdict",
-    "domination_witness",
     "sample_spectra",
     "sample_cone_points",
     "amgm_trace_gap_batch",
     "amgm_trace_gap_min",
 ]
-
-_PSD_SLACK = 1e-10
 
 
 def _as_spectra(lam, min_n=3):
@@ -146,147 +137,9 @@ def is_quasi_n1_psh(lam, gamma, tolerance=0.0):
     return (hat_transform(arr) >= -(n - 1) * g - tolerance).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Background eigenvalues and tolerance for the quasi cone test."""
-
-    gamma: np.ndarray
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim != 1 or np.any(g <= 0) or not np.all(np.isfinite(g)):
-            raise DomainError("ConeParams: gamma must be a 1-D positive vector")
-        if self.tolerance < 0:
-            raise DomainError("ConeParams: tolerance must be nonnegative")
-        object.__setattr__(self, "gamma", g)
-
-
-def cone_membership(lam, cone, tolerance=0.0, *, m=None, params=None):
-    """Single entry point for the cone predicates.
-
-    ``cone`` is one of ``"psh"``, ``"sh_m"`` (requires ``m``), ``"n1_psh"``
-    or ``"quasi_n1_psh"`` (requires ``params``).  Returns a bool for a single
-    spectrum, an array of bools for a stack.
-    """
-    if cone == "psh":
-        out = is_psh(lam, tolerance)
-    elif cone == "sh_m":
-        if m is None:
-            raise DomainError("eigencone.cone_membership: sh_m needs m")
-        out = is_m_subharmonic(lam, m, tolerance)
-    elif cone == "n1_psh":
-        out = is_n1_psh(lam, tolerance)
-    elif cone == "quasi_n1_psh":
-        if params is None:
-            raise DomainError("eigencone.cone_membership: quasi_n1_psh needs params")
-        out = is_quasi_n1_psh(lam, params.gamma, max(tolerance, params.tolerance))
-    else:
-        raise DomainError(f"eigencone.cone_membership: unknown cone {cone!r}")
-    return bool(out) if np.ndim(out) == 0 else out
-
-
 def ma_hat(lam):
     """Determinant of the hat transform: prod_i (sum(lam) - lam_i)."""
     return hat_transform(lam).prod(axis=-1)
-
-
-def _check_hermitian(name, a):
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"HermitianPoint: {name} must be a square matrix")
-    if not np.allclose(a, a.conj().T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise DomainError(f"HermitianPoint: {name} is not Hermitian")
-    return 0.5 * (a + a.conj().T)
-
-
-@dataclass(frozen=True)
-class HermitianPoint:
-    """Pointwise data (beta, omega, hess) for the determinant operator.
-
-    ``beta`` and ``omega`` are Hermitian positive definite n x n matrices,
-    ``hess`` is the Hermitian matrix of second derivatives at the point.
-    """
-
-    beta: np.ndarray
-    omega: np.ndarray
-    hess: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        beta = _check_hermitian("beta", self.beta)
-        omega = _check_hermitian("omega", self.omega)
-        hess = _check_hermitian("hess", self.hess)
-        if not beta.shape == omega.shape == hess.shape:
-            raise DomainError("HermitianPoint: matrix shapes differ")
-        n = beta.shape[0]
-        if n < 3:
-            raise DomainError("HermitianPoint: dimension must be at least 3")
-        for name, a in (("beta", beta), ("omega", omega)):
-            if np.linalg.eigvalsh(a).min() <= 0:
-                raise DomainError(f"HermitianPoint: {name} is not positive definite")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "hess", hess)
-        object.__setattr__(self, "n", n)
-
-
-def _batched_alpha(beta, omega, hess):
-    """alpha = beta + ((tr_omega hess) * omega - hess) / (n - 1) for stacked
-    ``(..., n, n)`` triples."""
-    n = beta.shape[-1]
-    tr = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
-    return beta + (tr[..., None, None] * omega - hess) / (n - 1)
-
-
-def _batched_endomorphism_eigs(alpha, omega):
-    """Eigenvalues of omega^{-1} alpha for stacked pairs, ascending.
-
-    Reduces the pencil (alpha, omega) by a Cholesky congruence
-    ``A = L^{-1} alpha L^{-H}`` with ``omega = L L^H``; the eigenvalues of the
-    Hermitian matrix A are those of omega^{-1} alpha.  Avoids forming the
-    (generally non-Hermitian) product explicitly.
-    """
-    L = np.linalg.cholesky(omega)
-    y = np.linalg.solve(L, alpha)
-    a = np.conj(np.swapaxes(np.linalg.solve(L, np.conj(np.swapaxes(y, -1, -2))), -1, -2))
-    return np.linalg.eigvalsh(a)
-
-
-def endomorphism_eigenvalues(point):
-    """Eigenvalues of the endomorphism omega^{-1} alpha, ascending."""
-    try:
-        beta, omega, hess = point.beta[None], point.omega[None], point.hess[None]
-        return _batched_endomorphism_eigs(_batched_alpha(beta, omega, hess), omega)[0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by type
-        raise DomainError(f"eigencone.ma_n1: omega is singular ({exc})")
-
-
-def ma_n1(point):
-    """Determinant of omega^{-1} alpha at a HermitianPoint.
-
-    Scales like ``C**(-n)`` when omega is replaced by ``C * omega``.
-    """
-    return float(np.prod(endomorphism_eigenvalues(point)))
-
-
-def amgm_trace_gap(point):
-    """Trace-form arithmetic/geometric mean gap at a cone point.
-
-    Returns ``tr_omega(beta + hess) - n * ma_n1(point)**(1/n)``, which is
-    nonnegative whenever the form alpha is positive semidefinite because
-    ``tr_omega(beta + hess) = tr_omega(alpha)`` and the gap is then AM-GM on
-    the eigenvalues of omega^{-1} alpha.
-
-    Raises DomainError when alpha fails positive semidefiniteness.
-    """
-    eigs = endomorphism_eigenvalues(point)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if eigs.min() < -_PSD_SLACK * scale:
-        raise DomainError("eigencone.amgm_trace_gap: alpha is not positive semidefinite")
-    eigs = np.clip(eigs, 0.0, None)
-    trace = float(eigs.sum())
-    return trace - point.n * float(np.prod(eigs)) ** (1.0 / point.n)
 
 
 def psh_product_gap(lam):
@@ -303,48 +156,6 @@ def psh_product_gap(lam):
     lhs = (1.0 + hat_transform(arr) / (n - 1)).prod(axis=-1)
     rhs = (1.0 + arr).prod(axis=-1)
     return lhs - rhs
-
-
-@dataclass(frozen=True)
-class DominationVerdict:
-    """Outcome of the domination consistency check."""
-
-    status: str  # "hypothesis-void" | "consistent" | "counterexample"
-    index: tuple | None = None
-
-    def __str__(self):
-        if self.status == "counterexample":
-            return f"counterexample@{self.index}"
-        return self.status
-
-
-def domination_witness(u, v, c, ma_u, ma_v, tolerance=1e-12):
-    """Consistency check for the domination principle on grid data.
-
-    The principle states: if ``ma_u <= c * ma_v`` holds on ``{u < v}`` for
-    some ``c in [0, 1)``, then ``u >= v`` everywhere.  Given sampled fields,
-    the checker looks at ``S = {u < v - tolerance}``:
-
-    * S empty: the premise is vacuous, returns ``hypothesis-void``;
-    * S nonempty but the pointwise hypothesis fails somewhere on S: the
-      principle does not apply, returns ``consistent``;
-    * S nonempty and the hypothesis holds throughout S: the conclusion is
-      violated by the data, returns a ``counterexample`` with the first
-      offending grid index.
-    """
-    if not 0 <= c < 1:
-        raise DomainError("eigencone.domination_witness: c must lie in [0, 1)")
-    u, v, ma_u, ma_v = (np.asarray(x, dtype=float) for x in (u, v, ma_u, ma_v))
-    if not u.shape == v.shape == ma_u.shape == ma_v.shape:
-        raise DomainError("eigencone.domination_witness: fields on mismatched grids")
-    below = u < v - tolerance
-    if not below.any():
-        return DominationVerdict("hypothesis-void")
-    hypothesis = ma_u <= c * ma_v + tolerance
-    if not hypothesis[below].all():
-        return DominationVerdict("consistent")
-    first = tuple(int(i) for i in np.argwhere(below & hypothesis)[0])
-    return DominationVerdict("counterexample", first)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +182,18 @@ def _random_gram(rng, count, n):
     """``a a^H / n`` for a stack ``a`` of ``(count, n, n)`` complex Gaussian
     matrices, in a's own buffer.
 
-    The real parts are drawn first and then the imaginary parts, each as one
-    whole-batch draw, through one float temporary; the products are formed a
-    chunk of samples at a time (one BLAS call per matrix, as over the whole
-    stack)."""
+    The real parts are drawn first and then the imaginary parts, in the order
+    of two whole-batch draws, a chunk of samples at a time through one
+    chunk-sized float buffer (numpy draws into no strided ``out.real``); the
+    products are formed a chunk of samples at a time (one BLAS call per
+    matrix, as over the whole stack)."""
     out = np.empty((count, n, n), dtype=complex)
-    part = rng.standard_normal((count, n, n))
-    out.real = part
-    rng.standard_normal(out=part)
-    out.imag = part
+    part = np.empty((min(count, _CHUNK), n, n))
+    for component in (out.real, out.imag):
+        for chunk in _chunks(count):
+            piece = part[: chunk.stop - chunk.start]
+            rng.standard_normal(out=piece)
+            component[chunk] = piece
     del part
     for chunk in _chunks(count):
         a = out[chunk]
@@ -403,9 +217,8 @@ def sample_cone_points(rng, count, n):
     Returns a dict with keys beta, omega, hess.
 
     Only the three returned ``(count, n, n)`` stacks stay alive: alpha is
-    drawn into the buffer that becomes S and then hess, and every step after
-    the draws runs on chunks of samples, so the temporaries are one float
-    stack during the draws and a few chunks after them.
+    drawn into the buffer that becomes S and then hess, and every step runs
+    on chunks of samples, so the temporaries are a few chunks in size.
     """
     beta = _random_hpd(rng, count, n)
     omega = _random_hpd(rng, count, n)
@@ -417,6 +230,28 @@ def sample_cone_points(rng, count, n):
         s_mat *= n - 1
         np.subtract(s[:, None, None] * omega[chunk], s_mat, out=s_mat)
     return {"beta": beta, "omega": omega, "hess": hess}
+
+
+def _batched_alpha(beta, omega, hess):
+    """alpha = beta + ((tr_omega hess) * omega - hess) / (n - 1) for stacked
+    ``(..., n, n)`` triples."""
+    n = beta.shape[-1]
+    tr = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
+    return beta + (tr[..., None, None] * omega - hess) / (n - 1)
+
+
+def _batched_endomorphism_eigs(alpha, omega):
+    """Eigenvalues of omega^{-1} alpha for stacked pairs, ascending.
+
+    Reduces the pencil (alpha, omega) by a Cholesky congruence
+    ``A = L^{-1} alpha L^{-H}`` with ``omega = L L^H``; the eigenvalues of the
+    Hermitian matrix A are those of omega^{-1} alpha.  Avoids forming the
+    (generally non-Hermitian) product explicitly.
+    """
+    L = np.linalg.cholesky(omega)
+    y = np.linalg.solve(L, alpha)
+    a = np.conj(np.swapaxes(np.linalg.solve(L, np.conj(np.swapaxes(y, -1, -2))), -1, -2))
+    return np.linalg.eigvalsh(a)
 
 
 def amgm_trace_gap_batch(beta, omega, hess):

@@ -30,9 +30,7 @@ __all__ = [
     "PQForm",
     "one_one_form",
     "euclidean_metric",
-    "volume_coefficient",
     "hodge_star",
-    "inner_product",
     "hat_identity_residual",
     "frame_value",
     "plucker_margin",
@@ -239,11 +237,6 @@ def _volume(g):
     return complex(np.linalg.det(g)) * _euclidean_volume_coefficient(g.shape[0])
 
 
-def volume_coefficient(metric):
-    """Coefficient of the volume form omega^n/n! on the full top basis form."""
-    return _volume(_checked_metric(metric))
-
-
 @lru_cache(maxsize=None)
 def _combo_array(n, p):
     """The p-combos of range(n) as a (C(n, p), p) index array."""
@@ -257,15 +250,6 @@ def _gram(n, size, m1):
         return np.ones((1, 1), dtype=complex)
     idx = _combo_array(n, size)
     return np.linalg.det(m1[idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def inner_product(a, b, metric):
-    """Hermitian inner product of two (p,q)-forms under the metric."""
-    a._check_same_space(b)
-    u = np.linalg.inv(_checked_metric(metric))
-    g_h = _gram(a.n, a.p, u.T)   # <dz^j, dz^k> = inv(G)[k, j]
-    g_a = _gram(a.n, a.q, u)     # <dzbar^j, dzbar^k> = inv(G)[j, k]
-    return complex(np.sum(a.coeffs * (g_h @ b.coeffs.conj() @ g_a.T)))
 
 
 def hodge_star(a, metric):

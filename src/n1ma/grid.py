@@ -32,7 +32,6 @@ __all__ = [
     "grid_coordinates",
     "spectral_gradient",
     "complex_hessian",
-    "random_band_limited",
     "write_field",
     "read_field",
     "field_to_csv",
@@ -153,24 +152,6 @@ def complex_hessian(u):
     shape = _validate_shape(u.shape)
     blocks = _spectral_stack(u, _hessian_multipliers(shape))
     return np.moveaxis(blocks[_block_index(u.ndim)], (0, 1), (-2, -1))
-
-
-def random_band_limited(rng, shape, max_mode=3, amplitude=1.0):
-    """Random real field with modes supported in |k_i| <= max_mode, zero mean."""
-    shape = _validate_shape(shape)
-    coords = grid_coordinates(shape)
-    out = np.zeros(shape)
-    d = len(shape)
-    n_terms = rng.integers(4, 9)
-    for _ in range(n_terms):
-        kvec = rng.integers(-max_mode, max_mode + 1, size=d)
-        if not kvec.any():
-            continue
-        phase = rng.uniform(0, 2 * np.pi)
-        coef = rng.normal() * amplitude / n_terms
-        arg = sum(kk * xx for kk, xx in zip(kvec, coords))
-        out += coef * np.cos(arg + phase)
-    return out - out.mean()
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Every converged solve is checked against computable forms of the a-priori
 bounds: the trace-form upper bound on the normalizing constant, the mass
 identity that makes it exact on the periodic grid, the pointwise AM-GM gap,
-and the second-order ratio.  Families of problems along affine metric paths
-and log-affine density paths are solved fiberwise and summarized in a report
-with a uniformity statistic; each fiber's solve starts from the secant
-extrapolation of the two fibers solved before it, and ``newton_solve`` falls
-back to the cold solve when that start fails.
+and the second-order ratio.  ``audit_solve`` runs them all from one Hessian
+of the solution and returns them as an ``AuditRow``.  Families of problems
+along affine metric paths and log-affine density paths are solved fiberwise
+and summarized in a report with a uniformity statistic; each fiber's solve
+starts from the secant extrapolation of the two fibers solved before it, and
+``newton_solve`` falls back to the cold solve when that start fails.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .eigencone import domination_witness
 from .grid import complex_hessian
 from .solver import TorusProblem, newton_solve
 
 __all__ = [
     "c_upper_bound",
-    "mass_identity_check",
-    "amgm_pointwise_audit",
     "c2_ratio",
+    "AuditRow",
     "DeclaredBounds",
     "FamilySpec",
     "FiberRow",
     "EstimateReport",
     "family_run",
     "audit_solve",
-    "domination_check",
 ]
 
 _MASS_TOLERANCE = 1e-10
@@ -56,26 +54,13 @@ def c_upper_bound(problem, result):
     return bound, bool(satisfied)
 
 
-def mass_identity_check(problem, result, tolerance=_MASS_TOLERANCE):
-    """Grid quadrature of trace(Gamma + H_u) equals that of trace(Gamma).
+def _mass_identity(problem, h, tolerance):
+    """Grid quadrature of trace(Gamma + h) equals that of trace(Gamma), for
+    the Hessian h of the solution.
 
     The Hessian term integrates to zero for any periodic field, so this is a
     linear identity independent of u being a solution.
     """
-    return _mass_identity(problem, complex_hessian(result.u), tolerance)
-
-
-def amgm_pointwise_audit(problem, result):
-    """Minimum over the grid of ``trace(Gamma + H_u) - n (c f)^(1/n)``.
-
-    Nonnegative up to solver tolerance on converged output, with equality
-    only where alpha has equal eigenvalues.
-    """
-    return _amgm_min_gap(problem, result, complex_hessian(result.u))
-
-
-def _mass_identity(problem, h, tolerance):
-    """``mass_identity_check`` given the Hessian h of the solution."""
     trace_gamma = np.trace(problem.gamma, axis1=-2, axis2=-1)
     lhs = float((trace_gamma + np.trace(h, axis1=-2, axis2=-1)).mean())
     rhs = float(trace_gamma.mean())
@@ -83,7 +68,12 @@ def _mass_identity(problem, h, tolerance):
 
 
 def _amgm_min_gap(problem, result, h):
-    """``amgm_pointwise_audit`` given the Hessian h of the solution."""
+    """Minimum over the grid of ``trace(Gamma + h) - n (c f)^(1/n)``, for
+    the Hessian h of the solution.
+
+    Nonnegative up to solver tolerance on converged output, with equality
+    only where alpha has equal eigenvalues.
+    """
     n = problem.n
     trace = np.trace(problem.gamma, axis1=-2, axis2=-1) + np.trace(h, axis1=-2, axis2=-1)
     return float((trace - n * (result.c * problem.f) ** (1.0 / n)).min())
@@ -127,25 +117,6 @@ def audit_solve(problem, result):
         c2_ratio=c2_ratio(result),
         grad_sup=result.grad_sup,
         osc=result.osc,
-    )
-
-
-def domination_check(result_low, result_high, f_low, f_high, kappa):
-    """Domination consistency for two solves of the same background.
-
-    With ``f_low <= kappa * f_high`` pointwise (kappa < 1), instantiates the
-    domination checker with the determinant fields reconstructed from the
-    solved constants and densities.  A ``counterexample`` verdict would
-    contradict the domination principle.
-    """
-    if not 0 < kappa < 1:
-        raise DomainError("harness.domination_check: kappa must lie in (0, 1)")
-    if np.any(f_low > kappa * f_high * (1 + 1e-12)):
-        raise DomainError("harness.domination_check: f_low exceeds kappa * f_high")
-    ma_low = result_low.c * np.asarray(f_low)
-    ma_high = result_high.c * np.asarray(f_high)
-    return domination_witness(
-        result_low.u, result_high.u, kappa, ma_low, ma_high, tolerance=1e-9
     )
 
 

@@ -22,8 +22,6 @@ __all__ = [
     "RadialProfile",
     "radial_hat_eigenvalues",
     "radial_ma_hat",
-    "radial_membership",
-    "loglog_density",
     "ShellIntegrand",
     "ThresholdLevel",
     "ThresholdReport",
@@ -100,6 +98,18 @@ def _eval_at_potential(profile, z_norm, n):
     return t
 
 
+def _finite(name, r, n, evaluate):
+    """``evaluate()``, a closed form at radius r in dimension n; DomainError
+    when it overflows or is not finite."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"radial.{name}: value at |z| = {r:.4g} is past the float range for n = {n}")
+    return value
+
+
 def radial_hat_eigenvalues(profile, z_norm, n):
     """The two hat-transform eigenvalues of u = chi(g(|z|)) at radius |z|.
 
@@ -111,8 +121,10 @@ def radial_hat_eigenvalues(profile, z_norm, n):
     """
     t = _eval_at_potential(profile, z_norm, n)
     r = float(z_norm)
-    lam1 = (n - 1) * (n - 2) * r ** (-2 * (n - 1)) * profile.chi1(t)
-    lamj = (n - 2) ** 2 * r ** (-2 * (2 * n - 3)) * profile.chi2(t)
+    lam1 = _finite("radial_hat_eigenvalues", r, n,
+                   lambda: (n - 1) * (n - 2) * r ** (-2 * (n - 1)) * profile.chi1(t))
+    lamj = _finite("radial_hat_eigenvalues", r, n,
+                   lambda: (n - 2) ** 2 * r ** (-2 * (2 * n - 3)) * profile.chi2(t))
     return lam1, lamj
 
 
@@ -124,45 +136,13 @@ def radial_ma_hat(profile, z_norm, n):
     """
     t = _eval_at_potential(profile, z_norm, n)
     r = float(z_norm)
-    return (
+    return _finite("radial_ma_hat", r, n, lambda: (
         (n - 1)
         * (n - 2) ** (2 * n - 1)
         * r ** (-4 * (n - 1) ** 2)
         * profile.chi1(t)
         * profile.chi2(t) ** (n - 1)
-    )
-
-
-def radial_membership(profile, t_samples, tolerance=0.0):
-    """Hat-cone membership criterion for a radial candidate.
-
-    True iff chi' >= -tolerance and chi'' >= -tolerance at all samples,
-    i.e. chi is non-decreasing and convex there.  Agrees with pointwise
-    nonnegativity of the closed-form hat eigenvalues since the radius
-    prefactors are strictly positive.
-    """
-    lo, hi = profile.domain
-    for t in t_samples:
-        if not lo <= t <= hi:
-            raise DomainError(f"radial_membership: sample {t:.4g} outside profile domain")
-        if profile.chi1(t) < -tolerance or profile.chi2(t) < -tolerance:
-            return False
-    return True
-
-
-def loglog_density(z_norm, n):
-    """The model density ``1 / (r^(2n) (-log r)^n (log(-log r))^n)``.
-
-    Valid for radii small enough that ``-log r > e``; strictly decreasing
-    there and unbounded as r -> 0.
-    """
-    r = float(z_norm)
-    if not 0 < r:
-        raise DomainError("radial.loglog_density: need 0 < z_norm")
-    s = -math.log(r)
-    if s <= math.e:
-        raise DomainError("radial.loglog_density: need -log(z_norm) > e")
-    return 1.0 / (r ** (2 * n) * s**n * math.log(s) ** n)
+    ))
 
 
 @dataclass(frozen=True)

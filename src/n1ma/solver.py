@@ -104,7 +104,6 @@ __all__ = [
     "linearized_apply",
     "newton_solve",
     "diagnostics",
-    "flat_problem",
     "manufactured_problem",
 ]
 
@@ -656,17 +655,6 @@ def diagnostics(problem, result):
 # ---------------------------------------------------------------------------
 # Reference problems
 # ---------------------------------------------------------------------------
-
-
-def flat_problem(shape=(16, 16, 16), options=None):
-    """Identity background and unit density: solved by u = 0, c = 1."""
-    shape = _validate_shape(shape)
-    n = len(shape)
-    return TorusProblem(
-        gamma=np.eye(n),
-        f=np.ones(shape),
-        options=options or SolverOptions(),
-    )
 
 
 def manufactured_problem(amplitude=0.4, shape=(32, 32, 32), options=None):

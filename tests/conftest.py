@@ -11,12 +11,7 @@ import scipy.fft as sfft
 
 from n1ma.grid import grid_coordinates
 from n1ma.harness import DeclaredBounds, FamilySpec
-from n1ma.solver import (
-    TorusProblem,
-    flat_problem,
-    manufactured_problem,
-    newton_solve,
-)
+from n1ma.solver import SolverOptions, TorusProblem, manufactured_problem, newton_solve
 
 
 def fresh_python(code):
@@ -31,6 +26,27 @@ def fresh_python(code):
         text=True,
         timeout=300,
     )
+
+
+def flat_problem(shape=(16, 16, 16), options=None):
+    """Identity background and unit density: solved by u = 0, c = 1."""
+    return TorusProblem(gamma=np.eye(len(shape)), f=np.ones(shape), options=options or SolverOptions())
+
+
+def random_band_limited(rng, shape, max_mode=3, amplitude=1.0):
+    """Random real field with modes supported in |k_i| <= max_mode, zero mean."""
+    coords = grid_coordinates(shape)
+    out = np.zeros(shape)
+    n_terms = rng.integers(4, 9)
+    for _ in range(n_terms):
+        kvec = rng.integers(-max_mode, max_mode + 1, size=len(shape))
+        if not kvec.any():
+            continue
+        phase = rng.uniform(0, 2 * np.pi)
+        coef = rng.normal() * amplitude / n_terms
+        arg = sum(kk * xx for kk, xx in zip(kvec, coords))
+        out += coef * np.cos(arg + phase)
+    return out - out.mean()
 
 
 def one_coordinate_solution(f, n):

@@ -12,15 +12,14 @@ import pytest
 
 from n1ma import eigencone, forms, radial
 from n1ma.eigencone import (
-    HermitianPoint,
     amgm_trace_gap_batch,
     amgm_trace_gap_min,
-    cone_membership,
-    ma_n1,
+    is_m_subharmonic,
+    is_n1_psh,
     psh_product_gap,
     sample_cone_points,
 )
-from n1ma.harness import amgm_pointwise_audit, c_upper_bound
+from n1ma.harness import audit_solve, c_upper_bound
 from n1ma.radial import RadialProfile, ShellIntegrand, integral_threshold
 from n1ma.solver import alpha_field, newton_solve
 
@@ -35,11 +34,11 @@ def _report(criterion, detail):
 def test_criterion_1_worked_classifications():
     start = time.time()
     hat_positive = [-1.0, 1.0, 1.0]
-    assert cone_membership(hat_positive, "n1_psh", 1e-12) is True
-    assert cone_membership(hat_positive, "sh_m", 1e-12, m=2) is False
+    assert is_n1_psh(hat_positive, 1e-12)
+    assert not is_m_subharmonic(hat_positive, 2, 1e-12)
     subharmonic_only = [-1.5, 1.0, 1.0]
-    assert cone_membership(subharmonic_only, "sh_m", 1e-12, m=1) is True
-    assert cone_membership(subharmonic_only, "n1_psh", 1e-12) is False
+    assert is_m_subharmonic(subharmonic_only, 1, 1e-12)
+    assert not is_n1_psh(subharmonic_only, 1e-12)
     elapsed = time.time() - start
     assert elapsed < 1.0
     _report(1, f"both worked spectra classified at 1e-12 in {elapsed:.3f}s")
@@ -95,7 +94,7 @@ def _stress_profiles():
 
 
 def test_criterion_3_radial_formulas():
-    from test_radial import fd_complex_hessian, off_axis_point, radial_candidate
+    from test_radial import fd_complex_hessian, off_axis_point, radial_candidate, radial_membership
 
     start = time.time()
     n = 3
@@ -105,7 +104,7 @@ def test_criterion_3_radial_formulas():
         member_exact = all(
             min(radial.radial_hat_eigenvalues(profile, r, n)) >= -1e-9 for r in radii
         )
-        assert radial.radial_membership(profile, ts, tolerance=1e-9) == member_exact
+        assert radial_membership(profile, ts, tolerance=1e-9) == member_exact
         for k, r in enumerate(radii):
             z = off_axis_point(r, n, seed=101 * k + 7)
             num = fd_complex_hessian(radial_candidate(profile, n), z, h=1.5e-3 * r)
@@ -173,7 +172,7 @@ def test_criterion_6_amgm_audits(solve_suite):
     worst_audit = np.inf
     for problem, result in solve_suite:
         assert result.converged
-        worst_audit = min(worst_audit, amgm_pointwise_audit(problem, result))
+        worst_audit = min(worst_audit, audit_solve(problem, result).amgm_min_gap)
     assert worst_audit >= -1e-9
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -217,12 +216,13 @@ def test_criterion_8_family_uniformity(family_report):
 
 
 def test_criterion_9_scaling_laws(manufactured_solve):
+    from test_eigencone import ma_n1
+
     rng = np.random.default_rng(900)
     pts = sample_cone_points(rng, 50, 3)
     for k in range(50):
-        base = HermitianPoint(pts["beta"][k], pts["omega"][k], pts["hess"][k])
-        doubled = HermitianPoint(pts["beta"][k], 2.0 * pts["omega"][k], pts["hess"][k])
-        assert ma_n1(doubled) == pytest.approx(2.0 ** (-3) * ma_n1(base), rel=1e-12)
+        beta, omega, hess = pts["beta"][k], pts["omega"][k], pts["hess"][k]
+        assert ma_n1(beta, 2.0 * omega, hess) == pytest.approx(2.0 ** (-3) * ma_n1(beta, omega, hess), rel=1e-12)
 
     problem, _, result = manufactured_solve
     k = 5.0

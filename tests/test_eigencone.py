@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 
 from n1ma import cli, eigencone
 from n1ma.eigencone import (
-    ConeParams,
-    HermitianPoint,
     _elementary_symmetric,
-    amgm_trace_gap,
     amgm_trace_gap_batch,
     amgm_trace_gap_min,
-    cone_membership,
-    domination_witness,
     elementary_symmetric,
     hat_transform,
     is_m_subharmonic,
@@ -23,7 +18,6 @@ from n1ma.eigencone import (
     is_psh,
     is_quasi_n1_psh,
     ma_hat,
-    ma_n1,
     psh_product_gap,
     sample_cone_points,
     sample_spectra,
@@ -38,6 +32,39 @@ def brute_hat(lam):
 
 def brute_sigma(lam, k):
     return sum(np.prod(c) for c in itertools.combinations(lam, k))
+
+
+# ---------------------------------------------------------------------------
+# single-point references for the batched trace-form code: the eigenvalues of
+# the product omega^-1 alpha itself, not of the Cholesky-reduced pencil
+# ---------------------------------------------------------------------------
+
+
+def reference_eigenvalues(beta, omega, hess):
+    """Eigenvalues of omega^-1 alpha at one point, ascending."""
+    n = len(omega)
+    alpha = beta + (np.trace(np.linalg.solve(omega, hess)).real * omega - hess) / (n - 1)
+    return np.sort(np.linalg.eigvals(np.linalg.solve(omega, alpha)).real)
+
+
+def ma_n1(beta, omega, hess):
+    """det(omega^-1 alpha) at one point; scales like ``C**(-n)`` when omega
+    is replaced by ``C * omega``."""
+    return float(np.prod(reference_eigenvalues(beta, omega, hess)))
+
+
+def amgm_trace_gap(beta, omega, hess):
+    """``tr_omega(alpha) - n ma_n1^(1/n)`` at one point, the eigenvalues
+    clipped at 0 as in the batched gap."""
+    eigs = np.clip(reference_eigenvalues(beta, omega, hess), 0.0, None)
+    return float(eigs.sum() - len(omega) * np.prod(eigs) ** (1.0 / len(omega)))
+
+
+def batched_ma_n1(beta, omega, hess):
+    """det(omega^-1 alpha) of stacked triples along the eigenvalue path of
+    ``amgm_trace_gap_batch``."""
+    alpha = eigencone._batched_alpha(beta, omega, hess)
+    return np.prod(eigencone._batched_endomorphism_eigs(alpha, omega), axis=-1)
 
 
 class TestHatTransform:
@@ -109,26 +136,21 @@ class TestSigma:
 class TestConeMembership:
     def test_hat_positive_but_not_two_subharmonic(self):
         lam = [-1.0, 1.0, 1.0]
-        assert cone_membership(lam, "n1_psh") is True
-        assert cone_membership(lam, "sh_m", m=2) is False
+        assert is_n1_psh(lam)
+        assert not is_m_subharmonic(lam, 2)
 
     def test_subharmonic_but_not_hat_positive(self):
         lam = [-1.5, 1.0, 1.0]
-        assert cone_membership(lam, "sh_m", m=1) is True
-        assert cone_membership(lam, "n1_psh") is False
+        assert is_m_subharmonic(lam, 1)
+        assert not is_n1_psh(lam)
 
     def test_origin_in_every_cone(self):
         lam = [0.0, 0.0, 0.0]
-        assert cone_membership(lam, "psh")
-        assert cone_membership(lam, "n1_psh")
+        assert is_psh(lam)
+        assert is_n1_psh(lam)
         for m in (1, 2, 3):
-            assert cone_membership(lam, "sh_m", m=m)
-        params = ConeParams(gamma=np.array([1.0, 2.0, 0.5]))
-        assert cone_membership(lam, "quasi_n1_psh", params=params)
-
-    def test_unknown_cone(self):
-        with pytest.raises(DomainError):
-            cone_membership([0.0, 0.0, 0.0], "borderline")
+            assert is_m_subharmonic(lam, m)
+        assert is_quasi_n1_psh(lam, [1.0, 2.0, 0.5])
 
     def test_inclusion_chain_randomized(self):
         rng = np.random.default_rng(2)
@@ -174,6 +196,11 @@ class TestMaHat:
             assert ma_hat(lam) == pytest.approx(det, rel=1e-12)
 
 
+def random_hermitian(rng, n):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (h + h.conj().T)
+
+
 def random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -182,67 +209,80 @@ def random_unitary(rng, n):
 
 class TestMaN1:
     def test_flat_point(self):
-        point = HermitianPoint(np.eye(3), np.eye(3), np.zeros((3, 3)))
-        assert ma_n1(point) == pytest.approx(1.0)
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        assert ma_n1(eye, eye, zero) == pytest.approx(1.0)
+        assert batched_ma_n1(eye[None], eye[None], zero[None])[0] == pytest.approx(1.0)
 
     def test_shifted_hat_example(self):
         # hessian eigenvalues (-1, 1, 1): det = prod(1 + hat/2) = 2
         rng = np.random.default_rng(6)
         u = random_unitary(rng, 3)
         hess = u @ np.diag([-1.0, 1.0, 1.0]) @ u.conj().T
-        point = HermitianPoint(np.eye(3), np.eye(3), hess)
-        assert ma_n1(point) == pytest.approx(2.0, rel=1e-12)
+        eye = np.eye(3)
+        assert ma_n1(eye, eye, hess) == pytest.approx(2.0, rel=1e-12)
+        assert batched_ma_n1(eye[None], eye[None], hess[None])[0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_metric_scaling_law(self, scale):
         rng = np.random.default_rng(7)
         pts = sample_cone_points(rng, 5, 3)
+        beta, omega, hess = pts["beta"], pts["omega"], pts["hess"]
         for k in range(5):
-            base = HermitianPoint(pts["beta"][k], pts["omega"][k], pts["hess"][k])
-            scaled = HermitianPoint(pts["beta"][k], scale * pts["omega"][k], pts["hess"][k])
-            assert ma_n1(scaled) == pytest.approx(scale ** (-3) * ma_n1(base), rel=1e-12)
+            base = ma_n1(beta[k], omega[k], hess[k])
+            assert ma_n1(beta[k], scale * omega[k], hess[k]) == pytest.approx(scale ** (-3) * base, rel=1e-12)
+        base = batched_ma_n1(beta, omega, hess)
+        assert np.allclose(batched_ma_n1(beta, scale * omega, hess), scale ** (-3) * base, rtol=1e-12, atol=0)
 
     def test_unitary_conjugation_invariance(self):
         rng = np.random.default_rng(8)
         pts = sample_cone_points(rng, 5, 4)
         for k in range(5):
             u = random_unitary(rng, 4)
-            base = HermitianPoint(pts["beta"][k], pts["omega"][k], pts["hess"][k])
-            conj = HermitianPoint(
-                u @ pts["beta"][k] @ u.conj().T,
-                u @ pts["omega"][k] @ u.conj().T,
-                u @ pts["hess"][k] @ u.conj().T,
-            )
-            assert ma_n1(conj) == pytest.approx(ma_n1(base), rel=1e-11)
+            base = (pts["beta"][k], pts["omega"][k], pts["hess"][k])
+            conj = tuple(u @ x @ u.conj().T for x in base)
+            assert ma_n1(*conj) == pytest.approx(ma_n1(*base), rel=1e-11)
+            stacked = batched_ma_n1(*(np.stack([x, y]) for x, y in zip(base, conj)))
+            assert stacked[1] == pytest.approx(stacked[0], rel=1e-11)
 
     def test_singular_omega_rejected(self):
-        with pytest.raises(DomainError):
-            HermitianPoint(np.eye(3), np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)))
+        eye, zero = np.eye(3)[None], np.zeros((1, 3, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            amgm_trace_gap_batch(eye, np.diag([1.0, 1.0, 0.0])[None], zero)
 
 
 class TestAmGmTraceGap:
     def test_equality_at_flat_point(self):
-        point = HermitianPoint(np.eye(3), np.eye(3), np.zeros((3, 3)))
-        assert amgm_trace_gap(point) == pytest.approx(0.0, abs=1e-14)
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        assert amgm_trace_gap(eye, eye, zero) == pytest.approx(0.0, abs=1e-14)
+        assert amgm_trace_gap_batch(eye[None], eye[None], zero[None])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_value(self):
-        point = HermitianPoint(np.eye(3), np.eye(3), np.diag([0.0, 0.0, 3.0]))
+        eye, hess = np.eye(3), np.diag([0.0, 0.0, 3.0])
         expected = 6.0 - 3.0 * 6.25 ** (1.0 / 3.0)
-        assert amgm_trace_gap(point) == pytest.approx(expected, rel=1e-12)
+        assert amgm_trace_gap(eye, eye, hess) == pytest.approx(expected, rel=1e-12)
+        assert amgm_trace_gap_batch(eye[None], eye[None], hess[None])[0] == pytest.approx(expected, rel=1e-12)
         assert expected > 0
 
     def test_rejects_points_outside_cone(self):
+        """With beta = omega = I, alpha = I + hat(H) / (n - 1) is PSD exactly
+        where the Hessian spectrum lies in the quasi cone of gamma = 1."""
+        eye = np.eye(3)
         hess = np.diag([-9.0, 0.0, 0.0])  # alpha eigenvalues (1, -3.5, -3.5)
-        with pytest.raises(DomainError):
-            amgm_trace_gap(HermitianPoint(np.eye(3), np.eye(3), hess))
+        assert np.allclose(reference_eigenvalues(eye, eye, hess), [-3.5, -3.5, 1.0])
+        assert not is_quasi_n1_psh([-9.0, 0.0, 0.0], np.ones(3))
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            hess = 3 * random_hermitian(rng, 3)
+            psd = reference_eigenvalues(eye, eye, hess)[0] >= 0
+            assert is_quasi_n1_psh(np.linalg.eigvalsh(hess), np.ones(3)) == psd
 
     def test_batch_matches_scalar_op(self):
         rng = np.random.default_rng(9)
         pts = sample_cone_points(rng, 50, 3)
         gaps = amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
         for k in range(50):
-            point = HermitianPoint(pts["beta"][k], pts["omega"][k], pts["hess"][k])
-            assert gaps[k] == pytest.approx(amgm_trace_gap(point), rel=1e-9, abs=1e-10)
+            reference = amgm_trace_gap(pts["beta"][k], pts["omega"][k], pts["hess"][k])
+            assert gaps[k] == pytest.approx(reference, rel=1e-9, abs=1e-10)
 
     def test_randomized_nonnegativity(self):
         rng = np.random.default_rng(10)
@@ -339,6 +379,19 @@ class TestChunkedConeBatch:
         for name, expected in zip(("beta", "omega", "hess"), reference):
             assert np.array_equal(pts[name].view(np.uint64), expected.view(np.uint64)), name
 
+    @pytest.mark.parametrize("piece", [1, CHUNK, CHUNK + 1])
+    def test_normal_draws_in_pieces_are_the_whole_batch_stream(self, piece):
+        """``_random_gram`` draws its normals a chunk at a time into the
+        stream of one whole-batch draw; the stream must not depend on the
+        size of the pieces."""
+        count = 2 * self.CHUNK + 5
+        whole = np.random.default_rng(5).standard_normal((count, 3, 3))
+        rng = np.random.default_rng(5)
+        pieces = np.empty_like(whole)
+        for start in range(0, count, piece):
+            rng.standard_normal(out=pieces[start : start + piece])
+        assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64))
+
     def test_minimum_in_the_ragged_tail(self):
         count = 2 * self.CHUNK + 5
         pts = sample_cone_points(np.random.default_rng(4), count, 3)
@@ -359,7 +412,7 @@ class TestChunkedConeBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * sum(x.nbytes for x in pts.values())
+        assert peak <= 1.1 * sum(x.nbytes for x in pts.values())
 
 
 class TestPshProductGap:
@@ -377,35 +430,3 @@ class TestPshProductGap:
         rng = np.random.default_rng(11)
         lam = rng.uniform(-1.0, 4.0, size=(5000, 4))
         assert psh_product_gap(lam).min() >= -1e-12
-
-
-class TestDominationWitness:
-    def test_equal_fields_are_void(self):
-        u = np.zeros((8, 8))
-        verdict = domination_witness(u, u, 0.5, u, u)
-        assert verdict.status == "hypothesis-void"
-
-    def test_fabricated_counterexample(self):
-        v = np.zeros((8, 8))
-        u = v - 1.0
-        ma = np.zeros((8, 8))
-        verdict = domination_witness(u, v, 0.5, ma, ma)
-        assert verdict.status == "counterexample"
-        assert verdict.index == (0, 0)
-
-    def test_failed_hypothesis_is_consistent(self):
-        v = np.zeros((8, 8))
-        u = v - 1.0
-        ma_u = np.ones((8, 8))
-        verdict = domination_witness(u, v, 0.5, ma_u, ma_u)
-        assert verdict.status == "consistent"
-
-    def test_rejects_bad_constant(self):
-        u = np.zeros((8, 8))
-        with pytest.raises(DomainError):
-            domination_witness(u, u, 1.0, u, u)
-
-    def test_rejects_mismatched_grids(self):
-        with pytest.raises(DomainError):
-            domination_witness(np.zeros((8, 8)), np.zeros((4, 4)), 0.5,
-                               np.zeros((8, 8)), np.zeros((8, 8)))

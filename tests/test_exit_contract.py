@@ -180,9 +180,18 @@ def test_random_field_files_end_in_a_documented_exit(command, data):
 HUGE = str(2**62)
 
 
-@pytest.mark.parametrize("argv", [["cones", "--samples", HUGE], ["verify", "-c", "manufactured", "--samples", HUGE]])
-def test_impossible_sample_count_is_bad_arguments(tmp_path, capsys, argv):
-    assert main([*argv, "-o", str(tmp_path)]) == 5
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cones", "--samples", HUGE, "-o", "{tmp}"], id="cones-samples-past-array-size"),
+    pytest.param(["verify", "-c", "manufactured", "--samples", HUGE, "-o", "{tmp}"], id="verify-samples-past-array-size"),
+    pytest.param(["solve", "-c", "{tmp}", "-o", "{tmp}/out"], id="config-is-a-directory"),
+    pytest.param(["solve", "-c", "{tmp}/binary.ini", "-o", "{tmp}/out"], id="config-is-binary"),
+    pytest.param(["cones", "--samples", "10", "-o", "{tmp}/binary.ini"], id="output-is-a-file"),
+    pytest.param(["radial", "--n", "90", "-o", "{tmp}"], id="radial-n-overflows"),
+    pytest.param(["radial", "--n", "60", "-o", "{tmp}"], id="radial-n-not-finite"),
+])
+def test_bad_arguments_exit_5(tmp_path, capsys, argv):
+    (tmp_path / "binary.ini").write_bytes(bytes(range(128, 256)) * 4)
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,10 +14,8 @@ from n1ma.forms import (
     frame_value,
     hat_identity_residual,
     hodge_star,
-    inner_product,
     one_one_form,
     plucker_margin,
-    volume_coefficient,
     weak_positivity_margin,
 )
 from n1ma.forms import _combos, _euclidean_power, _frame_phase, _frame_values, _gram
@@ -48,6 +47,30 @@ def wedge_chain_frame_value(psi, vectors):
         mu = mu.wedge(PQForm(n, 1, 1, 1j * np.outer(v, v.conj())))
         norm2 *= float(np.vdot(v, v).real)
     return (-1) ** (n - 1) * float(np.sum(psi.coeffs * mu.coeffs).real) / norm2
+
+
+def volume_coefficient(g):
+    """Reference coefficient of omega^n/n! on the top basis form, by the wedge
+    chain of the metric form."""
+    n = len(g)
+    top = PQForm.basis(n, (), ())
+    for _ in range(n):
+        top = top.wedge(one_one_form(g))
+    return complex(top.coeffs[0, 0]) / math.factorial(n)
+
+
+def inner_product(a, b, g):
+    """Reference Hermitian inner product of two (p,q)-forms, basis pair by
+    basis pair: ``<dz^I dzbar^J, dz^K dzbar^L> = det(U^T[I, K]) det(U[J, L])``
+    with ``U = inv(g)``."""
+    u = np.linalg.inv(g)
+    rows, cols = _combos(a.n, a.p), _combos(a.n, a.q)
+    total = 0j
+    for (i, left), (j, right) in itertools.product(enumerate(rows), enumerate(cols)):
+        for (k, left2), (l, right2) in itertools.product(enumerate(rows), enumerate(cols)):
+            weight = np.linalg.det(u.T[np.ix_(left, left2)]) * np.linalg.det(u[np.ix_(right, right2)])
+            total += a.coeffs[i, j] * np.conj(b.coeffs[k, l]) * weight
+    return total
 
 
 def hat_form(h, n):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import random_band_limited
 from n1ma.errors import DomainError
 from n1ma.grid import (
     complex_hessian,
     field_to_csv,
     grid_coordinates,
-    random_band_limited,
     read_field,
     spectral_gradient,
     write_field,

@@ -3,22 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import acceptance_family
+from conftest import acceptance_family, flat_problem, random_band_limited
 from n1ma import harness, solver
 from n1ma.errors import DomainError
-from n1ma.grid import grid_coordinates, random_band_limited
+from n1ma.grid import complex_hessian, grid_coordinates
 from n1ma.harness import (
     DeclaredBounds,
     FamilySpec,
-    amgm_pointwise_audit,
+    _amgm_min_gap,
+    _mass_identity,
     audit_solve,
     c2_ratio,
     c_upper_bound,
-    domination_check,
     family_run,
-    mass_identity_check,
 )
-from n1ma.solver import SolveResult, TorusProblem, diagnostics, flat_problem, newton_solve
+from n1ma.solver import SolveResult, TorusProblem, diagnostics, newton_solve
 
 SHAPE = (16, 16, 16)
 
@@ -54,31 +53,32 @@ class TestCUpperBound:
 class TestMassIdentity:
     def test_zero_field_exact(self, flat_solve):
         problem, result = flat_solve
-        assert mass_identity_check(problem, result, tolerance=0.0)
+        assert _mass_identity(problem, complex_hessian(result.u), tolerance=0.0)
 
     def test_manufactured(self, manufactured_solve):
         problem, _, result = manufactured_solve
-        assert mass_identity_check(problem, result, tolerance=1e-10)
+        assert _mass_identity(problem, complex_hessian(result.u), tolerance=1e-10)
+        assert audit_solve(problem, result).mass_ok
 
     def test_holds_for_non_solutions(self, flat_solve):
-        problem, result = flat_solve
+        problem, _ = flat_solve
         rng = np.random.default_rng(0)
-        fake = dataclasses.replace(result, u=random_band_limited(rng, SHAPE))
-        assert mass_identity_check(problem, fake, tolerance=1e-12)
+        h = complex_hessian(random_band_limited(rng, SHAPE))
+        assert _mass_identity(problem, h, tolerance=1e-12)
 
 
 class TestAmgmAudit:
     def test_flat_gap_zero(self, flat_solve):
         problem, result = flat_solve
-        assert amgm_pointwise_audit(problem, result) == pytest.approx(0.0, abs=1e-14)
+        assert audit_solve(problem, result).amgm_min_gap == pytest.approx(0.0, abs=1e-14)
 
     def test_manufactured_nonnegative(self, manufactured_solve):
         problem, _, result = manufactured_solve
-        assert amgm_pointwise_audit(problem, result) >= -1e-9
+        assert audit_solve(problem, result).amgm_min_gap >= -1e-9
 
     def test_suite_nonnegative(self, solve_suite):
         for problem, result in solve_suite:
-            assert amgm_pointwise_audit(problem, result) >= -1e-9
+            assert _amgm_min_gap(problem, result, complex_hessian(result.u)) >= -1e-9
 
 
 class TestC2Ratio:
@@ -117,18 +117,14 @@ class TestDomination:
         )
 
     def test_solver_pair_never_contradicts(self):
+        """The domination principle: if ``c_low f_low <= kappa c_high f_high``
+        held on all of ``{u_low < u_high}``, that set would be empty.  For this
+        pair the set is nonempty, so the premise must fail on it."""
         low, high, f_low, f_high, kappa = self.solver_pair()
-        verdict = domination_check(low, high, f_low, f_high, kappa)
-        assert verdict.status in ("hypothesis-void", "consistent")
-        # for this pair the sublevel set is nonempty and the premise fails there
-        assert verdict.status == "consistent"
-
-    def test_kappa_validation(self):
-        low, high, f_low, f_high, _ = self.solver_pair()
-        with pytest.raises(DomainError):
-            domination_check(low, high, f_low, f_high, 1.0)
-        with pytest.raises(DomainError):
-            domination_check(low, high, f_high, f_high, 0.5)
+        below = low.u < high.u - 1e-9
+        premise = low.c * f_low <= kappa * high.c * f_high + 1e-9
+        assert below.any()
+        assert not premise[below].all()
 
 
 class TestAudit:

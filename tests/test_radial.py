@@ -10,12 +10,24 @@ from n1ma.radial import (
     ShellIntegrand,
     g_profile,
     integral_threshold,
-    loglog_density,
     radial_hat_eigenvalues,
     radial_ma_hat,
-    radial_membership,
     standard_profiles,
 )
+
+
+def radial_membership(profile, t_samples, tolerance=0.0):
+    """The hat-cone criterion of a radial candidate: chi' >= -tolerance and
+    chi'' >= -tolerance at every sample, chi non-decreasing and convex."""
+    return all(profile.chi1(t) >= -tolerance and profile.chi2(t) >= -tolerance for t in t_samples)
+
+
+def loglog_density(r, n):
+    """The model density ``1 / (r^(2n) s^n (log s)^n)``, ``s = -log r``, of
+    the threshold experiment, for radii with ``s > e``."""
+    s = -math.log(r)
+    return 1.0 / (r ** (2 * n) * s**n * math.log(s) ** n)
+
 
 # ---------------------------------------------------------------------------
 # independent oracle: 5-point finite-difference complex Hessian of the
@@ -209,9 +221,15 @@ class TestLogLogDensity:
     def test_blows_up_at_origin(self):
         assert loglog_density(1e-30, 3) > loglog_density(1e-10, 3) > 1.0
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            loglog_density(0.5, 3)
+    @pytest.mark.parametrize("p", [0.0, 1.5, 2.0, 2.5])
+    def test_shell_integrand_is_the_density_in_tau(self, p):
+        # in tau = log s the measure r^(2n-1) dr is r^(2n) s dtau, and the
+        # weight (log f)^p is modelled by s^p
+        spec = ShellIntegrand(p=p, n=3, r_inner=math.exp(-math.e**2), r_outer=math.exp(-math.e))
+        for r in np.geomspace(1e-40, math.exp(-math.e) * 0.999, 25):
+            s = -math.log(r)
+            expected = loglog_density(r, 3) * r**6 * s ** (p + 1)
+            assert spec.integrand(spec.tau_of_radius(r)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestIntegralThreshold:

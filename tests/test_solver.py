@@ -6,19 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import one_coordinate_solution
+from conftest import flat_problem, one_coordinate_solution, random_band_limited
 from n1ma import solver
 from n1ma.config import parse_config
 from n1ma.eigencone import hat_transform
 from n1ma.errors import DomainError
-from n1ma.grid import complex_hessian, grid_coordinates, random_band_limited
+from n1ma.grid import complex_hessian, grid_coordinates
 from n1ma.solver import (
     SolveResult,
     SolverOptions,
     TorusProblem,
     alpha_field,
     diagnostics,
-    flat_problem,
     linearized_apply,
     manufactured_problem,
     newton_solve,

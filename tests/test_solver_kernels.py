@@ -22,8 +22,9 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_band_limited
 from n1ma import pointwise, solver
-from n1ma.grid import _wavenumbers, complex_hessian, grid_coordinates, random_band_limited, spectral_gradient
+from n1ma.grid import _wavenumbers, complex_hessian, grid_coordinates, spectral_gradient
 from n1ma.pointwise import eig_extreme
 from n1ma.solver import (
     TorusProblem,
