@@ -195,15 +195,28 @@ def read_field(path):
 
 
 def field_to_csv(path, data):
-    """Flatten a field to CSV rows ``i1,...,id,value``."""
+    """Flatten a field to CSV rows ``i1,...,id,value``.
+
+    Each slab ``arr[i1]`` formats each of its distinct values once, keyed by
+    bit pattern: ``-0.0 == 0.0`` but their reprs differ.  Spectral solutions
+    of trigonometric data keep their symmetries bit for bit, so a slab holds
+    far fewer distinct floats than points.  The memo lives for one slab, so
+    memory stays that of one slab's rows.
+    """
     arr = np.asarray(data, dtype=float)
     # "i2,...,id," for every point of a slab arr[i1], in C order
     tails = [""]
     for size in arr.shape[1:]:
         tails = [t + f"{i}," for t in tails for i in range(size)]
+    # one slab's rows as tail, value, separator, ..., tail, value
+    parts = [""] * (3 * len(tails) - 1)
+    parts[0::3] = tails
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(f"i{k + 1}" for k in range(arr.ndim)) + ",value\n")
-        # one join per slab, whose separator carries the leading index
         for i1, slab in enumerate(arr):
-            head = f"{i1},"
-            fh.write(head + f"\n{head}".join(map(str.__add__, tails, map(repr, slab.ravel().tolist()))) + "\n")
+            keys, inverse = np.unique(np.ravel(slab).view(np.uint64), return_inverse=True)
+            reprs = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+            parts[1::3] = reprs[inverse].tolist()
+            # the separator carries the leading index
+            parts[2::3] = [f"\n{i1},"] * (len(tails) - 1)
+            fh.write(f"{i1}," + "".join(parts) + "\n")

@@ -67,12 +67,24 @@ class TestSolve:
     GOLDEN = {
         "solve.csv": "1c0450b2e7e524374e76f8eaa558ec8fc7a947e8b0fb7e01afcd96c3120bc7fc",
         "residuals.csv": "a751a40ae399ec029bcacbc80b598e5f22dfdce6eea971c5b879f613eff0f931",
+        "u.csv": "dc18e32230d6358a38fb03d13c964cad30fc49e349bf032b998cbad463ed7250",
     }
 
-    def test_manufactured_golden_digest(self, tmp_path):
-        out = str(tmp_path / "m")
+    @pytest.fixture(scope="class")
+    def manufactured(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("m"))
         assert main(["solve", "-c", "manufactured", "-o", out]) == 0
-        assert {name: digest(os.path.join(out, name)) for name in self.GOLDEN} == self.GOLDEN
+        return out
+
+    def test_manufactured_golden_digest(self, manufactured):
+        assert {name: digest(os.path.join(manufactured, name)) for name in self.GOLDEN} == self.GOLDEN
+
+    def test_u_csv_reads_back_bit_for_bit(self, manufactured):
+        u = read_field(os.path.join(manufactured, "u.n1ma"))
+        rows = open(os.path.join(manufactured, "u.csv")).read().splitlines()[1:]
+        values = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+        assert values.shape == (u.size,)
+        assert np.array_equal(values.view(np.uint64), u.ravel().view(np.uint64))
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write(tmp_path, """
