@@ -1,9 +1,9 @@
 """Minimal arithmetic expression parser for config-defined fields.
 
 Supports ``+ - * / ^`` (power is right-associative), unary minus, parentheses,
-the functions sin, cos, exp, log, the constants pi and e, and the coordinate
-names x1..xd.  Deliberately no eval(), no attribute access, no comparisons:
-configs stay data.
+the functions sin, cos, exp, log and abs, the constants pi and e, and the
+coordinate names x1..xd.  Deliberately no eval(), no attribute access, no
+comparisons: configs stay data.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _TOKEN = re.compile(
 )
 _BLANKS = re.compile(r"\s*")
 
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "abs": np.abs}
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 

@@ -6,13 +6,15 @@ translation-invariant reduction is one quarter of the real Hessian.  First
 derivative multipliers zero the Nyquist mode so that odd-order derivatives of
 real fields stay real; pure second derivatives keep the full multiplier.
 
-Derivatives take one ``scipy.fft.rfftn`` of the field and one batched
-``irfftn`` over the stack of multiplied spectra: the d(d+1)/2 upper-triangle
-Hessian blocks, or the d gradient components.  Each block equals, bit for bit,
-its own ``scipy.fft.irfftn``; batching removes the per-call overhead that
-dominates on small grids.  ``scipy.fft`` is imported by the functions that
-transform, on first use, so a program that never differentiates a field
-(the cone and form audits) does not load it.
+Derivatives take one ``scipy.fft.rfftn`` of the field.  The gradient takes
+one batched ``irfftn`` over the stack of its d multiplied spectra; each block
+equals, bit for bit, its own ``scipy.fft.irfftn``, and batching removes the
+per-call overhead that dominates on small grids.  The complex Hessian takes
+one ``irfftn`` per upper-triangle block, written straight into both of its
+places in the d x d result, so no stack of blocks is alive beside it.
+``scipy.fft`` is imported by the functions that transform, on first use, so a
+program that never differentiates a field (the cone and form audits) does not
+load it.
 
 Also hosts the raw field file format: a 32-byte little-endian header
 (magic ``N1MA``, version, axis count, per-axis sizes) followed by the C-order
@@ -110,15 +112,6 @@ def _hessian_multipliers(shape):
     return out
 
 
-def _block_index(d):
-    """``(d, d)`` positions of the entries of a symmetric matrix in its
-    upper-triangle stack (``np.triu_indices`` order)."""
-    rows, cols = np.triu_indices(d)
-    index = np.empty((d, d), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return index
-
-
 def _spectral_stack(u, multipliers):
     """``irfftn(m * rfftn(u))`` for every m in ``multipliers``, stacked along
     a new first axis, as one batched inverse transform."""
@@ -148,10 +141,19 @@ def complex_hessian(u):
     component-major: the result is a view of a ``(d, d) + u.shape`` buffer,
     so ``np.moveaxis(h, (-2, -1), (0, 1))`` is contiguous and copy-free.
     """
+    from scipy.fft import irfftn, rfftn
+
     u = np.asarray(u, dtype=float)
     shape = _validate_shape(u.shape)
-    blocks = _spectral_stack(u, _hessian_multipliers(shape))
-    return np.moveaxis(blocks[_block_index(u.ndim)], (0, 1), (-2, -1))
+    d = u.ndim
+    spectrum = rfftn(u)
+    product = np.empty_like(spectrum)
+    out = np.empty((d, d) + shape)
+    for (i, j), m in zip(zip(*np.triu_indices(d)), _hessian_multipliers(shape)):
+        out[i, j] = irfftn(np.multiply(m, spectrum, out=product), s=shape, overwrite_x=True)
+        if i != j:
+            out[j, i] = out[i, j]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,28 @@ The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
 pointwise decision is a Cholesky factorization written over grid fields
 (``pointwise.field_cholesky``, shared with the cone audits): one vectorized
 step per entry of the triangle, with a NaN or non-positive pivot meaning
-"not above".  The cone test ``alpha - floor I > 0`` factors
-``alpha - floor I``; the factor L of alpha gives ``log det alpha`` and the
-linearization tensor ``((tr A) I - A) / (n - 1)`` with ``A = alpha^-1 =
-L^-T L^-1``, so an iterate is factored twice and theta needs no third
-factorization.  The tensor's eigenvalues are ``hat(1 / eig alpha) / (n - 1)``,
-positive whenever alpha is, so ellipticity needs no separate check.  Matrix
-fields keep the public shape ``grid + (n, n)`` but are stored component-major,
-as views of ``(n, n) + grid`` buffers, so every entry is a contiguous grid
-field; a constant background is a zero-stride view of one matrix.  The
-pointwise kernels allocate only single grid fields as temporaries and write
-each matrix-field result into a buffer the caller is done with: alpha into
-its Hessian's, the linearization tensor into that of ``alpha^-1``.
+"not above".  An iterate is factored once: the factor L of alpha gives
+``log det alpha``, the linearization tensor ``((tr A) I - A) / (n - 1)``
+with ``A = alpha^-1 = L^-T L^-1``, and the cone test ``alpha - floor I >
+0``, which the bound ``det alpha / (tr alpha)^(n-1) <= lambda_min`` clears
+wherever it can; ``alpha - floor I`` is factored only on the points the
+bound leaves open.  The tensor's eigenvalues are ``hat(1 / eig alpha) / (n -
+1)``, positive whenever alpha is, so ellipticity needs no separate check.
+Matrix fields keep the public shape ``grid + (n, n)`` but are stored
+component-major, as views of ``(n, n) + grid`` buffers, so every entry is a
+contiguous grid field; a constant background is a zero-stride view of one
+matrix.  The pointwise kernels allocate only single grid fields as
+temporaries and write each matrix-field result into a buffer the caller is
+done with: alpha into its Hessian's, the linearization tensor into that of
+``alpha^-1``.
+
+Each loop returns a record of its last iterate inside the cone
+(``_LoopOutcome``), and the diagnostics of a SolveResult are those of the
+alpha that iterate was tested with: ``min_alpha_eig`` is its least
+eigenvalue and ``hess_sup`` that of the Hessian recovered from it, so no
+Hessian is taken after the loop.  A loop keeps that alpha only when it
+converges; one that ends otherwise rebuilds it, bit for bit, from the field
+it tested, so alpha never sits beside the factor during GMRES.
 
 A given ``u0`` starts one Newton loop on the problem's grid.  A ``u0`` whose
 loop leaves the cone or does not converge is abandoned, and the grid is
@@ -93,7 +103,7 @@ from .grid import (
     grid_coordinates,
     spectral_gradient,
 )
-from .pointwise import eig_extreme, field_cholesky, lower_inverse
+from .pointwise import _EPS, ROUNDING, eig_extreme, field_cholesky, lower_inverse
 
 __all__ = [
     "SolverOptions",
@@ -228,6 +238,10 @@ def _checked_density(f):
 class SolveResult:
     """Solution field (sup u = 0), constant and solve diagnostics.
 
+    ``min_alpha_eig`` and ``hess_sup`` are the least eigenvalue of the
+    alpha that u's iterate was tested with (and passed the cone test with,
+    unless even the start lay outside) and the largest |eigenvalue| of the
+    Hessian recovered from it; ``grad_sup`` and ``osc`` are those of u.
     ``failure`` is None exactly when the solve converged.  ``iterations``
     and ``residual_history`` cover every grid level that led to u, coarse
     first; ``levels`` is ``(grid shape, Newton steps)`` for every Newton
@@ -297,16 +311,49 @@ def _log_det_above(alpha, floor):
     every grid point, else None; L is the grid-field Cholesky factor of
     alpha (``pointwise.field_cholesky``), and NaN entries fail the test.
 
-    A positive floor is decided by the factorization of ``alpha - floor I``;
-    the factorization of alpha must succeed too.
+    Alpha is factored once.  A positive floor is cleared by the bound of
+    ``_clears_floor`` wherever it can be, and decided by the factorization
+    of ``alpha - floor I`` on the points the bound leaves open.
     """
     a = _component_major(alpha)
-    if floor and not np.all(field_cholesky(a, floor)[1]):
-        return None
     factor, ok = field_cholesky(a)
     if not np.all(ok):
         return None
+    if floor:
+        open_points = ~_clears_floor(a, factor, floor)
+        if open_points.any() and not np.all(field_cholesky(a[:, :, open_points], floor)[1]):
+            return None
     return factor, 2.0 * sum(np.log(factor[j, j]) for j in range(a.shape[0]))
+
+
+def _clears_floor(a, factor, floor):
+    """Mask of the points where the Cholesky factor L of the positive
+    definite component-major field a proves ``lambda_min(a) > floor``.
+
+    ``lambda_max <= tr a`` for a positive definite a, so ``det a / (tr
+    a)^(n-1) <= lambda_min``; the bound is ``L_00^2 prod_j (L_jj^2 / tr
+    a)``, whose partial products stay below ``tr a``.  It clears a point
+    when it exceeds the floor by ``ROUNDING n^3 eps tr a``: ``pointwise``'s
+    rounding model for a Cholesky test, at a magnitude that ``tr a`` bounds
+    from above.  The slack covers the backward error of L, at most ``(n +
+    1) eps tr a`` (Demmel 1989), and the ``O(n^2 eps)`` relative rounding
+    of the trace and the bound.  A NaN or infinite bound leaves its point
+    open.  The temporaries are two single fields: the trace, which becomes
+    the threshold, and the bound.
+    """
+    n = a.shape[0]
+    tr = a[0, 0].copy()
+    for i in range(1, n):
+        tr += a[i, i]
+    bound = np.square(factor[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n):
+            bound /= tr
+            bound *= factor[j, j]
+            bound *= factor[j, j]
+        tr *= ROUNDING * n**3 * _EPS
+        tr += floor
+        return bound > tr
 
 
 def _alpha_state(problem, u):
@@ -469,41 +516,68 @@ def _krylov_correction(factor, rhs, rtol):
     return _preconditioner(shape, inverse)(y).reshape(shape)
 
 
+@dataclass(frozen=True)
+class _LoopOutcome:
+    """What one Newton loop returns: its last iterate inside the cone u
+    (mean-zero; the start when even that is outside), log c, the residual
+    history, the Newton steps and the failure label, None (converged),
+    ``"max-iterations"``, ``"krylov"`` or ``"cone-exit"``.
+
+    ``tested`` is the field whose alpha the loop tested last at u: u before
+    its mean was removed.  ``alpha`` is that alpha when the loop converged,
+    else None: a loop that goes on stepping does not keep it beside its
+    Cholesky factor, and ``alpha_field(problem, tested)`` rebuilds it bit
+    for bit.
+    """
+
+    u: np.ndarray
+    log_c: float
+    history: list
+    steps: int
+    failure: str | None
+    tested: np.ndarray
+    alpha: np.ndarray | None
+
+
 def _newton_loop(problem, u0):
-    """One Newton loop from u0: ``(u, log_c, history, steps, failure)`` with
-    failure None (converged), ``"max-iterations"``, ``"krylov"`` or
-    ``"cone-exit"``; u is the last iterate inside the cone, else u0."""
+    """One Newton loop from u0, as a ``_LoopOutcome``."""
     opts = problem.options
     floor = problem.positivity_floor
     logf = np.log(problem.f)
 
     def evaluate(v):
-        """``(L, log_c, res_field, res)`` of the iterate v: the Cholesky
-        factor of alpha, the eliminated constant and the residual, field and
-        sup; None unless ``alpha - floor I > 0``."""
-        state = _log_det_above(alpha_field(problem, v), floor)
+        """``(alpha, L, log_c, res_field, res)`` of the iterate v: alpha when
+        the residual meets the tolerance (else None), its Cholesky factor,
+        the eliminated constant and the residual, field and sup; None unless
+        ``alpha - floor I > 0``."""
+        alpha = alpha_field(problem, v)
+        state = _log_det_above(alpha, floor)
         if state is None:
             return None
         factor, logdet = state
         log_c = float((logdet - logf).mean())
-        res_field = logdet - log_c - logf
-        return factor, log_c, res_field, float(np.abs(res_field).max())
+        # logdet - log_c - logf in logdet's buffer: alpha may still be alive
+        res_field = logdet
+        res_field -= log_c
+        res_field -= logf
+        res = abs(max(float(res_field.max()), -float(res_field.min())))  # sup |res_field|
+        return (alpha if res <= opts.tolerance else None), factor, log_c, res_field, res
 
     u = np.array(u0, dtype=float)
     u -= u.mean()
     state = evaluate(u)
     if state is None:
-        return u, math.nan, [], 0, "cone-exit"
-    factor, log_c, res_field, res = state
-    history = [res]
+        return _LoopOutcome(u, math.nan, [], 0, "cone-exit", u, None)
+    alpha, factor, log_c, res_field, res = state
+    tested, history = u, [res]
 
     for iteration in range(opts.max_iterations):
         if res <= opts.tolerance:
-            return u, log_c, history, iteration, None
+            return _LoopOutcome(u, log_c, history, iteration, None, tested, alpha)
 
         delta = _krylov_correction(factor, -res_field.ravel(), _forcing_term(res, opts))
         if delta is None:
-            return u, log_c, history, iteration, "krylov"
+            return _LoopOutcome(u, log_c, history, iteration, "krylov", tested, alpha)
         delta -= delta.mean()
 
         step = 1.0
@@ -512,33 +586,39 @@ def _newton_loop(problem, u0):
             state = evaluate(trial)
             if state is not None and state[-1] < res:
                 u = trial - trial.mean()
-                factor, log_c, res_field, res = state
+                alpha, factor, log_c, res_field, res = state
+                tested = trial
                 break
             step *= 0.5
         else:
-            return u, log_c, history, iteration, "cone-exit"
+            return _LoopOutcome(u, log_c, history, iteration, "cone-exit", tested, alpha)
         history.append(res)
 
     failure = None if res <= opts.tolerance else "max-iterations"
-    return u, log_c, history, opts.max_iterations, failure
+    return _LoopOutcome(u, log_c, history, opts.max_iterations, failure, tested, alpha)
 
 
-def _package(problem, u, log_c, history, iterations, failure, levels):
+def _package(problem, outcome, levels):
+    """The SolveResult of a loop's outcome, with the diagnostics of the
+    alpha its iterate was tested with."""
+    u = outcome.u
     u_out = u - u.max()
     with np.errstate(over="ignore"):
-        c = float(np.exp(log_c))
+        c = float(np.exp(outcome.log_c))
+    failure = outcome.failure
     if failure is None and not 0.0 < c < math.inf:
         # a density so small or large that c leaves the float range
         failure = "constant-range"
     result = SolveResult(
         u=u_out,
         c=c,
-        residual_history=tuple(history),
-        iterations=iterations,
+        residual_history=tuple(outcome.history),
+        iterations=outcome.steps,
         failure=failure,
         levels=tuple(levels),
     )
-    return diagnostics(problem, result)
+    alpha = outcome.alpha if outcome.alpha is not None else alpha_field(problem, outcome.tested)
+    return diagnostics(problem, result, alpha)
 
 
 def _coarser_shape(shape):
@@ -580,10 +660,10 @@ def _prolonged(u, shape):
 
 
 def _counted_loop(problem, start, levels):
-    """The outcome of ``_newton_loop`` from start; appends ``(grid shape,
-    Newton steps)`` to levels."""
+    """The ``_LoopOutcome`` of ``_newton_loop`` from start; appends ``(grid
+    shape, Newton steps)`` to levels."""
     outcome = _newton_loop(problem, start)
-    levels.append((problem.shape, outcome[3]))
+    levels.append((problem.shape, outcome.steps))
     return outcome
 
 
@@ -592,19 +672,21 @@ def _ladder_solve(problem, levels):
     the next coarser level when the grid has one, else cold from u = 0.
 
     Appends ``(grid shape, Newton steps)`` to ``levels`` for every loop,
-    coarse to fine, and returns the outcome of ``_newton_loop``; the history
-    and iteration count of a solve from a prolonged start include those of
-    the coarser levels it came from.  A coarser level that does not
-    converge, or a prolonged start that does not, leads to the cold loop on
-    this grid, whose outcome is returned whatever it is.
+    coarse to fine, and returns a ``_LoopOutcome``; the history and steps of
+    a solve from a prolonged start include those of the coarser levels it
+    came from.  A coarser level that does not converge, or a prolonged start
+    that does not, leads to the cold loop on this grid, whose outcome is
+    returned whatever it is.
     """
     if _coarser_shape(problem.shape) is not None:
-        u, _, history, iterations, failure = _ladder_solve(_restricted(problem), levels)
-        if failure is None:
-            fine = _counted_loop(problem, _prolonged(u, problem.shape), levels)
-            if fine[4] is None:
-                u, log_c, fine_history, steps, _ = fine
-                return u, log_c, history + fine_history, iterations + steps, None
+        # the coarse alpha is not needed on this grid: it is dropped at once
+        coarse = dataclasses.replace(_ladder_solve(_restricted(problem), levels), alpha=None)
+        if coarse.failure is None:
+            fine = _counted_loop(problem, _prolonged(coarse.u, problem.shape), levels)
+            if fine.failure is None:
+                return dataclasses.replace(
+                    fine, history=coarse.history + fine.history, steps=coarse.steps + fine.steps
+                )
     return _counted_loop(problem, np.zeros(problem.shape), levels)
 
 
@@ -627,27 +709,56 @@ def newton_solve(problem, u0=None):
     """
     levels = []
     outcome = None if u0 is None else _counted_loop(problem, u0, levels)
-    if outcome is None or outcome[4] is not None:
+    if outcome is None or outcome.failure is not None:
         outcome = _ladder_solve(problem, levels)
-    return _package(problem, *outcome, levels)
+    return _package(problem, outcome, levels)
 
 
-def diagnostics(problem, result):
-    """Fill the gradient, Hessian, oscillation and cone-margin diagnostics.
+def _hessian_from_alpha(problem, alpha):
+    """The Hessian h of ``alpha = Gamma + ((tr h) I - h) / (n - 1)``, as
+    ``(tr A) I - (n - 1) A`` with ``A = alpha - Gamma``, for a
+    component-major alpha, written into alpha's buffer and returned.
 
-    Each field is dropped once used, and alpha is built in the Hessian's
-    buffer, so at most one matrix field is alive at a time."""
+    h is recovered up to the rounding of alpha itself: the eigenvalue
+    extremes of the result differ from those of the Hessian alpha was built
+    from by at most ``ROUNDING n^2 eps`` times the largest entry of alpha
+    and Gamma (each entry of A errs by about eps times that, and the trace
+    and the factor n - 1 amplify it at most 2n-fold in an entry and
+    2n^2-fold in an eigenvalue).
+    """
+    n = problem.n
+    a = np.subtract(alpha, _component_major(problem.gamma), out=alpha)
+    tr = sum(a[i, i] for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a[i, j] *= -(n - 1)
+        np.subtract(tr, (n - 1) * a[i, i], out=a[i, i])
+    return a
+
+
+def diagnostics(problem, result, alpha=None):
+    """Fill the gradient, Hessian, oscillation and cone-margin diagnostics
+    of ``result.u``.
+
+    ``alpha`` is the alpha field of the iterate result.u comes from, as a
+    Newton loop hands it over; without it, alpha is built from result.u,
+    the one Hessian of the call.  ``min_alpha_eig`` and ``hess_sup`` are
+    the ``eigvalsh`` extremes of alpha and of the Hessian recovered from it
+    in its own buffer (``_hessian_from_alpha``), so alpha is consumed.  The
+    gradient is dropped before alpha is built or read, so at most one
+    matrix field is alive at a time."""
     u = result.u
     grad = spectral_gradient(u)
-    grad_sup = float(np.sqrt((grad**2).sum(axis=-1)).max()) / 2.0
+    grad_sup = float(np.sqrt(np.square(grad, out=grad).sum(axis=-1)).max()) / 2.0
     del grad
-    h = complex_hessian(u)
-    hess_sup = eig_extreme(_component_major(h), (1, -1))
+    a = _component_major(alpha_field(problem, u) if alpha is None else alpha)
+    min_alpha_eig = -eig_extreme(a, (1,))
     return dataclasses.replace(
         result,
-        min_alpha_eig=-eig_extreme(_component_major(_alpha_from_hessian(problem, h)), (1,)),
+        min_alpha_eig=min_alpha_eig,
         grad_sup=grad_sup,
-        hess_sup=hess_sup,
+        hess_sup=eig_extreme(_hessian_from_alpha(problem, a), (1, -1)),
         osc=float(u.max() - u.min()),
     )
 

@@ -65,7 +65,7 @@ class TestSolve:
 
     # sha256 of the manufactured solve's reports, which pin the solver's bits
     GOLDEN = {
-        "solve.csv": "1c0450b2e7e524374e76f8eaa558ec8fc7a947e8b0fb7e01afcd96c3120bc7fc",
+        "solve.csv": "1675caae1c1194e68bdd5561030d62e5445d8448902633dfef13321195401884",
         "residuals.csv": "a751a40ae399ec029bcacbc80b598e5f22dfdce6eea971c5b879f613eff0f931",
         "u.csv": "dc18e32230d6358a38fb03d13c964cad30fc49e349bf032b998cbad463ed7250",
     }

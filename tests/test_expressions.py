@@ -29,6 +29,13 @@ class TestParsing:
         assert ev("sin(pi/2) + cos(0) + log(e)")[0] == pytest.approx(3.0)
         assert ev("exp(0)")[0] == 1.0
 
+    def test_abs(self):
+        assert ev("abs(-2.5) + abs(3)")[0] == 5.5
+        # the near-singular density of the grid-ladder study
+        x = np.linspace(0.0, 2 * np.pi, 33)
+        f = ev("(abs(sin(x1/2)) + 1e-3)^-0.8", 1, [x])
+        assert np.array_equal(f, (np.abs(np.sin(x / 2)) + 1e-3) ** -0.8)
+
     def test_scientific_notation(self):
         assert ev("1.5e-3 + 2E2")[0] == pytest.approx(200.0015)
 

@@ -251,9 +251,8 @@ class TestContinuation:
             if not np.any(u0):
                 return real(problem, u0)
             if failure == "cone-exit":
-                return u0, np.nan, [], 0, "cone-exit"
-            *head, _ = real(problem, u0)
-            return (*head, "max-iterations")
+                return solver._LoopOutcome(u0, np.nan, [], 0, "cone-exit", u0, None)
+            return dataclasses.replace(real(problem, u0), failure="max-iterations")
 
         monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)
         report = family_run(acceptance_family())
@@ -289,7 +288,7 @@ class TestContinuation:
 
         def failing_warm_start(problem, u0):
             if u0 is not None and np.any(u0):
-                return u0, 0.0, [1.0, 0.5, 0.25, 0.125], 3, "max-iterations"
+                return solver._LoopOutcome(u0, 0.0, [1.0, 0.5, 0.25, 0.125], 3, "max-iterations", u0, None)
             return real(problem, u0)
 
         monkeypatch.setattr(solver, "_newton_loop", failing_warm_start)

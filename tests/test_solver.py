@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import flat_problem, one_coordinate_solution, random_band_limited
-from n1ma import solver
+from n1ma import pointwise, solver
 from n1ma.config import parse_config
 from n1ma.eigencone import hat_transform
 from n1ma.errors import DomainError
+from n1ma.expressions import compile_expression
 from n1ma.grid import complex_hessian, grid_coordinates
 from n1ma.solver import (
     SolveResult,
@@ -287,6 +288,25 @@ class TestNewtonSolve:
         _, _, result = manufactured_solve
         assert result.u.max() == 0.0
 
+    # tracemalloc peaks in grid fields of the manufactured solve before
+    # the loop handed its alpha to the diagnostics: on 32^3 the 16^3
+    # level's GMRES basis (201 vectors) sets it, on 64^3 the fine level's
+    # cone test
+    SOLVE_PEAKS = {(32, 32, 32): 31.7, (64, 64, 64): 20.4}
+
+    @pytest.mark.parametrize("shape", list(SOLVE_PEAKS))
+    def test_solve_peak_memory(self, shape):
+        problem, _ = manufactured_problem(0.4, shape)
+        newton_solve(manufactured_problem(0.4, (16, 16, 16))[0])  # first-use imports
+        tracemalloc.start()
+        try:
+            result = newton_solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak <= self.SOLVE_PEAKS[shape] * problem.f.nbytes
+
     def test_min_alpha_above_floor(self, manufactured_solve):
         problem, _, result = manufactured_solve
         assert result.min_alpha_eig >= problem.positivity_floor
@@ -418,6 +438,17 @@ class TestOneCoordinateOracle:
         assert result.c == pytest.approx(c, rel=1e-10, abs=0.0)
         assert np.abs(result.u - u).max() <= 1e-9
 
+    def test_abs_density_matches_the_oracle(self):
+        # a cusp of f at x1 = 0, written with the expression reader's abs
+        f = compile_expression("(abs(sin(x1/2)) + 1e-3)^-0.8", 3)(list(grid_coordinates(SHAPE)))
+        u, c, least = one_coordinate_solution(f, 3)
+        problem = TorusProblem(gamma=np.eye(3), f=f)
+        assert least > problem.positivity_floor
+        result = solved(problem)
+        assert result.converged
+        assert result.c == pytest.approx(c, rel=1e-10, abs=0.0)
+        assert np.abs(result.u - u).max() <= 1e-9
+
     @pytest.mark.parametrize("a", [16, 17])
     def test_density_below_the_floor_leaves_the_cone(self, a):
         x1, _, _ = grid_coordinates(SHAPE)
@@ -439,12 +470,15 @@ class TestConeExit:
 
     def test_newton_loop_returns_the_cone_exit(self):
         outcome = solver._newton_loop(self.density(), np.zeros(SHAPE))
-        assert len(outcome) == 5 and outcome[-1] == "cone-exit"
+        assert outcome.failure == "cone-exit" and outcome.steps >= 1
+        # the loop went on stepping: its alpha is rebuilt from the tested field
+        assert outcome.alpha is None and outcome.tested is not None
 
     def test_initial_iterate_outside_the_cone(self):
         x1, _, _ = grid_coordinates(SHAPE)
         outcome = solver._newton_loop(self.density(), 10.0 * np.cos(x1))
-        assert outcome[2:] == ([], 0, "cone-exit")
+        assert (outcome.history, outcome.steps, outcome.failure) == ([], 0, "cone-exit")
+        assert outcome.tested is outcome.u and outcome.alpha is None
 
     def test_failure_carries_the_levels(self):
         problem = self.density()
@@ -461,6 +495,25 @@ class TestConeExit:
         assert np.abs(residual(problem, result.u, math.log(result.c))).max() == pytest.approx(
             result.final_residual, rel=1e-6
         )
+
+    def test_margin_is_that_of_the_tested_iterate(self):
+        # min_alpha_eig is read from the alpha that passed the floor, not
+        # from one rebuilt from the sup-shifted u
+        problem = self.density()
+        result = newton_solve(problem)
+        assert result.failure == "cone-exit" and result.iterations >= 1
+        assert result.min_alpha_eig >= problem.positivity_floor
+
+    def test_every_tested_iterate_reports_its_floor(self, solve_suite):
+        # for a loop that accepted an iterate, the reported least eigenvalue
+        # clears the floor up to the rounding of a Cholesky test
+        x1, _, _ = grid_coordinates(SHAPE)
+        cone_exits = [TorusProblem(gamma=np.eye(3), f=np.exp(a * np.cos(x1))) for a in (16, 17, 17.2, 40)]
+        for problem, result in solve_suite + [(p, newton_solve(p)) for p in cone_exits]:
+            assert result.failure in (None, "cone-exit") and result.residual_history
+            magnitude = np.abs(alpha_field(problem, result.u)).max()
+            slack = pointwise.ROUNDING * problem.n**3 * np.finfo(float).eps * magnitude
+            assert result.min_alpha_eig >= problem.positivity_floor - slack
 
     def test_failure_after_an_abandoned_start(self):
         x1, _, _ = grid_coordinates(SHAPE)

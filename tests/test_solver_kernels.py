@@ -5,7 +5,7 @@ factorization, and takes ``log det alpha`` and the linearization tensor from
 the Cholesky factor of alpha (the latter through its inverse).  These
 properties pin each kernel to the eigenvalue/inverse formula it replaces, on
 matrix fields that include least eigenvalues just above and just below the
-floor.  The batched spectral derivatives are pinned to per-block transforms,
+floor.  The spectral derivatives are pinned to per-block transforms,
 the one-pass GMRES operator to the reference linearization, the certified
 eigenvalue extremes to the full-grid ``eigvalsh`` values, the in-place
 Gershgorin enclosure to its whole-field formula and to the eigenvalues it
@@ -210,31 +210,62 @@ def loop_problem(n, size, amplitude):
 def test_newton_loop_makes_no_lapack_calls(monkeypatch, n):
     problem = loop_problem(n, 8, 0.3)
     calls = count_linalg_calls(monkeypatch)
-    *_, iterations, failure = _newton_loop(problem, np.zeros(problem.shape))
-    assert failure is None and iterations >= 3
+    outcome = _newton_loop(problem, np.zeros(problem.shape))
+    assert outcome.failure is None and outcome.steps >= 3
     # the Krylov residual check goes through the counters: they are live
     assert calls["norm"] > 0
     assert not any(calls[name] for name in LAPACK), dict(calls)
 
 
 @pytest.mark.parametrize("n, size", [(3, 16), (4, 12)])
-def test_newton_loop_factors_each_iterate_twice(monkeypatch, n, size):
-    # alpha - floor I for the cone test and alpha for log det and theta:
-    # the linearization tensor reuses the factor of the accepted iterate
+def test_newton_loop_factors_each_iterate_once(monkeypatch, n, size):
+    # alpha is factored once for log det, theta and the cone test; alpha -
+    # floor I is factored only on the points the bound leaves open, which
+    # on these problems are none
     problem = loop_problem(n, size, 0.6)
-    calls = Counter()
-    for name in ("alpha_field", "field_cholesky"):
-        original = getattr(solver, name)
+    calls, open_points = Counter(), []
+    original_alpha, original_cholesky = solver.alpha_field, solver.field_cholesky
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted_alpha(*args):
+        calls["alpha_field"] += 1
+        return original_alpha(*args)
 
-        monkeypatch.setattr(solver, name, counted)
-    *_, iterations, failure = _newton_loop(problem, np.zeros(problem.shape))
-    assert failure is None and iterations >= 3
-    assert calls["alpha_field"] >= iterations + 1
-    assert calls["field_cholesky"] == 2 * calls["alpha_field"], dict(calls)
+    def counted_cholesky(a, shift=0.0):
+        if shift:
+            open_points.append(a[0, 0].size)
+        else:
+            calls["field_cholesky"] += 1
+        return original_cholesky(a, shift)
+
+    monkeypatch.setattr(solver, "alpha_field", counted_alpha)
+    monkeypatch.setattr(solver, "field_cholesky", counted_cholesky)
+    outcome = _newton_loop(problem, np.zeros(problem.shape))
+    assert outcome.failure is None and outcome.steps >= 3
+    assert calls["alpha_field"] >= outcome.steps + 1
+    assert calls["field_cholesky"] == calls["alpha_field"], dict(calls)
+    assert open_points == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    floor=st.sampled_from([1e-6, 1e-3, 0.1, 0.5]),
+    kinds=st.lists(st.sampled_from(KINDS[:3]), min_size=1, max_size=6),
+)
+def test_floor_bound_clears_only_points_above_the_floor(n, seed, floor, kinds):
+    # positive definite fields: every cleared point lies above the floor,
+    # and the bound clears c I, c = 2 n^(n-1) floor, at twice the floor
+    alpha = matrix_field(seed, n, floor, kinds, (floor / 2, 3.0))
+    alpha = np.concatenate([alpha, [2.0 * n ** (n - 1) * floor * np.eye(n)]])
+    a = component_major(alpha)
+    factor, ok = pointwise.field_cholesky(a)
+    assert np.all(ok)
+    cleared = solver._clears_floor(a, factor, floor)
+    assert np.all(np.linalg.eigvalsh(alpha)[cleared, 0] > floor)
+    assert cleared[-1]
+    # points 1e-3 above the floor are left to the exact test
+    assert not np.any(cleared[:-1][np.array(kinds) == "above"])
 
 
 def component_major(m):
@@ -347,11 +378,8 @@ def count_eigvalsh_points(monkeypatch):
     return points
 
 
-def test_diagnostics_take_one_hessian_and_few_eigenvalues(monkeypatch, manufactured_solve):
-    problem, _, result = manufactured_solve
-    u = result.u
-    full_hess = float(np.abs(np.linalg.eigvalsh(complex_hessian(u))).max())
-    full_alpha = float(np.linalg.eigvalsh(solver.alpha_field(problem, u))[..., 0].min())
+def count_hessians(monkeypatch):
+    """Wrap the solver's complex_hessian to count its calls."""
     hessians = Counter()
     original = solver.complex_hessian
 
@@ -360,14 +388,83 @@ def test_diagnostics_take_one_hessian_and_few_eigenvalues(monkeypatch, manufactu
         return original(v)
 
     monkeypatch.setattr(solver, "complex_hessian", counted)
+    return hessians
+
+
+def hessian_of_alpha(problem, alpha):
+    """``(tr A) I - (n - 1) A``, ``A = alpha - Gamma``, for a grid-major
+    alpha, in the operation order of the solver's map."""
+    n = problem.n
+    a = alpha - problem.gamma
+    tr = sum(a[..., i, i] for i in range(n))
+    h = a * -(n - 1)
+    for i in range(n):
+        h[..., i, i] = tr - (n - 1) * a[..., i, i]
+    return h
+
+
+def test_solve_diagnostics_read_the_loop_alpha(monkeypatch):
+    problem, _ = manufactured_problem(0.4, (32, 32, 32))
+    hessians = count_hessians(monkeypatch)
+    after_loop, outcomes = [], []
+    loop = solver._newton_loop
+
+    def recorded(*args):
+        outcomes.append(loop(*args))
+        after_loop.append(hessians["calls"])
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver, "_newton_loop", recorded)
+    result = newton_solve(problem)
+    assert result.converged
+    # the diagnostics read the last loop's alpha: no Hessian after it
+    assert hessians["calls"] == after_loop[-1]
+    # the diagnostics are those of the Hessian and alpha of the field the
+    # last loop tested, up to the rounding of alpha; result.u is that field
+    # shifted to sup u = 0, a shift that rounds u at 1e-16, which the
+    # Hessian amplifies to about 1e-13 of hess_sup on this grid
+    for u, rel in ((outcomes[-1].tested, 1e-13), (result.u, 1e-12)):
+        full_hess = float(np.abs(np.linalg.eigvalsh(complex_hessian(u))).max())
+        full_alpha = float(np.linalg.eigvalsh(solver.alpha_field(problem, u))[..., 0].min())
+        assert result.hess_sup == pytest.approx(full_hess, rel=rel, abs=0)
+        assert result.min_alpha_eig == pytest.approx(full_alpha, rel=rel, abs=0)
+
+
+def test_diagnostics_are_the_eigenvalues_of_the_alpha_handed_in(monkeypatch, manufactured_solve):
+    problem, _, result = manufactured_solve
+    u = result.u
+    alpha = solver.alpha_field(problem, u)
+    expected_alpha = float(np.linalg.eigvalsh(alpha)[..., 0].min())
+    expected_hess = float(np.abs(np.linalg.eigvalsh(hessian_of_alpha(problem, alpha))).max())
+    hessians = count_hessians(monkeypatch)
     points = count_eigvalsh_points(monkeypatch)
-    redone = diagnostics(problem, result)
-    assert hessians["calls"] == 1
-    assert redone.hess_sup == full_hess == result.hess_sup
-    assert redone.min_alpha_eig == full_alpha == result.min_alpha_eig
+    handed = diagnostics(problem, result, alpha.copy())
+    assert hessians["calls"] == 0
+    assert handed.min_alpha_eig == expected_alpha
+    assert handed.hess_sup == expected_hess
     # a probe and a candidate set per extreme, far fewer points than the grid
     assert len(points) == 4
     assert sum(points) <= 0.05 * u.size
+    # standalone, alpha is built from result.u: one Hessian, the same values
+    standalone = diagnostics(problem, result)
+    assert hessians["calls"] == 1
+    assert (standalone.min_alpha_eig, standalone.hess_sup) == (expected_alpha, expected_hess)
+    assert standalone.grad_sup == handed.grad_sup == result.grad_sup
+
+
+def test_hessian_from_a_large_background_meets_its_rounding_model():
+    # Gamma = 1e3 I rounds alpha at 1e3 times the Hessian's scale; the
+    # recovered Hessian errs by at most ROUNDING n^2 eps times that
+    shape, n = (16, 16, 16), 3
+    u = random_band_limited(np.random.default_rng(5), shape, max_mode=3, amplitude=0.5)
+    problem = TorusProblem(gamma=1e3 * np.eye(n), f=np.ones(shape))
+    alpha = solver.alpha_field(problem, u)
+    scale = max(np.abs(alpha).max(), 1e3)
+    exact = float(np.abs(np.linalg.eigvalsh(complex_hessian(u))).max())
+    result = solver.SolveResult(u=u, c=1.0, residual_history=(0.0,), iterations=0)
+    hess_sup = diagnostics(problem, result, alpha).hess_sup
+    assert abs(hess_sup - exact) <= pointwise.ROUNDING * n**2 * np.finfo(float).eps * scale
+    assert exact > 0.1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

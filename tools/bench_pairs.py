@@ -8,7 +8,10 @@ seed ``--seed + i``), each run in its own process tree, alternating which side
 goes first: the parent in even pairs, the change in odd ones.  The final JSON
 line of each run gives its end-to-end metrics.  The record keeps, for each
 metric of the change's ``BENCHMARK.json`` and each side, every run, the median
-and the quartiles, and counts the pairs in which the change was better.
+and the quartiles, and counts the pairs in which the change was better.  It
+states two verdicts per metric: ``within_bound``, the change's median inside
+the metric's bound from the parent's, and ``gain_shown``, a win in at least 9
+of 10 pairs by a median margin wider than the parent's interquartile range.
 
 ``--trace`` adds one ``--trace 1`` run per side, recording its per-layer
 metrics and the self time of every span.  ``--quick`` is a smoke run: two
@@ -54,21 +57,34 @@ def summary(values):
 
 
 def compare(runs, metrics):
-    """Per metric: each side's runs and quartiles, and the pairs the change won."""
+    """Per metric: each side's runs and quartiles, the pairs the change won,
+    and two verdicts.  ``within_bound``: the change's median is at most
+    ``1 + bound`` times the parent's (at least ``1 - bound`` times it for a
+    higher-is-better metric), with the metric's bound from
+    ``BENCHMARK.json``.  ``gain_shown``: the change won at least 9 in 10
+    pairs and its median is better than the parent's by more than the
+    parent's interquartile range.  Verdicts use the unrounded values."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        pairs = len(values["parent"])
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        q25, parent_median, q75 = statistics.quantiles(values["parent"], n=4)
+        change_median = statistics.quantiles(values["change"], n=4)[1]
+        gain = parent_median - change_median if lower else change_median - parent_median
+        limit = parent_median * (1 + metric["bound"] if lower else 1 - metric["bound"])
         parent, change = summary(values["parent"]), summary(values["change"])
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "parent": parent,
             "change": change,
-            "change_better_in_pairs": f"{wins}/{len(values['parent'])}",
-            "parent_iqr": round(parent["q75"] - parent["q25"], 4),
+            "change_better_in_pairs": f"{wins}/{pairs}",
+            "parent_iqr": round(q75 - q25, 4),
             "median_change_rel": round(change["median"] / parent["median"] - 1, 4),
+            "within_bound": change_median <= limit if lower else change_median >= limit,
+            "gain_shown": 10 * wins >= 9 * pairs and gain > q75 - q25,
         }
     return out
 
