@@ -10,6 +10,9 @@ A problem config has sections::
     [density]   expression = <expr>   or   file = <path>
     [bounds]    c_beta_omega = ...  budget = ...
 
+Each field takes one source: a section that gives two (``e11`` and
+``expression``, say) is rejected, not read in part.
+
 A family config adds ``[family] t_values = 0,0.1,...`` plus endpoint sections
 ``[beta1]`` and ``[density1]``; the fiber at t interpolates the metric
 affinely and the density log-affinely.  All invariants of the target objects
@@ -101,8 +104,15 @@ def _grid_field(section, path, shape):
     return data
 
 
+def _one_source(section, keys):
+    """Reject a field given by more than one of the source ``keys`` found."""
+    if len(keys) > 1:
+        raise ConfigError(f"config.parse_config: [{section}]: {', '.join(keys)} each give the field; keep one")
+
+
 def _field_from_section(parser, section, n, shape, coords):
     """A scalar field from an expression or a raw field file."""
+    _one_source(section, [key for key in ("expression", "file") if parser.has_option(section, key)])
     if parser.has_option(section, "expression"):
         text = parser.get(section, "expression")
         with _labelled(f"[{section}] expression"):
@@ -117,10 +127,10 @@ def _metric_from_section(parser, section, n, shape, coords):
     (the diagonal entries of a multiple of the identity) or per-entry raw
     files; entries free of x1..xn give one ``(n, n)`` matrix."""
     options = parser.options(section) if parser.has_section(section) else []
+    entry_keys = [key for key in options if key.startswith("e") and key[1:].isdigit()]
+    _one_source(section, entry_keys[:1] + [key for key in ("expression", "file") if key in options])
     entries = {}
-    for key in options:
-        if not (key.startswith("e") and key[1:].isdigit()):
-            continue
+    for key in entry_keys:
         digits = key[1:]
         if len(digits) != 2:
             raise ConfigError(f"config.parse_config: [{section}] {key}: want eIJ with 1 <= I,J <= {n}")
@@ -131,7 +141,7 @@ def _metric_from_section(parser, section, n, shape, coords):
             )
         with _labelled(f"[{section}] {key}"):
             entries[i, j] = compile_expression(parser.get(section, key), n)
-    if not entries and "expression" in options:
+    if "expression" in options:
         with _labelled(f"[{section}] expression"):
             scalar = compile_expression(parser.get(section, "expression"), n)
         entries = {(i, i): scalar for i in range(n)}

@@ -1,15 +1,27 @@
-"""Minimal arithmetic expression parser for config-defined fields.
+"""Minimal arithmetic expression reader for config-defined fields.
 
-Supports ``+ - * / ^`` (power is right-associative), unary minus, parentheses,
-the functions sin, cos, exp, log and abs, the constants pi and e, and the
-coordinate names x1..xd.  Deliberately no eval(), no attribute access, no
+The grammar is ``+ - * / ^`` (power is right-associative and binds tighter
+than unary minus, so ``-2^2`` is -4 and ``2^-1`` is 0.5), unary minus,
+parentheses, decimal numbers (``7``, ``0.5``, ``.5``, ``1.5e-3``), the
+one-argument functions sin, cos, exp, log and abs, the constants pi and e,
+and the coordinate names x1..xd.  The text is ASCII: digits 0-9, letters,
+``_``, ``.``, the operators, parentheses and ASCII whitespace; any other
+character is rejected with its position.
+
+Python's own parser reads the text, with ``^`` read as ``**``, since its
+arithmetic has the same precedence and associativity; only the syntax
+tree nodes of the grammar are accepted, and each becomes a closure over
+numpy floats.  Deliberately no eval(), no attribute access, no
 comparisons: configs stay data.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -17,124 +29,69 @@ from .errors import ConfigError
 
 __all__ = ["compile_expression"]
 
-_TOKEN = re.compile(
-    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
-_BLANKS = re.compile(r"\s*")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_BAD_CHARACTER = re.compile(r"[^0-9A-Za-z_.+\-*/^() \t\n\r\f\v]")
+# an integer (not the exponent of 1e+5) is read as a float literal, 7 as 7.,
+# since Python refuses leading zeros (007) and integers of over 4300 digits
+_INTEGER = re.compile(r"(?<![\w.])(?<![0-9.][eE][+-])[0-9]+(?![\w.])")
 
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "abs": np.abs}
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
-def _tokenize(text):
-    # blanks are skipped before a token is matched, so a failed match
-    # reports the offending character at its own position
-    pos, out = _BLANKS.match(text).end(), []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise ConfigError(
-                f"expressions: unexpected character {text[pos]!r} at position {pos}"
-            )
-        pos = _BLANKS.match(text, match.end()).end()
-        if match.lastgroup == "num":
-            out.append(("num", np.float64(match.group("num"))))
-        elif match.lastgroup == "name":
-            out.append(("name", match.group("name")))
-        else:
-            out.append(("op", match.group("op")))
-    out.append(("end", None))
-    return out
+def _parse(text):
+    """``(source, tree)``: the text as Python reads it, and its syntax tree."""
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise ConfigError(f"expressions: unexpected character {bad.group()!r} at position {bad.start()}")
+    if "**" in text:
+        raise ConfigError("expressions: unexpected '**' (the power operator is '^')")
+    # one line without leading blanks, so continuation lines parse
+    source = _INTEGER.sub(r"\g<0>.", " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            # Python warns of text such as "1if", which is then an error
+            warnings.simplefilter("error", SyntaxWarning)
+            return source, ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        if exc.msg == "too many nested parentheses":
+            raise ConfigError("expressions: expression nested too deeply to parse") from None
+        raise ConfigError(f"expressions: cannot parse ({exc.msg})") from None
 
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-        self.used = set()
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ConfigError(f"expressions: expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ConfigError(f"expressions: expected {value!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"expressions: trailing input from {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b: (lambda env: a(env) + b(env)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda env: a(env) - b(env)))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.factor()
-            node = (lambda a, b: (lambda env: a(env) * b(env)))(node, rhs) if op == "*" \
-                else (lambda a, b: (lambda env: a(env) / b(env)))(node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds looser than the power operator: -2^2 == -(2^2)
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.factor()
-            return lambda env: -inner(env)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            rhs = self.factor()  # right-associative, sign allowed in exponent
-            return (lambda a, b: (lambda env: a(env) ** b(env)))(node, rhs)
-        return node
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return lambda env, v=value: v
-        if kind == "name":
-            self.take()
-            if self.peek() == ("op", "("):
-                fn = _FUNCTIONS.get(value)
-                if fn is None:
-                    raise ConfigError(f"expressions: unknown function {value!r}")
-                self.take("op", "(")
-                inner = self.expr()
-                self.take("op", ")")
-                return lambda env, f=fn: f(inner(env))
-            if value in _CONSTANTS:
-                return lambda env, v=_CONSTANTS[value]: v
-            if value in self.variables:
-                self.used.add(value)
-                return lambda env, name=value: env[name]
-            raise ConfigError(f"expressions: unknown name {value!r}")
-        if (kind, value) == ("op", "("):
-            self.take()
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        raise ConfigError(f"expressions: unexpected token {value!r}")
+def _closure(node, source, variables, used):
+    """The callable ``env -> value`` of one accepted node; ``used`` collects
+    the coordinate names it reads."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op = _OPERATORS[type(node.op)]
+        a, b = (_closure(side, source, variables, used) for side in (node.left, node.right))
+        return lambda env: op(a(env), b(env))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _closure(node.operand, source, variables, used)
+        return lambda env: -inner(env)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        fn = _FUNCTIONS.get(node.func.id)
+        if fn is None:
+            raise ConfigError(f"expressions: unknown function {node.func.id!r}")
+        if len(node.args) == 1 and not node.keywords:
+            inner = _closure(node.args[0], source, variables, used)
+            return lambda env: fn(inner(env))
+    if isinstance(node, ast.Name):
+        if node.id in _CONSTANTS:
+            return lambda env, v=_CONSTANTS[node.id]: v
+        if node.id in variables:
+            used.add(node.id)
+            return lambda env, name=node.id: env[name]
+        raise ConfigError(f"expressions: unknown name {node.id!r}")
+    segment = source[node.col_offset:node.end_col_offset]  # one ASCII line
+    # True, 1j, 0x1f and 1_0 are Python constants, not decimal numbers
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        return lambda env, v=np.float64(segment): v
+    raise ConfigError(f"expressions: unexpected {segment!r}")
 
 
 def compile_expression(text, n_vars):
@@ -143,14 +100,16 @@ def compile_expression(text, n_vars):
     The result takes a sequence of coordinate arrays and evaluates with numpy
     broadcasting; a constant expression broadcasts to the coordinates' shape.
     Its ``variables`` attribute is the set of coordinate names the
-    expression reads, empty for a constant.  Parsing and evaluation recurse
+    expression reads, empty for a constant.  Reading and evaluation recurse
     once per operator or parenthesis level, so an expression too deep for
-    the interpreter's recursion limit is a ConfigError.
+    the parser or the interpreter's recursion limit is a ConfigError.
     """
-    parser = _Parser(_tokenize(text), {f"x{i + 1}" for i in range(n_vars)})
+    used = set()
     try:
-        node = parser.parse()
-    except RecursionError:
+        source, tree = _parse(text)
+        node = _closure(tree, source, {f"x{i + 1}" for i in range(n_vars)}, used)
+    except (RecursionError, MemoryError):
+        # Python's parser gives either past about 3000 levels
         raise ConfigError("expressions: expression nested too deeply to parse") from None
 
     def evaluate(coords):
@@ -169,5 +128,5 @@ def compile_expression(text, n_vars):
         shape = np.broadcast_shapes(*(c.shape for c in env.values()))
         return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 
-    evaluate.variables = frozenset(parser.used)
+    evaluate.variables = frozenset(used)
     return evaluate

@@ -83,6 +83,20 @@ e12 = 0.1*sin(x1)
         assert np.allclose(problem.gamma[..., 1, 1], 1.0)
         assert np.allclose(problem.gamma[..., 0, 1], problem.gamma[..., 1, 0])
 
+    @pytest.mark.parametrize(
+        "section, keys",
+        [
+            ("beta", "e11 = 2\nexpression = 5\n"),
+            ("beta", "expression = 5\nfile = {tmp}/g\n"),
+            ("density", "expression = 2\nfile = /nonexistent.n1ma\n"),
+        ],
+        ids=["entries-and-expression", "expression-and-file", "density-expression-and-file"],
+    )
+    def test_two_sources_rejected(self, tmp_path, section, keys):
+        path = write(tmp_path, f"[problem]\ngrid = 8\n[{section}]\n" + keys.format(tmp=tmp_path))
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: .* each give the field"):
+            parse_config(path)
+
     def test_density_file(self, tmp_path):
         data = 1.0 + 0.25 * np.random.default_rng(0).random((16, 16, 16))
         fpath = tmp_path / "f.n1ma"

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from n1ma.config import parse_config
 from n1ma.errors import ConfigError
 from n1ma.expressions import compile_expression
 
@@ -21,6 +25,8 @@ class TestParsing:
     def test_unary_minus(self):
         assert ev("-2^2")[0] == -4.0
         assert ev("3 - -2")[0] == 5.0
+        assert ev("--2")[0] == 2.0
+        assert ev("2^-1")[0] == 0.5
 
     def test_parentheses(self):
         assert ev("(2 + 3) * 4")[0] == 20.0
@@ -38,9 +44,20 @@ class TestParsing:
 
     def test_scientific_notation(self):
         assert ev("1.5e-3 + 2E2")[0] == pytest.approx(200.0015)
+        # leading zeros are plain decimal digits, as in the exponent
+        assert ev("007")[0] == 7.0
+        assert ev("00.5")[0] == 0.5
+        assert ev("1e007")[0] == 1e7
+        assert ev("1/" + "1" * 5000)[0] == 0.0
 
     def test_division(self):
         assert ev("7/2")[0] == 3.5
+
+    def test_continuation_line_value(self, tmp_path):
+        # configparser joins an indented continuation line with a newline
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\ngrid = 8\n[density]\nexpression = 1 +\n 2\n")
+        assert np.all(parse_config(str(path)).f == 3.0)
 
 
 class TestErrors:
@@ -62,13 +79,32 @@ class TestErrors:
 
     def test_bad_character(self):
         # blanks before a bad character are skipped, so the message names it
-        for text, message in (("1 & 2", "'&' at position 2"), ("1 + 0.1*cos(x1) % 2", "'%' at position 16")):
+        for text, message in (
+            ("1 & 2", "'&' at position 2"),
+            ("1 + 0.1*cos(x1) % 2", "'%' at position 16"),
+            # digits and blanks are ASCII only
+            ("\u0661", "'\u0661' at position 0"),
+            ("2\u0663", "'\u0663' at position 1"),
+            ("\u0661e\u0662", "'\u0661' at position 0"),
+            ("x\u0661", "'\u0661' at position 1"),
+            ("1\xa0+ 2", r"'\\xa0' at position 1"),
+        ):
             with pytest.raises(ConfigError, match=f"unexpected character {message}$"):
                 ev(text)
 
     def test_unbalanced_paren(self):
         with pytest.raises(ConfigError):
             ev("sin(x1")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2**3", "7//2", "+1", "1_0", "0x1f", "1j", "True", "None", "x1 if x2 else x3", "not x1",
+         "sin(x1, x2)", "sin()", "(2)(3)", "sin", "pi(2)", "x1.real", "1if 1else 2"],
+    )
+    def test_python_only_syntax_rejected(self, text, recwarn):
+        with pytest.raises(ConfigError):
+            ev(text)
+        assert not recwarn.list
 
 
 class TestGridEvaluation:
@@ -88,3 +124,13 @@ class TestGridEvaluation:
         fn = compile_expression("x1", 2)
         with pytest.raises(ConfigError):
             fn([np.zeros(3)])
+
+
+def test_no_dynamic_code():
+    # configs stay data: the modules that read them never run code
+    src = Path(__file__).resolve().parents[1] / "src" / "n1ma"
+    for name in ("expressions.py", "config.py"):
+        tree = ast.parse((src / name).read_text())
+        found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not found & {"eval", "exec", "compile", "__import__"}, name
+
