@@ -17,6 +17,11 @@ A family config adds ``[family] t_values = 0,0.1,...`` plus endpoint sections
 ``[beta1]`` and ``[density1]``; the fiber at t interpolates the metric
 affinely and the density log-affinely.  All invariants of the target objects
 are validated eagerly; failures raise ConfigError naming section and key.
+
+``[solver] epsilon`` is the positivity floor of every solve and every fiber.
+It must lie below the least eigenvalues of ``[beta]`` and ``[beta1]``, so a
+family whose epsilon lies between them is rejected.  Without it, a problem's
+floor is 1e-6 times its metric's least eigenvalue.
 """
 
 from __future__ import annotations
@@ -173,22 +178,17 @@ def _check_positive(values, label):
         raise ConfigError(f"config.parse_config: {label} must be finite and strictly positive")
 
 
-def _options(parser, min_eig):
-    """Solver options; ``min_eig`` is the least eigenvalue of the metric
-    that the ``epsilon`` floor is relative to."""
-    kwargs = dict(
-        tolerance=_number(parser, "solver", "tol", float, 1e-10),
-        max_iterations=_number(parser, "solver", "max_iter", int, 50),
-    )
+def _options(parser):
+    """Solver options; ``epsilon`` is the positivity floor as stated."""
     floor = _number(parser, "solver", "epsilon", float, None)
-    if floor is not None:
-        if not 0 < floor < min_eig:
-            raise ConfigError(
-                "config.parse_config: [solver] epsilon: floor must lie in (0, min eig of beta)"
-            )
-        kwargs["positivity_scale"] = floor / min_eig
+    if floor is not None and not 0 < floor < np.inf:
+        raise ConfigError("config.parse_config: [solver] epsilon: floor must be finite and positive")
     with _labelled("[solver]"):
-        return SolverOptions(**kwargs)
+        return SolverOptions(
+            tolerance=_number(parser, "solver", "tol", float, 1e-10),
+            max_iterations=_number(parser, "solver", "max_iter", int, 50),
+            positivity_floor=floor,
+        )
 
 
 def _bounds(parser):
@@ -198,7 +198,7 @@ def _bounds(parser):
         return DeclaredBounds(c_beta_omega=c, uniformity_budget=budget)
 
 
-def _problem(parser, beta, density, coords, default_f):
+def _problem(parser, beta, density, coords, default_f, options):
     """The validated TorusProblem of one metric section and one density
     section; a single problem and both family endpoints are built here."""
     n, shape = len(coords), coords[0].shape
@@ -208,7 +208,11 @@ def _problem(parser, beta, density, coords, default_f):
         f = default_f
     _check_positive(f, f"[{density}]: density")
     with _labelled(f"[{beta}]"):
-        return TorusProblem(gamma=gamma, f=f)
+        problem = TorusProblem(gamma=gamma, f=f, options=options)
+    floor, least = options.positivity_floor, problem.gamma_eig_range[0]
+    if floor is not None and not floor < least:
+        raise ConfigError(f"config.parse_config: [solver] epsilon: not below the least eigenvalue of [{beta}]")
+    return problem
 
 
 def parse_config(path):
@@ -216,8 +220,8 @@ def parse_config(path):
     parser = _read(path)
     coords = _coordinates(parser)
     bounds = _bounds(parser)
-    start = _problem(parser, "beta", "density", coords, np.ones(coords[0].shape))
-    start = start.with_options(_options(parser, start.gamma_eig_range[0]))
+    options = _options(parser)
+    start = _problem(parser, "beta", "density", coords, np.ones(coords[0].shape), options)
 
     if not parser.has_section("family"):
         with _labelled("[bounds]"):
@@ -225,6 +229,6 @@ def parse_config(path):
         return start
 
     t_grid = _number(parser, "family", "t_values", float, (0, 0.1, 0.2, 0.3, 0.4, 0.5), many=True)
-    end = _problem(parser, "beta1", "density1", coords, start.f)
+    end = _problem(parser, "beta1", "density1", coords, start.f, options)
     with _labelled("[family]"):
         return FamilySpec(start=start, end=end, t_grid=t_grid, bounds=bounds)

@@ -29,7 +29,6 @@ from .pointwise import ROUNDING, certified_max, field_cholesky, lower_inverse
 __all__ = [
     "hat_transform",
     "sigma_k",
-    "elementary_symmetric",
     "is_psh",
     "is_m_subharmonic",
     "is_n1_psh",
@@ -43,16 +42,11 @@ __all__ = [
 ]
 
 
-def _as_spectra(lam, min_n=3):
+def _as_spectra(lam):
     """Validate and return an array of spectra along the last axis."""
     arr = np.asarray(lam, dtype=float)
-    if arr.ndim == 0:
-        raise DomainError("eigencone: a spectrum needs at least %d entries" % min_n)
-    n = arr.shape[-1]
-    if n < min_n:
-        raise DomainError(
-            f"eigencone: spectrum has {n} entries, need at least {min_n}"
-        )
+    if arr.ndim == 0 or arr.shape[-1] < 3:
+        raise DomainError(f"eigencone: a spectrum needs at least 3 entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("eigencone: spectrum entries must be finite")
     return arr
@@ -83,16 +77,6 @@ def _elementary_symmetric(arr, degree):
     return out
 
 
-def elementary_symmetric(lam):
-    """All elementary symmetric polynomials e_0..e_n of the last axis.
-
-    Returns an array of shape ``lam.shape[:-1] + (n+1,)`` with ``[..., k]``
-    equal to e_k.  Computed by the stable product recurrence.
-    """
-    arr = _as_spectra(lam, min_n=1)
-    return _elementary_symmetric(arr, arr.shape[-1])
-
-
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial e_k(lam), 1 <= k <= n."""
     arr = _as_spectra(lam)
@@ -102,10 +86,9 @@ def sigma_k(lam, k):
     return _elementary_symmetric(arr, int(k))[..., int(k)]
 
 
-def is_psh(lam, tolerance=0.0):
-    """Membership in the plurisubharmonic cone: min lam_i >= -tolerance."""
-    arr = _as_spectra(lam)
-    return arr.min(axis=-1) >= -tolerance
+def is_psh(lam):
+    """Membership in the plurisubharmonic cone: min lam_i >= 0."""
+    return _as_spectra(lam).min(axis=-1) >= 0.0
 
 
 def is_m_subharmonic(lam, m, tolerance=0.0):
@@ -129,10 +112,10 @@ def is_quasi_n1_psh(lam, gamma, tolerance=0.0):
     """
     arr = _as_spectra(lam)
     g = np.asarray(gamma, dtype=float)
-    if g.shape[-1] != arr.shape[-1]:
+    if g.shape[-1:] != arr.shape[-1:]:
         raise DomainError("eigencone.is_quasi_n1_psh: gamma/spectrum size mismatch")
-    if np.any(g <= 0):
-        raise DomainError("eigencone.is_quasi_n1_psh: gamma entries must be positive")
+    if not (np.all(np.isfinite(g)) and np.all(g > 0)):
+        raise DomainError("eigencone.is_quasi_n1_psh: gamma entries must be finite and positive")
     n = arr.shape[-1]
     return (hat_transform(arr) >= -(n - 1) * g - tolerance).all(axis=-1)
 
@@ -163,9 +146,9 @@ def psh_product_gap(lam):
 # ---------------------------------------------------------------------------
 
 
-def sample_spectra(rng, count, n, low=-3.0, high=3.0):
-    """Uniform random spectra of shape (count, n)."""
-    return rng.uniform(low, high, size=(count, n))
+def sample_spectra(rng, count, n):
+    """Uniform random spectra on [-3, 3) of shape (count, n)."""
+    return rng.uniform(-3.0, 3.0, size=(count, n))
 
 
 # Samples per chunk of the per-sample work of the cone-point sampling and the
@@ -201,9 +184,10 @@ def _random_gram(rng, count, n):
     return out
 
 
-def _random_hpd(rng, count, n, ridge=0.2):
+def _random_hpd(rng, count, n):
+    """A random Gram stack plus 0.2 I, so every matrix is positive definite."""
     out = _random_gram(rng, count, n)
-    out += ridge * np.eye(n)
+    out += 0.2 * np.eye(n)
     return out
 
 

@@ -50,8 +50,8 @@ class RadialProfile:
     """A profile chi with explicit first and second derivatives.
 
     The three callables must be mutually consistent; construction checks
-    chi1 and chi2 against centered finite differences of chi on sample
-    points of the domain (order h^2, verified at two step sizes).
+    chi1 and chi2 against centered finite differences of chi at the one step
+    size ``h = 1e-4 (hi - lo)`` (order h^2) on 11 points of the domain.
     """
 
     chi: callable
@@ -81,10 +81,10 @@ class RadialProfile:
                     f"RadialProfile({self.description!r}): chi2 inconsistent with chi at t={t:.4g}"
                 )
 
-    def radii(self, n, count=10, margin=0.02):
-        """Radii whose potential values cover the interior of the domain."""
+    def radii(self, n, count=10):
+        """Radii whose potential values cover the domain less 2% at each end."""
         lo, hi = self.domain
-        ts = np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), count)
+        ts = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), count)
         return (-ts) ** (-1.0 / (2 * (n - 2)))
 
 
@@ -201,7 +201,7 @@ class ThresholdReport:
         return [lvl.increment for lvl in self.levels]
 
 
-def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
+def integral_threshold(spec, refinement_levels=12):
     """Convergence experiment for the shell integral of ``f (log f)^p``.
 
     Levels push the inner cutoff toward the origin by doubling the
@@ -213,8 +213,8 @@ def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
 
     Verdicts: "divergent" when a window overflowed, which the integrand can
     do only for p > n - 1; else "convergent" when the last increment falls
-    below ``increment_floor``; "divergent" when the last three increments
-    each exceed 1e-3 times the first; otherwise "inconclusive".
+    below 1e-6; "divergent" when the last three increments each exceed 1e-3
+    times the first; otherwise "inconclusive".
     """
     if refinement_levels < 3:
         raise DomainError("radial.integral_threshold: need at least 3 levels")
@@ -249,7 +249,7 @@ def integral_threshold(spec, refinement_levels=12, increment_floor=1e-6):
     verdict = "inconclusive"
     if partial == math.inf:  # a window overflowed
         verdict = "divergent"
-    elif incs[-1] < increment_floor:
+    elif incs[-1] < 1e-6:
         verdict = "convergent"
     elif all(i > 1e-3 * first for i in incs[-3:]):
         verdict = "divergent"

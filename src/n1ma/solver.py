@@ -124,23 +124,30 @@ _FORCING_CAP = 1e-4
 _KRYLOV_MAXITER = 200
 # Step halvings of the line search.
 _MAX_BACKTRACKS = 40
+# The floor of options that state none, times the least eigenvalue of Gamma.
+_FLOOR_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``positivity_floor`` floors the eigenvalues of alpha; None means 1e-6
+    (``_FLOOR_SCALE``) times the least eigenvalue of Gamma."""
+
     tolerance: float = 1e-10
     max_iterations: int = 50
-    positivity_scale: float = 1e-6  # floor = scale * min eigenvalue of Gamma
+    positivity_floor: float | None = None
 
     def __post_init__(self):
         # each test states the valid range, so that NaN, which fails every
-        # comparison, is rejected too
-        for name in ("tolerance", "positivity_scale"):
+        # comparison, is rejected too, and a non-number is never compared
+        for name in ("tolerance", "positivity_floor"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise DomainError(f"SolverOptions: {name} must be finite and positive, got {value}")
-        if not self.max_iterations >= 1:
-            raise DomainError(f"SolverOptions: max_iterations must be at least 1, got {self.max_iterations}")
+            valid = isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf
+            if not (valid or name == "positivity_floor" and value is None):
+                raise DomainError(f"SolverOptions: {name} must be finite and positive, not {value!r}")
+        count = self.max_iterations
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise DomainError(f"SolverOptions: max_iterations must be an integer >= 1, not {count!r}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,8 @@ class TorusProblem:
 
     @property
     def positivity_floor(self):
-        return self.options.positivity_scale * self._min_gamma_eig
+        floor = self.options.positivity_floor
+        return _FLOOR_SCALE * self._min_gamma_eig if floor is None else floor
 
     @property
     def gamma_eig_range(self):
@@ -213,9 +221,6 @@ class TorusProblem:
         if f.shape != self.shape:
             raise DomainError(f"TorusProblem: density shape {f.shape}, expected {self.shape}")
         return self._evolve(f=f)
-
-    def with_options(self, options):
-        return self._evolve(options=options)
 
     def _evolve(self, **changes):
         """A copy with ``changes`` applied; the validated gamma and its
@@ -768,7 +773,7 @@ def diagnostics(problem, result, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def manufactured_problem(amplitude=0.4, shape=(32, 32, 32), options=None):
+def manufactured_problem(amplitude=0.4, shape=(32, 32, 32)):
     """Forward-map fixture: density generated from a known solution.
 
     Returns ``(problem, u_star)`` where ``u_star = a (cos x1 + cos x2 cos x3)``
@@ -780,7 +785,7 @@ def manufactured_problem(amplitude=0.4, shape=(32, 32, 32), options=None):
         raise DomainError("solver.manufactured_problem: fixture is three-dimensional")
     x1, x2, x3 = grid_coordinates(shape)
     u_star = amplitude * (np.cos(x1) + np.cos(x2) * np.cos(x3))
-    base = TorusProblem(gamma=np.eye(3), f=np.ones(shape), options=options or SolverOptions())
+    base = TorusProblem(gamma=np.eye(3), f=np.ones(shape))
     alpha = alpha_field(base, u_star)
     eigs = np.linalg.eigvalsh(alpha)
     if eigs[..., 0].min() < 0.2:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from n1ma import solver
+from n1ma.cli import main
 from n1ma.config import parse_config
 from n1ma.errors import ConfigError
 from n1ma.grid import grid_coordinates, write_field
@@ -218,16 +219,21 @@ grid = 16
 epsilon = 1e-4
 """)
         problem = parse_config(path)
-        assert problem.positivity_floor == pytest.approx(1e-4, rel=1e-12)
+        assert problem.positivity_floor == 1e-4
 
-    def test_bad_epsilon_rejected(self, tmp_path):
-        path = write(tmp_path, """
+    def test_epsilon_is_the_floor_as_stated(self, tmp_path):
+        path = write(tmp_path, "[problem]\ngrid = 8\n[solver]\nepsilon = 1e-7\n[beta]\nexpression = 0.7\n")
+        assert parse_config(path).positivity_floor == 1e-7
+
+    @pytest.mark.parametrize("epsilon", ["2.0", "1.0", "0", "-1", "nan", "inf"])
+    def test_bad_epsilon_rejected(self, tmp_path, epsilon):
+        path = write(tmp_path, f"""
 [problem]
 grid = 16
 [solver]
-epsilon = 2.0
+epsilon = {epsilon}
 """)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[solver\] epsilon"):
             parse_config(path)
 
     def test_missing_file(self):
@@ -271,6 +277,38 @@ c_beta_omega = 3
         assert spec.t_grid == (0.0, 0.25, 0.5)
         fiber = spec.fiber(0.5)
         assert fiber.gamma[..., 0, 0].max() == pytest.approx(1.2)
+
+    # start Gamma = I; end least eigenvalue 0.5
+    FLOOR_FAMILY = """
+[problem]
+grid = 8
+[solver]
+{solver}
+[family]
+t_values = 0, 0.25, 0.5
+[beta1]
+e11 = 1.5 + 0.1*cos(x1)
+e22 = 1
+e33 = 0.5
+"""
+
+    def test_epsilon_is_every_fiber_floor(self, tmp_path):
+        spec = parse_config(write(tmp_path, self.FLOOR_FAMILY.format(solver="epsilon = 1e-4")))
+        assert [spec.fiber(t).positivity_floor for t in spec.t_grid] == [1e-4] * 3
+
+    def test_default_floor_follows_each_fiber(self, tmp_path):
+        spec = parse_config(write(tmp_path, self.FLOOR_FAMILY.format(solver="")))
+        for t in spec.t_grid:
+            fiber = spec.fiber(t)
+            assert fiber.positivity_floor == 1e-6 * fiber.gamma_eig_range[0]
+        assert spec.fiber(0.5).positivity_floor == 1e-6 * 0.75
+
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.7"])
+    def test_epsilon_must_lie_below_the_end_metric(self, tmp_path, capsys, epsilon):
+        path = write(tmp_path, self.FLOOR_FAMILY.format(solver=f"epsilon = {epsilon}"))
+        assert main(["family", "-c", path, "-o", str(tmp_path / "out")]) == 5
+        assert "[solver] epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_family_parameter_validation(self, tmp_path):
         path = write(tmp_path, self.FAMILY.replace("0, 0.25, 0.5", "0, 0.8"))

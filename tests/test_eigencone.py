@@ -11,7 +11,6 @@ from n1ma.eigencone import (
     _elementary_symmetric,
     amgm_trace_gap_batch,
     amgm_trace_gap_min,
-    elementary_symmetric,
     hat_transform,
     is_m_subharmonic,
     is_n1_psh,
@@ -122,7 +121,7 @@ class TestSigma:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_truncated_table_is_bitwise_the_full_one(self, n):
         lam = np.random.default_rng(n).uniform(-3, 3, size=(500, n))
-        full = elementary_symmetric(lam)
+        full = _elementary_symmetric(lam, n)
         for m in range(1, n + 1):
             assert np.array_equal(_elementary_symmetric(lam, m), full[:, : m + 1])
 
@@ -173,6 +172,15 @@ class TestConeMembership:
         gamma = inv_c + rng.uniform(0.0, 3.0, size=(50000, 4))
         base = is_quasi_n1_psh(lam, np.broadcast_to(inv_c, lam.shape))
         assert is_quasi_n1_psh(lam[base], gamma[base], 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [[1.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-np.inf, 1.0, 1.0]],
+        ids=["size-mismatch", "zero", "negative", "nan", "inf", "-inf"],
+    )
+    def test_quasi_rejects_bad_background(self, gamma):
+        with pytest.raises(DomainError):
+            is_quasi_n1_psh([0.0, 0.0, 0.0], gamma)
 
 
 class TestMaHat:

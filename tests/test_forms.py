@@ -225,7 +225,7 @@ class TestWeakPositivity:
     def test_outside_cone_hessian(self):
         h = np.diag([-1.5, 1.0, 1.0])
         psi = one_one_form(h).wedge(_euclidean_power(3, 1))
-        margin = weak_positivity_margin(psi, samples=400, rng=2, refine_steps=200)
+        margin = weak_positivity_margin(psi, samples=400, rng=2)
         assert margin < 0
         # with eigenvector frames the minimum is the hat minimum exactly
         lam, vecs = np.linalg.eigh(h)
@@ -314,7 +314,7 @@ class TestPluckerMargin:
         psi = hat_form(random_hermitian(rng, n) + shift * np.eye(n), n)
         exact = plucker_margin(psi)
         tol = 1e-12 * max(1.0, psi.max_norm())
-        sampled = weak_positivity_margin(psi, samples=16, rng=rng, refine_steps=20)
+        sampled = weak_positivity_margin(psi, samples=16, rng=rng)
         assert sampled >= min(exact, 0.0) - tol
         raw = rng.standard_normal((16, n, n)) + 1j * rng.standard_normal((16, n, n))
         orthonormal = np.linalg.qr(raw)[0].swapaxes(1, 2)[:, : n - 1]

@@ -49,13 +49,16 @@ class TestSolverOptions:
             dict(tolerance=float("nan")),
             dict(tolerance=float("inf")),
             dict(tolerance=0.0),
-            dict(positivity_scale=float("nan")),
+            dict(positivity_floor=float("nan")),
             dict(tolerance=-1e-10),
             dict(max_iterations=0),
             dict(max_iterations=-3),
             dict(max_iterations=float("nan")),
-            dict(positivity_scale=0.0),
-            dict(positivity_scale=float("inf")),
+            dict(positivity_floor=0.0),
+            dict(positivity_floor=float("inf")),
+            dict(max_iterations=2.5),
+            dict(tolerance=None),
+            dict(positivity_floor="1e-6"),
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -355,7 +358,7 @@ class TestNewtonSolve:
         f = np.exp(3.0 * np.cos(x1))
         _, _, least = one_coordinate_solution(f, 3)
         assert least == pytest.approx(0.135, abs=1e-3)
-        problem = TorusProblem(gamma=np.eye(3), f=f, options=SolverOptions(positivity_scale=0.3))
+        problem = TorusProblem(gamma=np.eye(3), f=f, options=SolverOptions(positivity_floor=0.3))
         result = newton_solve(problem)
         assert (result.converged, result.failure) == (False, "cone-exit")
         # u is the last iterate above the floor (up to the rounding of its
@@ -365,7 +368,7 @@ class TestNewtonSolve:
 
     def test_start_outside_the_cone_is_a_failure_result(self):
         # a floor above the least eigenvalue of Gamma puts u = 0 outside
-        result = newton_solve(flat_problem(SHAPE, SolverOptions(positivity_scale=2.0)))
+        result = newton_solve(flat_problem(SHAPE, SolverOptions(positivity_floor=2.0)))
         assert result.failure == "cone-exit"
         assert result.levels == ((SHAPE, 0),)
         assert math.isnan(result.c)
