@@ -225,8 +225,18 @@ epsilon = 1e-4
         path = write(tmp_path, "[problem]\ngrid = 8\n[solver]\nepsilon = 1e-7\n[beta]\nexpression = 0.7\n")
         assert parse_config(path).positivity_floor == 1e-7
 
-    @pytest.mark.parametrize("epsilon", ["2.0", "1.0", "0", "-1", "nan", "inf"])
-    def test_bad_epsilon_rejected(self, tmp_path, epsilon):
+    def test_bad_epsilon_rejected(self, tmp_path):
+        path = write(tmp_path, """
+[problem]
+grid = 16
+[solver]
+epsilon = 2.0
+""")
+        with pytest.raises(ConfigError, match=r"\[solver\] epsilon"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("epsilon", ["1.0", "0", "-1", "nan", "inf"])
+    def test_out_of_range_epsilon_rejected(self, tmp_path, epsilon):
         path = write(tmp_path, f"""
 [problem]
 grid = 16
