@@ -142,8 +142,7 @@ def _cone_rows(rng, samples):
         bad = int((psh & ~sh2).sum() + (sh2 & ~n1).sum() + (n1 & ~sh1).sum())
         rows.append([f"cone_inclusions_n{n}", bad, 0, bad == 0])
 
-    pts = eigencone.sample_cone_points(rng, samples, 3)
-    gap = eigencone.amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
+    gap = eigencone.cone_points_gap_min(rng, samples, 3)
     rows.append(["amgm_trace_gap_min", gap, -1e-12, gap >= -1e-12])
 
     lam = rng.uniform(-1.0, 4.0, size=(samples, 3))
@@ -320,9 +319,11 @@ class _Parser(argparse.ArgumentParser):
 # least accepted value of the count, seed, dimension and exponent flags of
 # any subcommand; the radial module checks --levels itself
 _FLAG_LEAST = {"samples": 1, "trials": 1, "seed": 0, "n": 3, "p": 0}
-# most samples whose (samples, 3, 3) complex stack of the AM-GM audit fits
-# numpy's largest array size; fewer may still not fit in memory
-_MOST_SAMPLES = np.iinfo(np.intp).max // (9 * np.dtype(complex).itemsize)
+# most samples whose (samples, 5) float spectra of the n = 5 cone check, the
+# largest whole-batch array of ``cones`` and ``verify`` (the AM-GM audit runs
+# a chunk of samples at a time), fit numpy's largest array size; fewer may
+# still not fit in memory
+_MOST_SAMPLES = np.iinfo(np.intp).max // (5 * np.dtype(float).itemsize)
 
 
 def _check_flags(args):

@@ -12,11 +12,15 @@ relative to a background metric), the hat determinant ``ma_hat``, and the two
 arithmetic-geometric-mean comparison gaps of the audits: the product gap of
 an omega-psh spectrum, and the trace-form gap of ``det(omega^-1 alpha_u)``
 over stacked ``(beta, omega, hess)`` matrix triples with a certified minimum.
+The audits' random triples are built a chunk of samples at a time, and
+``cone_points_gap_min`` folds each chunk into a running minimum without
+forming the stacks.
 
 The spectrum functions broadcast over leading axes: an input of shape
 ``(..., n)`` is treated as a stack of spectra; the trace-form gap takes
 stacks of shape ``(..., n, n)``.  Everything here is a pure function of its
-arguments and safe to call concurrently.
+arguments (the samplers draw from the generator they are given) and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "sample_cone_points",
     "amgm_trace_gap_batch",
     "amgm_trace_gap_min",
+    "cone_points_gap_min",
 ]
 
 
@@ -61,20 +66,28 @@ def hat_transform(lam):
     return arr.sum(axis=-1, keepdims=True) - arr
 
 
-def _elementary_symmetric(arr, degree):
-    """e_0..e_degree of the last axis of a validated array of spectra.
+def _symmetric_columns(arr, degree):
+    """[e_0, ..., e_degree] of the last axis of a validated array of spectra,
+    each of the shape of the leading axes.
 
-    The product recurrence, truncated at ``degree``: each e_k takes the same
-    operations whatever the degree, so the columns are bitwise those of the
-    full table.
+    The product recurrence, truncated at ``degree``, a column of spectra at
+    a time: each e_k takes the same operations whatever the degree, so the
+    columns are bitwise those of the full table.
     """
-    out = np.zeros(arr.shape[:-1] + (degree + 1,), dtype=float)
-    out[..., 0] = 1.0
+    columns = [np.ones(arr.shape[:-1])] + [np.zeros(arr.shape[:-1]) for _ in range(degree)]
     for i in range(arr.shape[-1]):
-        # multiply prod_{j<=i} (x + lam_j) into the coefficient table, up to x^degree
-        top = min(i + 1, degree)
-        out[..., 1 : top + 1] += arr[..., i : i + 1] * out[..., 0:top].copy()
-    return out
+        # multiply (x + lam_i) into the coefficients, up to x^degree; from the
+        # top down, so that e_(k-1) is still the old one when e_k reads it
+        lam = arr[..., i]
+        for k in range(min(i + 1, degree), 0, -1):
+            columns[k] += lam * columns[k - 1]
+    return columns
+
+
+def _elementary_symmetric(arr, degree):
+    """e_0..e_degree of the last axis of a validated array of spectra, stacked
+    along a new last axis."""
+    return np.stack(_symmetric_columns(arr, degree), axis=-1)
 
 
 def sigma_k(lam, k):
@@ -86,9 +99,22 @@ def sigma_k(lam, k):
     return _elementary_symmetric(arr, int(k))[..., int(k)]
 
 
+# The predicates below run a column of spectra at a time: numpy reduces a
+# short last axis slowly.  Minima and maxima are exact, and rounding is
+# monotone, so ``min_i (s - lam_i)`` is ``s - max_i lam_i`` bit for bit.
+
+
+def _column_extreme(arr, pick):
+    """``pick`` (np.minimum or np.maximum) over the last axis, column by column."""
+    out = arr[..., 0].copy()
+    for i in range(1, arr.shape[-1]):
+        pick(out, arr[..., i], out=out)
+    return out
+
+
 def is_psh(lam):
     """Membership in the plurisubharmonic cone: min lam_i >= 0."""
-    return _as_spectra(lam).min(axis=-1) >= 0.0
+    return _column_extreme(_as_spectra(lam), np.minimum) >= 0.0
 
 
 def is_m_subharmonic(lam, m, tolerance=0.0):
@@ -97,12 +123,16 @@ def is_m_subharmonic(lam, m, tolerance=0.0):
     n = arr.shape[-1]
     if not 1 <= int(m) <= n:
         raise DomainError(f"eigencone.is_m_subharmonic: m={m} outside 1..{n}")
-    return (_elementary_symmetric(arr, int(m))[..., 1:] >= -tolerance).all(axis=-1)
+    inside = True
+    for e_k in _symmetric_columns(arr, int(m))[1:]:
+        inside = inside & (e_k >= -tolerance)
+    return inside
 
 
 def is_n1_psh(lam, tolerance=0.0):
     """Membership in the hat-positive cone: min hat(lam)_i >= -tolerance."""
-    return hat_transform(lam).min(axis=-1) >= -tolerance
+    arr = _as_spectra(lam)
+    return arr.sum(axis=-1) - _column_extreme(arr, np.maximum) >= -tolerance
 
 
 def is_quasi_n1_psh(lam, gamma, tolerance=0.0):
@@ -117,7 +147,11 @@ def is_quasi_n1_psh(lam, gamma, tolerance=0.0):
     if not (np.all(np.isfinite(g)) and np.all(g > 0)):
         raise DomainError("eigencone.is_quasi_n1_psh: gamma entries must be finite and positive")
     n = arr.shape[-1]
-    return (hat_transform(arr) >= -(n - 1) * g - tolerance).all(axis=-1)
+    total = arr.sum(axis=-1)
+    inside = True
+    for i in range(n):
+        inside = inside & (total - arr[..., i] >= -(n - 1) * g[..., i] - tolerance)
+    return inside
 
 
 def ma_hat(lam):
@@ -151,8 +185,8 @@ def sample_spectra(rng, count, n):
     return rng.uniform(-3.0, 3.0, size=(count, n))
 
 
-# Samples per chunk of the per-sample work of the cone-point sampling and the
-# AM-GM screen, so that their temporaries stay a few chunks in size.
+# Samples per chunk of the cone-point sampling and of the AM-GM minimum, so
+# that their temporaries stay a few chunks in size.
 _CHUNK = 4096
 
 
@@ -161,59 +195,89 @@ def _chunks(count):
     return [slice(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK)]
 
 
-def _random_gram(rng, count, n):
-    """``a a^H / n`` for a stack ``a`` of ``(count, n, n)`` complex Gaussian
-    matrices, in a's own buffer.
+def _fork(rng):
+    """A new generator at ``rng``'s state, which draws the numbers ``rng``
+    would draw next; ``rng`` is left where it is."""
+    fork = np.random.Generator(type(rng.bit_generator)(0))
+    fork.bit_generator.state = rng.bit_generator.state
+    return fork
 
-    The real parts are drawn first and then the imaginary parts, in the order
-    of two whole-batch draws, a chunk of samples at a time through one
-    chunk-sized float buffer (numpy draws into no strided ``out.real``); the
-    products are formed a chunk of samples at a time (one BLAS call per
-    matrix, as over the whole stack)."""
-    out = np.empty((count, n, n), dtype=complex)
-    part = np.empty((min(count, _CHUNK), n, n))
-    for component in (out.real, out.imag):
+
+def _gram(piece, gauss, real, imag, out):
+    """``out = a a^H / n`` for the stack ``a`` of complex Gaussian ``(n, n)``
+    matrices whose real parts ``real`` draws and imaginary parts ``imag``,
+    formed in ``gauss`` through the float buffer ``piece`` (numpy draws into
+    no strided ``gauss.real``); one BLAS call per matrix."""
+    for draw, component in ((real, gauss.real), (imag, gauss.imag)):
+        draw.standard_normal(out=piece)
+        component[...] = piece
+    np.matmul(gauss, np.conj(np.swapaxes(gauss, -1, -2)), out=out)
+    out /= out.shape[-1]
+
+
+def _cone_point_chunks(rng, count, n, stacks=None):
+    """Each run of ``_CHUNK`` samples of ``sample_cone_points(rng, count, n)``
+    in turn, bit for bit, as ``(beta, omega, hess)``: views of the chunk of
+    ``stacks``, three ``(count, n, n)`` complex arrays, when given, or else
+    of three chunk buffers that the next chunk overwrites.  ``rng`` ends
+    where one whole-batch draw leaves it.
+
+    The stream holds six regions of ``count n^2`` normals: the real and then
+    the imaginary parts of the Gaussian matrices of beta, of omega and of
+    alpha.  A chunk needs its piece of every region, so a discovery pass
+    first walks the first five regions a chunk at a time through one scratch
+    buffer, forking a generator at the start of each (``_fork``), and ``rng``
+    itself draws the sixth.  Every generator then draws its next piece for
+    each chunk: the numbers of one whole-batch draw, since the stream does
+    not depend on the size of the pieces.  The discovery pass draws five
+    sixths of the normals twice: about 60 ms for 10^5 samples at n = 3 on
+    one core of a 2-core Xeon.
+    """
+    piece = np.empty((min(count, _CHUNK), n, n))
+    gauss = np.empty(piece.shape, dtype=complex)
+    regions = []
+    for _ in range(5):
+        regions.append(_fork(rng))
         for chunk in _chunks(count):
-            piece = part[: chunk.stop - chunk.start]
-            rng.standard_normal(out=piece)
-            component[chunk] = piece
-    del part
+            rng.standard_normal(out=piece[: chunk.stop - chunk.start])
+    regions.append(rng)
+    reuse = stacks is None
+    if reuse:
+        stacks = [np.empty(gauss.shape, dtype=complex) for _ in range(3)]
     for chunk in _chunks(count):
-        a = out[chunk]
-        np.divide(a @ np.conj(np.swapaxes(a, -1, -2)), n, out=a)
-    return out
-
-
-def _random_hpd(rng, count, n):
-    """A random Gram stack plus 0.2 I, so every matrix is positive definite."""
-    out = _random_gram(rng, count, n)
-    out += 0.2 * np.eye(n)
-    return out
+        size = chunk.stop - chunk.start
+        beta, omega, hess = (x[:size] if reuse else x[chunk] for x in stacks)
+        # hess holds alpha first: PSD, occasionally near-singular
+        for real, imag, out in zip(regions[::2], regions[1::2], (beta, omega, hess)):
+            _gram(piece[:size], gauss[:size], real, imag, out)
+        beta += 0.2 * np.eye(n)  # positive definite
+        omega += 0.2 * np.eye(n)
+        hess -= beta  # S
+        s = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
+        hess *= n - 1
+        np.subtract(np.multiply(s[:, None, None], omega, out=gauss[:size]), hess, out=hess)
+        yield beta, omega, hess
 
 
 def sample_cone_points(rng, count, n):
     """Random (beta, omega, hess) batches whose alpha form is PSD.
 
-    Draws positive definite beta and omega and a PSD target alpha, then
-    inverts the linear hat map to find the Hessian realizing that alpha:
-    with ``S = alpha - beta`` and ``s = tr(omega^{-1} S)``, the matrix
+    Draws positive definite beta and omega (Gram matrices of complex
+    Gaussian matrices plus 0.2 I) and a PSD target alpha (a Gram matrix),
+    then inverts the linear hat map to find the Hessian realizing that
+    alpha: with ``S = alpha - beta`` and ``s = tr(omega^{-1} S)``, the matrix
     ``hess = s * omega - (n - 1) * S`` reproduces alpha exactly.
     Returns a dict with keys beta, omega, hess.
 
-    Only the three returned ``(count, n, n)`` stacks stay alive: alpha is
-    drawn into the buffer that becomes S and then hess, and every step runs
-    on chunks of samples, so the temporaries are a few chunks in size.
+    ``_cone_point_chunks`` fills the three ``(count, n, n)`` stacks a chunk
+    of samples at a time, so the temporaries are a few chunks in size.
+    ``cone_points_gap_min`` takes the audit's minimum from the same chunks
+    without forming the stacks.
     """
-    beta = _random_hpd(rng, count, n)
-    omega = _random_hpd(rng, count, n)
-    hess = _random_gram(rng, count, n)  # alpha: PSD, occasionally near-singular
-    for chunk in _chunks(count):
-        s_mat = hess[chunk]
-        s_mat -= beta[chunk]
-        s = np.trace(np.linalg.solve(omega[chunk], s_mat), axis1=-2, axis2=-1).real
-        s_mat *= n - 1
-        np.subtract(s[:, None, None] * omega[chunk], s_mat, out=s_mat)
-    return {"beta": beta, "omega": omega, "hess": hess}
+    stacks = [np.empty((count, n, n), dtype=complex) for _ in range(3)]
+    for _ in _cone_point_chunks(rng, count, n, stacks):
+        pass
+    return dict(zip(("beta", "omega", "hess"), stacks))
 
 
 def _batched_alpha(beta, omega, hess):
@@ -303,7 +367,7 @@ def _screened_gaps(beta, omega, hess):
     rank at scales 1e-3..1e3 below ``0.02 r``.
 
     **Memory.**  Every output of a sample depends on that sample alone, so
-    ``amgm_trace_gap_min`` passes a chunk of samples at a time, and every
+    ``_raise_floor`` passes a chunk of samples at a time, and every
     temporary is a field of the chunk's size: the two factors, M, and
     alpha, of which only the lower triangle that ``field_cholesky`` reads
     is formed.
@@ -354,29 +418,54 @@ def _screened_gaps(beta, omega, hess):
     return gap, radius, ok & ok_alpha
 
 
-def amgm_trace_gap_min(beta, omega, hess):
-    """``float(amgm_trace_gap_batch(beta, omega, hess).min())``, bit for bit,
-    from the exact path on a few of the samples.
+def _raise_floor(beta, omega, hess, floor):
+    """The larger of ``floor`` and the largest negated exact AM-GM gap of
+    stacked ``(N, n, n)`` triples, from the exact path on a few of them.
 
-    ``beta``, ``omega`` and ``hess`` are stacked ``(..., n, n)`` arrays of one
-    shape.  A closed-form screen (``_screened_gaps``) gives every sample a gap
-    g and a radius r, and ``pointwise.certified_max`` maximizes the negated
-    exact gap under the bounds ``r - g``, +inf where a pivot test fails
-    (omega or alpha not numerically positive definite) or the bound is not
-    finite (NaN entries).  LAPACK treats each matrix of a batch on its own,
-    so the exact values on a subset are bitwise those of the full batch.
-    The screen runs on chunks of ``_CHUNK`` samples into one bound array, so
-    it allocates little beyond that array.
+    A closed-form screen (``_screened_gaps``) gives every sample a gap g and
+    a radius r, and ``pointwise.certified_max`` maximizes the negated exact
+    gap under the bounds ``r - g``, +inf where a pivot test fails (omega or
+    alpha not numerically positive definite) or the bound is not finite (NaN
+    entries); samples whose bound is below ``floor`` are skipped.
     """
-    n = np.shape(beta)[-1]
-    beta, omega, hess = (np.reshape(x, (-1, n, n)) for x in (beta, omega, hess))
+    gap, radius, ok = _screened_gaps(beta, omega, hess)
+    bound = np.subtract(radius, gap, out=radius)
+    bound[~(ok & np.isfinite(bound))] = np.inf
 
     def exact(points):
         return -amgm_trace_gap_batch(beta[points], omega[points], hess[points]).min()
 
-    bound = np.empty(len(beta))
+    return certified_max(bound, exact, floor=floor)
+
+
+def amgm_trace_gap_min(beta, omega, hess):
+    """``float(amgm_trace_gap_batch(beta, omega, hess).min())``, bit for bit,
+    from the exact path on a few of the samples; +inf for no samples.
+
+    ``beta``, ``omega`` and ``hess`` are stacked ``(..., n, n)`` arrays of one
+    shape.  The minimum is a running one over chunks of ``_CHUNK`` samples
+    (``_raise_floor``): each chunk is screened on its own, and its samples
+    that cannot go below the least gap of the earlier chunks are skipped.
+    LAPACK treats each matrix of a batch on its own, so the exact gap of a
+    sample does not depend on its batch, and the minimum over the chunks is
+    bitwise that of the full batch.  Every temporary is a few chunks in size.
+    """
+    n = np.shape(beta)[-1]
+    beta, omega, hess = (np.reshape(x, (-1, n, n)) for x in (beta, omega, hess))
+    floor = -np.inf
     for chunk in _chunks(len(beta)):
-        gap, radius, ok = _screened_gaps(beta[chunk], omega[chunk], hess[chunk])
-        part = np.subtract(radius, gap, out=bound[chunk])
-        part[~(ok & np.isfinite(part))] = np.inf
-    return -float(certified_max(bound, exact))
+        floor = _raise_floor(beta[chunk], omega[chunk], hess[chunk], floor)
+    return -float(floor)
+
+
+def cone_points_gap_min(rng, count, n):
+    """``amgm_trace_gap_min(**sample_cone_points(rng, count, n))``, bit for
+    bit, without forming the three ``(count, n, n)`` stacks: each chunk of
+    ``_cone_point_chunks`` is folded into the running minimum and dropped,
+    so the memory taken does not grow with ``count``.  ``rng`` ends where
+    ``sample_cone_points`` leaves it.
+    """
+    floor = -np.inf
+    for triple in _cone_point_chunks(rng, count, n):
+        floor = _raise_floor(*triple, floor)
+    return -float(floor)

@@ -401,18 +401,16 @@ def weak_positivity_margin(psi, samples=200, rng=None, extra_frames=()):
     if not psi.is_real():
         raise DomainError("forms.weak_positivity_margin: form must be real")
     rng = np.random.default_rng(rng)
-
-    def random_frame():
-        f = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
-        return f / np.linalg.norm(f, axis=1, keepdims=True)
-
-    # draw every frame first, one at a time, so the random stream is that of
-    # a frame-by-frame loop; then evaluate them all at once
-    frames = [_as_frame(f, n, "weak_positivity_margin") for f in extra_frames]
-    frames += [random_frame() for _ in range(samples)]
-    if not frames:
+    given = [_as_frame(f, n, "weak_positivity_margin") for f in extra_frames]
+    # one draw, in the stream of a frame-by-frame loop: each frame's real
+    # parts, then its imaginary parts
+    parts = rng.standard_normal((samples, 2, n - 1, n))
+    drawn = parts[:, 0] + 1j * parts[:, 1]
+    drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
+    frames = np.concatenate([np.reshape(given, (-1, n - 1, n)), drawn])
+    if not len(frames):
         raise DomainError("forms.weak_positivity_margin: no frames to sample")
-    return float(_frame_values(psi, np.stack(frames)).min())
+    return float(_frame_values(psi, frames).min())
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +464,14 @@ def equivalence_suite(h, n, samples=32, rng=None):
     lam_hat_min = float((lam.sum() - lam).min())
     analytic = float(lam.sum() - lam.max())
 
-    sampled = np.inf
-    for _ in range(samples):
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w /= np.linalg.norm(w)
-        sampled = min(sampled, float((np.trace(h) - w.conj() @ h @ w).real))
+    # one draw, in the stream of a vector-by-vector loop: each vector's real
+    # parts, then its imaginary parts; the hyperplane orthogonal to w has
+    # compressed trace tr h - w^H h w
+    parts = rng.standard_normal((samples, 2, n))
+    w = parts[:, 0] + 1j * parts[:, 1]
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    values = (np.trace(h) - np.einsum("si,ij,sj->s", w.conj(), h, w)).real
+    sampled = values.min(initial=np.inf)
 
     psi = one_one_form(h).wedge(_euclidean_power(n, n - 2))
     # the frame pairing sums H[j,k] v_j conj(v_k), i.e. the quadratic form of

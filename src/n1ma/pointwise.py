@@ -78,20 +78,26 @@ def lower_inverse(factor):
     return inv
 
 
-def certified_max(bound, exact, certify=None):
-    """``exact(every point)`` from ``exact`` on a subset of the points.
+def certified_max(bound, exact, certify=None, floor=-math.inf):
+    """``max(exact(every point), floor)`` from ``exact`` on a subset of the
+    points.
 
     ``exact(points)`` is the maximum of a per-point value over an index
-    array, ``bound`` a 1-D array of per-point upper bounds of that value.
-    ``exact`` on the ``PROBE`` largest bounds gives a provisional maximum p;
-    it runs again on the points outside the probe whose bound is not below p
-    (NaN included) and that ``certify(points, p)``, a mask, does not clear.
-    When ``exact`` treats each point on its own, the result is bitwise the
-    full value.
+    array, ``bound`` a 1-D array of per-point upper bounds of that value, and
+    ``floor`` a value already reached, such as the maximum over an earlier
+    chunk of points: a point whose bound is below it cannot raise it.
+    ``exact`` on the ``PROBE`` largest bounds not below the floor gives a
+    provisional maximum p, at least the floor; it runs again on the points
+    outside the probe whose bound is not below p (NaN included) and that
+    ``certify(points, p)``, a mask, does not clear.  When ``exact`` treats
+    each point on its own, the result is bitwise the full value.
     """
     probe = min(PROBE, bound.size)
     probed = np.argpartition(bound, -probe)[-probe:]
-    provisional = exact(probed)
+    probed = probed[~(bound[probed] < floor)]
+    if not probed.size:
+        return floor
+    provisional = max(exact(probed), floor)
     left_open = ~(bound < provisional)
     left_open[probed] = False
     candidates = np.flatnonzero(left_open)

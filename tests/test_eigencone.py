@@ -11,6 +11,7 @@ from n1ma.eigencone import (
     _elementary_symmetric,
     amgm_trace_gap_batch,
     amgm_trace_gap_min,
+    cone_points_gap_min,
     hat_transform,
     is_m_subharmonic,
     is_n1_psh,
@@ -173,6 +174,26 @@ class TestConeMembership:
         base = is_quasi_n1_psh(lam, np.broadcast_to(inv_c, lam.shape))
         assert is_quasi_n1_psh(lam[base], gamma[base], 1e-12).all()
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_columns_are_bitwise_the_last_axis_reductions(self, n):
+        """The predicates run a column of spectra at a time; their verdicts
+        are those of the reductions along the last axis, ties and signed
+        zeros included."""
+        rng = np.random.default_rng(20 + n)
+        lam = sample_spectra(rng, 20000, n)
+        lam[::7] = np.round(lam[::7])
+        lam[::11, 0] = -0.0
+        gamma = rng.uniform(0.1, 3.0, size=lam.shape)
+        hat = lam.sum(axis=-1, keepdims=True) - lam
+        table = _elementary_symmetric(lam, n)
+        for tol in (0.0, 1e-12):
+            assert np.array_equal(is_psh(lam), lam.min(axis=-1) >= 0.0)
+            assert np.array_equal(is_n1_psh(lam, tol), hat.min(axis=-1) >= -tol)
+            for m in range(1, n + 1):
+                assert np.array_equal(is_m_subharmonic(lam, m, tol), (table[:, 1 : m + 1] >= -tol).all(axis=-1))
+            for g in (gamma, gamma[0], np.broadcast_to(gamma[:, :1], lam.shape)):
+                assert np.array_equal(is_quasi_n1_psh(lam, g, tol), (hat >= -(n - 1) * g - tol).all(axis=-1))
+
     @pytest.mark.parametrize(
         "gamma",
         [[1.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-np.inf, 1.0, 1.0]],
@@ -304,8 +325,8 @@ def _planted_triples(seed, count, n, rank, scale, omega_scale, duplicates):
     ``sample_cone_points`` builds them, with ``duplicates`` samples copied
     bit for bit onto others."""
     rng = np.random.default_rng(seed)
-    beta = scale * eigencone._random_hpd(rng, count, n)
-    omega = omega_scale * eigencone._random_hpd(rng, count, n)
+    pts = sample_cone_points(rng, count, n)
+    beta, omega = scale * pts["beta"], omega_scale * pts["omega"]
     a = rng.standard_normal((count, n, rank)) + 1j * rng.standard_normal((count, n, rank))
     alpha = scale * (a @ np.conj(np.swapaxes(a, -1, -2))) / n
     s = np.trace(np.linalg.solve(omega, alpha - beta), axis1=-2, axis2=-1).real
@@ -389,7 +410,7 @@ class TestChunkedConeBatch:
 
     @pytest.mark.parametrize("piece", [1, CHUNK, CHUNK + 1])
     def test_normal_draws_in_pieces_are_the_whole_batch_stream(self, piece):
-        """``_random_gram`` draws its normals a chunk at a time into the
+        """``_cone_point_chunks`` draws its normals a chunk at a time into the
         stream of one whole-batch draw; the stream must not depend on the
         size of the pieces."""
         count = 2 * self.CHUNK + 5
@@ -421,6 +442,51 @@ class TestChunkedConeBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * sum(x.nbytes for x in pts.values())
+
+
+class TestStreamedGapMin:
+    """``cone_points_gap_min`` folds each chunk of ``_cone_point_chunks`` into
+    a running minimum, never forming the three stacks."""
+
+    CHUNK = eigencone._CHUNK
+
+    @pytest.mark.parametrize(
+        "count, n", [(1, 3), (CHUNK - 1, 3), (CHUNK, 3), (CHUNK + 1, 3), (10007, 3), (CHUNK + 7, 4)]
+    )
+    def test_bitwise_the_whole_batch_minimum(self, count, n):
+        rng = np.random.default_rng(count + n)
+        streamed = cone_points_gap_min(rng, count, n)
+        after = rng.standard_normal(8)
+        rng = np.random.default_rng(count + n)
+        whole = amgm_trace_gap_min(**sample_cone_points(rng, count, n))
+        assert np.array_equal(streamed, whole) and type(streamed) is float
+        # the draws that follow see the generator the whole batch leaves
+        assert np.array_equal(after.view(np.uint64), rng.standard_normal(8).view(np.uint64))
+
+    def test_nan_sample_in_a_later_chunk_takes_the_exact_path(self):
+        """A sample no bound can clear is evaluated exactly whatever the floor
+        the earlier chunks reached."""
+        count = 2 * self.CHUNK + 5
+        pts = sample_cone_points(np.random.default_rng(6), count, 3)
+        pts["omega"][count - 3, 1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            amgm_trace_gap_min(**pts)
+
+    def test_no_samples_give_the_empty_minimum(self):
+        assert cone_points_gap_min(np.random.default_rng(0), 0, 3) == np.inf
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        """The 10^5-sample audit of ``n1ma cones`` takes under 8 MiB, and no
+        more than one of three chunks of samples."""
+        peaks = []
+        for count in (3 * self.CHUNK, 10**5):
+            tracemalloc.start()
+            try:
+                cone_points_gap_min(np.random.default_rng(0), count, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8 * 2**20 and peaks[1] <= 1.1 * peaks[0]
 
 
 class TestPshProductGap:

@@ -366,6 +366,44 @@ class TestSymmetricPolynomialCrossValidation:
                 assert self.top_ratio(h, k) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+class TestSampledVectors:
+    """The form audits draw their random vectors in one call, in the stream
+    of a vector-by-vector loop: each vector's real parts, then its
+    imaginary parts."""
+
+    def test_weak_margin_frames_are_the_frame_loop_stream(self):
+        psi = one_one_form(random_hermitian(np.random.default_rng(30), 4)).wedge(_euclidean_power(4, 2))
+        rng = np.random.default_rng(31)
+        margin = weak_positivity_margin(psi, samples=40, rng=rng)
+        reference = np.random.default_rng(31)
+        values = []
+        for _ in range(40):
+            f = reference.standard_normal((3, 4)) + 1j * reference.standard_normal((3, 4))
+            values.append(frame_value(psi, f / np.linalg.norm(f, axis=1, keepdims=True)))
+        assert margin == pytest.approx(min(values), rel=1e-12, abs=1e-12)
+        assert rng.standard_normal() == reference.standard_normal()
+
+    def test_hyperplane_vectors_are_the_vector_loop_stream(self):
+        h = random_hermitian(np.random.default_rng(32), 4)
+        rep = equivalence_suite(h, 4, rng=np.random.default_rng(33), samples=20)
+        reference = np.random.default_rng(33)
+        values = []
+        for _ in range(20):
+            w = reference.standard_normal(4) + 1j * reference.standard_normal(4)
+            w /= np.linalg.norm(w)
+            values.append((np.trace(h) - w.conj() @ h @ w).real)
+        assert rep.hyperplane_min_sampled == pytest.approx(min(values), rel=1e-12, abs=1e-12)
+
+    def test_no_random_vectors(self):
+        psi = _euclidean_power(3, 2)
+        frame = np.eye(3)[:2]
+        assert weak_positivity_margin(psi, samples=0, rng=0, extra_frames=[frame]) == frame_value(psi, frame)
+        with pytest.raises(DomainError, match="no frames"):
+            weak_positivity_margin(psi, samples=0, rng=0)
+        rep = equivalence_suite(np.eye(3), 3, samples=0, rng=0)
+        assert rep.hyperplane_min_sampled == np.inf and rep.agree
+
+
 class TestEquivalenceSuite:
     def test_identity_all_positive(self):
         rep = equivalence_suite(np.eye(3), 3, rng=0)
