@@ -136,9 +136,9 @@ def _cone_rows(rng, samples):
     for n in (3, 4, 5):
         lam = eigencone.sample_spectra(rng, samples, n)
         psh = eigencone.is_psh(lam)
-        sh2 = eigencone.is_m_subharmonic(lam, 2, 1e-12)
-        n1 = eigencone.is_n1_psh(lam, 1e-12)
-        sh1 = eigencone.is_m_subharmonic(lam, 1, 1e-12)
+        sh2 = eigencone.is_m_subharmonic(lam, 2)
+        n1 = eigencone.is_n1_psh(lam)
+        sh1 = eigencone.is_m_subharmonic(lam, 1)
         bad = int((psh & ~sh2).sum() + (sh2 & ~n1).sum() + (n1 & ~sh1).sum())
         rows.append([f"cone_inclusions_n{n}", bad, 0, bad == 0])
 
@@ -231,13 +231,14 @@ def cmd_radial(args):
     for r in profile.radii(args.n, count=25):
         lam1, lamj = radial.radial_hat_eigenvalues(profile, r, args.n)
         rows.append([float(r), lam1, lamj, radial.radial_ma_hat(profile, r, args.n)])
-    _write_csv(os.path.join(out, "radial.csv"), rows)
 
     spec = radial.ShellIntegrand(
         p=args.p, n=args.n,
         r_inner=math.exp(-math.e**2), r_outer=math.exp(-math.e),
     )
+    # a rejected --levels leaves no radial.csv behind
     report = radial.integral_threshold(spec, args.levels)
+    _write_csv(os.path.join(out, "radial.csv"), rows)
     threshold_rows = [["p", "level", "partial_integral", "verdict"]]
     for lvl in report.levels:
         threshold_rows.append([args.p, lvl.level, lvl.partial_integral, report.verdict])

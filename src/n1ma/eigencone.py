@@ -103,6 +103,8 @@ def sigma_k(lam, k):
 # short last axis slowly.  Minima and maxima are exact, and rounding is
 # monotone, so ``min_i (s - lam_i)`` is ``s - max_i lam_i`` bit for bit.
 
+_SLACK = 1e-12  # rounding slack of the m-subharmonic and hat-positive tests
+
 
 def _column_extreme(arr, pick):
     """``pick`` (np.minimum or np.maximum) over the last axis, column by column."""
@@ -117,22 +119,22 @@ def is_psh(lam):
     return _column_extreme(_as_spectra(lam), np.minimum) >= 0.0
 
 
-def is_m_subharmonic(lam, m, tolerance=0.0):
-    """Membership in the m-subharmonic cone: e_k >= -tolerance for k = 1..m."""
+def is_m_subharmonic(lam, m):
+    """Membership in the m-subharmonic cone: e_k >= -_SLACK for k = 1..m."""
     arr = _as_spectra(lam)
     n = arr.shape[-1]
     if not 1 <= int(m) <= n:
         raise DomainError(f"eigencone.is_m_subharmonic: m={m} outside 1..{n}")
     inside = True
     for e_k in _symmetric_columns(arr, int(m))[1:]:
-        inside = inside & (e_k >= -tolerance)
+        inside = inside & (e_k >= -_SLACK)
     return inside
 
 
-def is_n1_psh(lam, tolerance=0.0):
-    """Membership in the hat-positive cone: min hat(lam)_i >= -tolerance."""
+def is_n1_psh(lam):
+    """Membership in the hat-positive cone: min hat(lam)_i >= -_SLACK."""
     arr = _as_spectra(lam)
-    return arr.sum(axis=-1) - _column_extreme(arr, np.maximum) >= -tolerance
+    return arr.sum(axis=-1) - _column_extreme(arr, np.maximum) >= -_SLACK
 
 
 def is_quasi_n1_psh(lam, gamma, tolerance=0.0):

@@ -178,7 +178,12 @@ class ShellIntegrand:
 
     def integrand(self, tau):
         a = self.n - self.p - 1.0
-        return math.exp(-a * tau) / tau**self.n
+        try:
+            return math.exp(-a * tau) / tau**self.n
+        except OverflowError:
+            if a < 0:
+                raise
+            return 0.0  # tau^n overflowed and exp(-a tau) <= 1: below the least normal float
 
 
 @dataclass(frozen=True)
@@ -196,10 +201,6 @@ class ThresholdReport:
     levels: tuple
     verdict: str  # "convergent" | "divergent" | "inconclusive"
 
-    @property
-    def increments(self):
-        return [lvl.increment for lvl in self.levels]
-
 
 def integral_threshold(spec, refinement_levels=12):
     """Convergence experiment for the shell integral of ``f (log f)^p``.
@@ -208,16 +209,17 @@ def integral_threshold(spec, refinement_levels=12):
     double-log variable tau = log log(1/r); the critical exponent
     p = n - 1 leaves a tail decaying only like 1/tau^2, so doubling tau is
     what makes its increments collapse geometrically while every p > n - 1
-    produces growing increments.  Each window integral uses adaptive
-    quadrature; windows whose integrand overflows are recorded as inf.
+    produces growing increments; at most 1000 levels keep the last cutoff
+    ``tau1 2^levels`` finite, as ``tau1 = log log(1/r_inner) < 7``.  Windows
+    use adaptive quadrature, and one whose integrand overflows is inf.
 
     Verdicts: "divergent" when a window overflowed, which the integrand can
     do only for p > n - 1; else "convergent" when the last increment falls
     below 1e-6; "divergent" when the last three increments each exceed 1e-3
     times the first; otherwise "inconclusive".
     """
-    if refinement_levels < 3:
-        raise DomainError("radial.integral_threshold: need at least 3 levels")
+    if not 3 <= refinement_levels <= 1000:
+        raise DomainError(f"radial.integral_threshold: need 3 to 1000 levels, got {refinement_levels}")
     tau0 = spec.tau_of_radius(spec.r_outer)
     tau1 = spec.tau_of_radius(spec.r_inner)
     if tau1 <= tau0:

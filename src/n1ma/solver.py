@@ -27,11 +27,11 @@ Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
 symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
 upper-triangle Hessian blocks ``h_p`` of ``M^-1 y``, then ``sum_p w_p h_p``
 with ``w_p = theta_ii`` on the diagonal and ``2 theta_ij`` off it.  GMRES
-closes its cycle with ``b - A M^-1 y`` at the iterate it returns; the
-operator remembers that last product, so the true-residual check of the
-correction costs no extra application.  SciPy is loaded on first use:
-``scipy.fft`` at the first transform and ``scipy.sparse.linalg`` at the
-first GMRES correction, so importing the solver loads neither.
+reports success only when its closing true residual is within its tolerance,
+below 1e-3, so only a correction it reports unconverged costs one more
+application for the check.  SciPy is loaded on first use: ``scipy.fft`` at
+the first transform and ``scipy.sparse.linalg`` at the first GMRES
+correction, so importing the solver loads neither.
 
 The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
 pointwise decision is a Cholesky factorization written over grid fields
@@ -446,25 +446,21 @@ def _operator_weights(theta):
 
 def _preconditioned_operator(shape, weights, inverse):
     """The matvec ``y -> A M^-1 y`` of the right-preconditioned system in
-    one spectral pass, and a dict holding its last input ``"y"`` and output
-    ``"out"`` (copies); ``inverse`` is the inverse symbol of M.
+    one spectral pass; ``inverse`` is the inverse symbol of M.
 
     ``M^-1 y`` is never formed on the grid: the spectrum of y is scaled by
     the stacked Hessian multipliers over the symbol, and one batched inverse
     transform gives the Hessian blocks of ``M^-1 y``.
     """
     scaled = _hessian_multipliers(shape) * inverse
-    last = {}
 
     def matvec(yflat):
         blocks = _spectral_stack(yflat.reshape(shape), scaled)
         lv = np.einsum("p...,p...->...", weights, blocks)
         lv -= lv.mean()
-        out = lv.ravel()
-        last["y"], last["out"] = yflat.copy(), out.copy()
-        return out
+        return lv.ravel()
 
-    return matvec, last
+    return matvec
 
 
 def _forcing_term(res, opts):
@@ -501,22 +497,21 @@ def _krylov_correction(factor, rhs, rtol):
     at relative tolerance rtol; None when its true relative residual
     exceeds 1e-3.
 
-    GMRES may report stagnation once its residual hits the rounding floor,
-    so the correction is judged by its true residual: GMRES's own closing
-    product ``A M^-1 y`` when it ends at the y it returns.
+    SciPy's GMRES reports success (``info == 0``) exactly when its closing
+    true residual is at most ``rtol |rhs|``, below 1e-3; only a correction it
+    reports unconverged, as at the rounding floor, takes one more product.
     """
     shape = factor[0, 0].shape
     theta = _linearization_tensor(factor)
     inverse = _inverse_symbol(shape, theta.mean(axis=tuple(range(len(shape)))))
     weights = _operator_weights(theta)
     del theta  # GMRES needs only the weights and the inverse symbol
-    matvec, last = _preconditioned_operator(shape, weights, inverse)
+    matvec = _preconditioned_operator(shape, weights, inverse)
     op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     # right preconditioning: GMRES minimizes the true residual of
     # (A M^-1) y = rhs, and the correction is M^-1 y
-    y, _ = gmres(op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_MAXITER, maxiter=1)
-    product = last["out"] if np.array_equal(y, last.get("y")) else op.matvec(y)
-    if np.linalg.norm(product - rhs) / np.linalg.norm(rhs) > 1e-3:
+    y, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_MAXITER, maxiter=1)
+    if info != 0 and np.linalg.norm(op.matvec(y) - rhs) / np.linalg.norm(rhs) > 1e-3:
         return None
     return _preconditioner(shape, inverse)(y).reshape(shape)
 
@@ -742,22 +737,21 @@ def _hessian_from_alpha(problem, alpha):
     return a
 
 
-def diagnostics(problem, result, alpha=None):
+def diagnostics(problem, result, alpha):
     """Fill the gradient, Hessian, oscillation and cone-margin diagnostics
     of ``result.u``.
 
     ``alpha`` is the alpha field of the iterate result.u comes from, as a
-    Newton loop hands it over; without it, alpha is built from result.u,
-    the one Hessian of the call.  ``min_alpha_eig`` and ``hess_sup`` are
-    the ``eigvalsh`` extremes of alpha and of the Hessian recovered from it
-    in its own buffer (``_hessian_from_alpha``), so alpha is consumed.  The
-    gradient is dropped before alpha is built or read, so at most one
-    matrix field is alive at a time."""
+    Newton loop hands it over; the call takes no Hessian.  ``min_alpha_eig``
+    and ``hess_sup`` are the ``eigvalsh`` extremes of alpha and of the
+    Hessian recovered from it in its own buffer (``_hessian_from_alpha``),
+    so alpha is consumed.  The gradient is dropped before alpha is read, so
+    at most one matrix field is alive at a time."""
     u = result.u
     grad = spectral_gradient(u)
     grad_sup = float(np.sqrt(np.square(grad, out=grad).sum(axis=-1)).max()) / 2.0
     del grad
-    a = _component_major(alpha_field(problem, u) if alpha is None else alpha)
+    a = _component_major(alpha)
     min_alpha_eig = -eig_extreme(a, (1,))
     return dataclasses.replace(
         result,

@@ -34,11 +34,11 @@ def _report(criterion, detail):
 def test_criterion_1_worked_classifications():
     start = time.time()
     hat_positive = [-1.0, 1.0, 1.0]
-    assert is_n1_psh(hat_positive, 1e-12)
-    assert not is_m_subharmonic(hat_positive, 2, 1e-12)
+    assert is_n1_psh(hat_positive)
+    assert not is_m_subharmonic(hat_positive, 2)
     subharmonic_only = [-1.5, 1.0, 1.0]
-    assert is_m_subharmonic(subharmonic_only, 1, 1e-12)
-    assert not is_n1_psh(subharmonic_only, 1e-12)
+    assert is_m_subharmonic(subharmonic_only, 1)
+    assert not is_n1_psh(subharmonic_only)
     elapsed = time.time() - start
     assert elapsed < 1.0
     _report(1, f"both worked spectra classified at 1e-12 in {elapsed:.3f}s")

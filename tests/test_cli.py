@@ -296,6 +296,20 @@ class TestRadial:
         lines = open(os.path.join(out, "threshold.csv")).read().splitlines()
         assert all(line.endswith("convergent") for line in lines[1:])
 
+    def test_default_golden_digest(self, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["radial", "-o", out]) == 0
+        assert {name: digest(os.path.join(out, name)) for name in ("radial.csv", "threshold.csv")} == {
+            "radial.csv": "00cacc20b5b1359dbe90c2fdf94b3a0310069ae543e6a86bfdb2ee32d2bda421",
+            "threshold.csv": "73b339e812c8bad221a8958274569c278a4fd5f5214e92989e1c8549aac2a82c",
+        }
+
+    @pytest.mark.parametrize("levels", ["2", "1100"])
+    def test_rejected_levels_write_nothing(self, tmp_path, levels):
+        out = tmp_path / "r"
+        assert main(["radial", "--levels", levels, "-o", str(out)]) == 5
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("p", ["1000", "1e308"])
     def test_overflowing_integral_is_divergent(self, tmp_path, capsys, p):
         # far above the threshold every window overflows to inf
@@ -386,8 +400,9 @@ class TestKrylovFailure:
 
     @pytest.fixture(autouse=True)
     def zero_gmres(self, monkeypatch):
-        # a zero correction has true relative residual 1
-        monkeypatch.setattr(solver, "gmres", lambda op, rhs, **kwargs: (np.zeros_like(rhs), 0))
+        # a zero correction has true relative residual 1, and GMRES reports
+        # it unconverged
+        monkeypatch.setattr(solver, "gmres", lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
 
     def test_newton_solve_returns_failure(self, tmp_path):
         problem = parse_config(write(tmp_path, self.OSCILLATING))

@@ -157,9 +157,9 @@ class TestConeMembership:
         for n in (3, 4, 5):
             lam = sample_spectra(rng, 350000, n)
             psh = is_psh(lam)
-            sh2 = is_m_subharmonic(lam, 2, 1e-12)
-            hat = is_n1_psh(lam, 1e-12)
-            sh1 = is_m_subharmonic(lam, 1, 1e-12)
+            sh2 = is_m_subharmonic(lam, 2)
+            hat = is_n1_psh(lam)
+            sh1 = is_m_subharmonic(lam, 1)
             assert not (psh & ~sh2).any()
             assert not (sh2 & ~hat).any()
             assert not (hat & ~sh1).any()
@@ -186,11 +186,12 @@ class TestConeMembership:
         gamma = rng.uniform(0.1, 3.0, size=lam.shape)
         hat = lam.sum(axis=-1, keepdims=True) - lam
         table = _elementary_symmetric(lam, n)
-        for tol in (0.0, 1e-12):
-            assert np.array_equal(is_psh(lam), lam.min(axis=-1) >= 0.0)
-            assert np.array_equal(is_n1_psh(lam, tol), hat.min(axis=-1) >= -tol)
-            for m in range(1, n + 1):
-                assert np.array_equal(is_m_subharmonic(lam, m, tol), (table[:, 1 : m + 1] >= -tol).all(axis=-1))
+        slack = 1e-12
+        assert np.array_equal(is_psh(lam), lam.min(axis=-1) >= 0.0)
+        assert np.array_equal(is_n1_psh(lam), hat.min(axis=-1) >= -slack)
+        for m in range(1, n + 1):
+            assert np.array_equal(is_m_subharmonic(lam, m), (table[:, 1 : m + 1] >= -slack).all(axis=-1))
+        for tol in (0.0, slack):
             for g in (gamma, gamma[0], np.broadcast_to(gamma[:, :1], lam.shape)):
                 assert np.array_equal(is_quasi_n1_psh(lam, g, tol), (hat >= -(n - 1) * g - tol).all(axis=-1))
 

@@ -188,6 +188,7 @@ HUGE = str(2**62)
     pytest.param(["cones", "--samples", "10", "-o", "{tmp}/binary.ini"], id="output-is-a-file"),
     pytest.param(["radial", "--n", "90", "-o", "{tmp}"], id="radial-n-overflows"),
     pytest.param(["radial", "--n", "60", "-o", "{tmp}"], id="radial-n-not-finite"),
+    pytest.param(["radial", "--levels", "1100", "-o", "{tmp}"], id="radial-levels-past-float-range"),
 ])
 def test_bad_arguments_exit_5(tmp_path, capsys, argv):
     (tmp_path / "binary.ini").write_bytes(bytes(range(128, 256)) * 4)

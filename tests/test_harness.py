@@ -91,9 +91,10 @@ class TestC2Ratio:
         x1, _, _ = grid_coordinates(SHAPE)
         a = 0.6
         u = a * np.cos(x1)
+        u -= u.max()
         result = diagnostics(problem, SolveResult(
-            u=u - u.max(), c=1.0, residual_history=(0.0,), iterations=0,
-        ))
+            u=u, c=1.0, residual_history=(0.0,), iterations=0,
+        ), solver.alpha_field(problem, u))
         assert c2_ratio(result) == pytest.approx((a / 4) / ((a / 2) ** 2 + 1), rel=1e-12)
 
     def test_requires_diagnostics(self):

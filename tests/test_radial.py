@@ -276,3 +276,22 @@ class TestIntegralThreshold:
     def test_non_finite_exponent_rejected(self, p):
         with pytest.raises(DomainError, match="finite"):
             ShellIntegrand(p=p, n=3, r_inner=0.01, r_outer=0.05)
+
+    def test_overflowing_power_of_a_convergent_integral(self):
+        # tau^79 overflows in the last window, where the integrand is below
+        # the least normal float: the integral converges
+        spec = self.spec(2.0, n=79)
+        with pytest.raises(OverflowError):
+            _ = 8192.0**spec.n
+        assert spec.integrand(8192.0) == 0.0
+        # with p > n - 1 the numerator grows, and the overflow stands
+        with pytest.raises(OverflowError):
+            self.spec(79.0, n=79).integrand(8192.0)
+        report = integral_threshold(spec, 12)
+        assert report.verdict == "convergent"
+        assert 0 < report.levels[-1].partial_integral < 1e-30
+
+    @pytest.mark.parametrize("levels", [2, 1001])
+    def test_levels_out_of_range_rejected(self, levels):
+        with pytest.raises(DomainError, match="levels"):
+            integral_threshold(self.spec(2.0), levels)

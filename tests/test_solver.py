@@ -594,7 +594,7 @@ class TestDiagnostics:
         u = u - u.max()
         result = diagnostics(problem, SolveResult(
             u=u, c=1.0, residual_history=(0.0,), iterations=0,
-        ))
+        ), alpha_field(problem, u))
         assert result.grad_sup == pytest.approx(a / 2, rel=1e-12)
         assert result.hess_sup == pytest.approx(a / 4, rel=1e-12)
         assert result.osc == pytest.approx(2 * a, rel=1e-12)
