@@ -151,14 +151,22 @@ def _cone_rows(rng, samples):
     return rows
 
 
+def _form_trials(rng, trials, n):
+    """The hat identity residual and the equivalence verdict of each of
+    ``trials`` random Hermitian n x n, drawn from ``rng`` one trial at a
+    time, so that the caller may draw more between two trials."""
+    for _ in range(trials):
+        h = _random_hermitian(rng, n)
+        yield forms.hat_identity_residual(h, n), forms.equivalence_suite(h, n, rng=rng).agree
+
+
 def _form_rows(rng, trials):
     """Hat identity and equivalence audits on ``trials`` random Hermitian 3x3."""
     worst = 0.0
     agree = True
-    for _ in range(trials):
-        h = _random_hermitian(rng, 3)
-        worst = max(worst, forms.hat_identity_residual(h, 3))
-        agree = agree and forms.equivalence_suite(h, 3, rng=rng).agree
+    for residual, verdict in _form_trials(rng, trials, 3):
+        worst = max(worst, residual)
+        agree = agree and verdict
     return [
         ["hat_identity_max_residual", worst, 1e-12, worst <= 1e-12],
         ["equivalence_agreement", agree, True, agree],
@@ -278,10 +286,9 @@ def cmd_forms_check(args):
     worst_hat = 0.0
     worst_star = 0.0
     disagreements = 0
-    for _ in range(args.trials):
-        h = _random_hermitian(rng, args.n)
-        worst_hat = max(worst_hat, forms.hat_identity_residual(h, args.n))
-        if not forms.equivalence_suite(h, args.n, rng=rng).agree:
+    for residual, verdict in _form_trials(rng, args.trials, args.n):
+        worst_hat = max(worst_hat, residual)
+        if not verdict:
             disagreements += 1
         for (p, q) in ((1, 1), (2, 1)):
             shape = (
@@ -335,6 +342,10 @@ def _check_flags(args):
             raise ConfigError(f"cli: --{flag} must be at least {least} and finite, got {value}")
     if getattr(args, "samples", 1) > _MOST_SAMPLES:
         raise ConfigError(f"cli: --samples must be at most {_MOST_SAMPLES}, got {args.samples}")
+    # forms are dense on multi-indices up to forms._MAX_N; checked before a
+    # trial draws its n x n matrix (radial takes any n)
+    if args.command == "forms-check" and args.n > forms._MAX_N:
+        raise ConfigError(f"cli: --n must be at most {forms._MAX_N} for forms-check, got {args.n}")
 
 
 def build_parser():

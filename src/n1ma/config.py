@@ -183,11 +183,11 @@ def _options(parser):
     floor = _number(parser, "solver", "epsilon", float, None)
     if floor is not None and not 0 < floor < np.inf:
         raise ConfigError("config.parse_config: [solver] epsilon: floor must be finite and positive")
+    tolerance = _number(parser, "solver", "tol", float, 1e-10)
+    max_iterations = _number(parser, "solver", "max_iter", int, 50)
     with _labelled("[solver]"):
         return SolverOptions(
-            tolerance=_number(parser, "solver", "tol", float, 1e-10),
-            max_iterations=_number(parser, "solver", "max_iter", int, 50),
-            positivity_floor=floor,
+            tolerance=tolerance, max_iterations=max_iterations, positivity_floor=floor
         )
 
 

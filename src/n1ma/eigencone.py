@@ -11,10 +11,11 @@ predicates built from it (psh, m-subharmonic, hat-psh and the quasi variant
 relative to a background metric), the hat determinant ``ma_hat``, and the two
 arithmetic-geometric-mean comparison gaps of the audits: the product gap of
 an omega-psh spectrum, and the trace-form gap of ``det(omega^-1 alpha_u)``
-over stacked ``(beta, omega, hess)`` matrix triples with a certified minimum.
-The audits' random triples are built a chunk of samples at a time, and
-``cone_points_gap_min`` folds each chunk into a running minimum without
-forming the stacks.
+over stacked ``(beta, omega, hess)`` matrix triples.  The audits' random
+triples are built a chunk of samples at a time: ``cone_points_gap_min``
+folds each chunk into a certified running minimum of the trace-form gap
+without forming the stacks, and ``sample_cone_points`` copies the chunks
+into stacks.
 
 The spectrum functions broadcast over leading axes: an input of shape
 ``(..., n)`` is treated as a stack of spectra; the trace-form gap takes
@@ -42,7 +43,6 @@ __all__ = [
     "sample_spectra",
     "sample_cone_points",
     "amgm_trace_gap_batch",
-    "amgm_trace_gap_min",
     "cone_points_gap_min",
 ]
 
@@ -84,19 +84,13 @@ def _symmetric_columns(arr, degree):
     return columns
 
 
-def _elementary_symmetric(arr, degree):
-    """e_0..e_degree of the last axis of a validated array of spectra, stacked
-    along a new last axis."""
-    return np.stack(_symmetric_columns(arr, degree), axis=-1)
-
-
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial e_k(lam), 1 <= k <= n."""
     arr = _as_spectra(lam)
     n = arr.shape[-1]
     if not 1 <= int(k) <= n:
         raise DomainError(f"eigencone.sigma_k: k={k} outside 1..{n}")
-    return _elementary_symmetric(arr, int(k))[..., int(k)]
+    return _symmetric_columns(arr, int(k))[int(k)]
 
 
 # The predicates below run a column of spectra at a time: numpy reduces a
@@ -217,12 +211,11 @@ def _gram(piece, gauss, real, imag, out):
     out /= out.shape[-1]
 
 
-def _cone_point_chunks(rng, count, n, stacks=None):
+def _cone_point_chunks(rng, count, n):
     """Each run of ``_CHUNK`` samples of ``sample_cone_points(rng, count, n)``
-    in turn, bit for bit, as ``(beta, omega, hess)``: views of the chunk of
-    ``stacks``, three ``(count, n, n)`` complex arrays, when given, or else
-    of three chunk buffers that the next chunk overwrites.  ``rng`` ends
-    where one whole-batch draw leaves it.
+    in turn, bit for bit, as ``(beta, omega, hess)``: views of three chunk
+    buffers that the next chunk overwrites.  ``rng`` ends where one
+    whole-batch draw leaves it.
 
     The stream holds six regions of ``count n^2`` normals: the real and then
     the imaginary parts of the Gaussian matrices of beta, of omega and of
@@ -243,12 +236,10 @@ def _cone_point_chunks(rng, count, n, stacks=None):
         for chunk in _chunks(count):
             rng.standard_normal(out=piece[: chunk.stop - chunk.start])
     regions.append(rng)
-    reuse = stacks is None
-    if reuse:
-        stacks = [np.empty(gauss.shape, dtype=complex) for _ in range(3)]
+    buffers = [np.empty(gauss.shape, dtype=complex) for _ in range(3)]
     for chunk in _chunks(count):
         size = chunk.stop - chunk.start
-        beta, omega, hess = (x[:size] if reuse else x[chunk] for x in stacks)
+        beta, omega, hess = (x[:size] for x in buffers)
         # hess holds alpha first: PSD, occasionally near-singular
         for real, imag, out in zip(regions[::2], regions[1::2], (beta, omega, hess)):
             _gram(piece[:size], gauss[:size], real, imag, out)
@@ -271,14 +262,15 @@ def sample_cone_points(rng, count, n):
     ``hess = s * omega - (n - 1) * S`` reproduces alpha exactly.
     Returns a dict with keys beta, omega, hess.
 
-    ``_cone_point_chunks`` fills the three ``(count, n, n)`` stacks a chunk
-    of samples at a time, so the temporaries are a few chunks in size.
-    ``cone_points_gap_min`` takes the audit's minimum from the same chunks
-    without forming the stacks.
+    Each chunk of ``_cone_point_chunks`` is copied into the three
+    ``(count, n, n)`` stacks, so the temporaries are a few chunks in size.
+    The audits take their minimum from the same chunks without forming the
+    stacks (``cone_points_gap_min``).
     """
     stacks = [np.empty((count, n, n), dtype=complex) for _ in range(3)]
-    for _ in _cone_point_chunks(rng, count, n, stacks):
-        pass
+    for chunk, triple in zip(_chunks(count), _cone_point_chunks(rng, count, n)):
+        for stack, part in zip(stacks, triple):
+            stack[chunk] = part
     return dict(zip(("beta", "omega", "hess"), stacks))
 
 
@@ -440,32 +432,19 @@ def _raise_floor(beta, omega, hess, floor):
     return certified_max(bound, exact, floor=floor)
 
 
-def amgm_trace_gap_min(beta, omega, hess):
-    """``float(amgm_trace_gap_batch(beta, omega, hess).min())``, bit for bit,
-    from the exact path on a few of the samples; +inf for no samples.
-
-    ``beta``, ``omega`` and ``hess`` are stacked ``(..., n, n)`` arrays of one
-    shape.  The minimum is a running one over chunks of ``_CHUNK`` samples
-    (``_raise_floor``): each chunk is screened on its own, and its samples
-    that cannot go below the least gap of the earlier chunks are skipped.
-    LAPACK treats each matrix of a batch on its own, so the exact gap of a
-    sample does not depend on its batch, and the minimum over the chunks is
-    bitwise that of the full batch.  Every temporary is a few chunks in size.
-    """
-    n = np.shape(beta)[-1]
-    beta, omega, hess = (np.reshape(x, (-1, n, n)) for x in (beta, omega, hess))
-    floor = -np.inf
-    for chunk in _chunks(len(beta)):
-        floor = _raise_floor(beta[chunk], omega[chunk], hess[chunk], floor)
-    return -float(floor)
-
-
 def cone_points_gap_min(rng, count, n):
-    """``amgm_trace_gap_min(**sample_cone_points(rng, count, n))``, bit for
-    bit, without forming the three ``(count, n, n)`` stacks: each chunk of
-    ``_cone_point_chunks`` is folded into the running minimum and dropped,
-    so the memory taken does not grow with ``count``.  ``rng`` ends where
-    ``sample_cone_points`` leaves it.
+    """``float(amgm_trace_gap_batch(**sample_cone_points(rng, count, n)).min())``,
+    bit for bit, from the exact path on a few of the samples; +inf for no
+    samples.  ``rng`` ends where ``sample_cone_points`` leaves it.
+
+    The minimum is a running one over the chunks of ``_cone_point_chunks``
+    (``_raise_floor``): each chunk is screened on its own, its samples that
+    cannot go below the least gap of the earlier chunks are skipped, and it
+    is dropped, so the three ``(count, n, n)`` stacks are never formed and
+    the memory taken does not grow with ``count``.  LAPACK treats each
+    matrix of a batch on its own, so the exact gap of a sample does not
+    depend on its batch, and the minimum over the chunks is bitwise that of
+    the full batch.
     """
     floor = -np.inf
     for triple in _cone_point_chunks(rng, count, n):

@@ -79,17 +79,11 @@ def _merge_table(n, p1, p2):
 @lru_cache(maxsize=None)
 def _complement_table(n, p):
     """For each p-combo: rank of its complement among (n-p)-combos and the
-    sign of dz^I wedge dz^comp(I) relative to dz^(1..n)."""
-    rank = _combo_rank(n, n - p)
-    full = set(range(n))
-    comp_idx = np.empty(len(_combos(n, p)), dtype=np.intp)
-    comp_sgn = np.empty(len(_combos(n, p)), dtype=np.int8)
-    for a, left in enumerate(_combos(n, p)):
-        right = tuple(sorted(full - set(left)))
-        s, _ = _merge(left, right)
-        comp_idx[a] = rank[right]
-        comp_sgn[a] = s
-    return comp_idx, comp_sgn
+    sign of dz^I wedge dz^comp(I) relative to dz^(1..n): the one (n-p)-combo
+    that each row of the merge table merges with, and its sign."""
+    _, sgn = _merge_table(n, p, n - p)
+    rows, comp_idx = np.nonzero(sgn)
+    return comp_idx, sgn[rows, comp_idx]
 
 
 @dataclass(frozen=True)

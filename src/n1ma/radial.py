@@ -136,13 +136,21 @@ def radial_ma_hat(profile, z_norm, n):
     """
     t = _eval_at_potential(profile, z_norm, n)
     r = float(z_norm)
-    return _finite("radial_ma_hat", r, n, lambda: (
-        (n - 1)
-        * (n - 2) ** (2 * n - 1)
-        * r ** (-4 * (n - 1) ** 2)
-        * profile.chi1(t)
-        * profile.chi2(t) ** (n - 1)
-    ))
+
+    def evaluate():
+        if (2 * n - 1) * math.log2(n - 2) > 1100:
+            # the exact integer (n-2)^(2n-1) is past the float range, and at
+            # a large n takes seconds to build only to overflow
+            raise OverflowError
+        return (
+            (n - 1)
+            * (n - 2) ** (2 * n - 1)
+            * r ** (-4 * (n - 1) ** 2)
+            * profile.chi1(t)
+            * profile.chi2(t) ** (n - 1)
+        )
+
+    return _finite("radial_ma_hat", r, n, evaluate)
 
 
 @dataclass(frozen=True)

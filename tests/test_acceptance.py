@@ -13,7 +13,7 @@ import pytest
 from n1ma import eigencone, forms, radial
 from n1ma.eigencone import (
     amgm_trace_gap_batch,
-    amgm_trace_gap_min,
+    cone_points_gap_min,
     is_m_subharmonic,
     is_n1_psh,
     psh_product_gap,
@@ -162,7 +162,7 @@ def test_criterion_6_amgm_audits(solve_suite):
     pts = sample_cone_points(rng, 100000, 3)
     gaps = amgm_trace_gap_batch(pts["beta"], pts["omega"], pts["hess"])
     assert gaps.min() >= -1e-12
-    screened = amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
+    screened = cone_points_gap_min(np.random.default_rng(600), 100000, 3)
     assert np.array_equal(screened, float(gaps.min()))
 
     lam = rng.uniform(-1.0, 4.0, size=(100000, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import one_coordinate_solution
-from n1ma import solver
+from n1ma import cli, solver
 from n1ma.cli import main
 from n1ma.config import parse_config
 from n1ma.grid import grid_coordinates, read_field, write_field
@@ -304,6 +304,33 @@ class TestRadial:
             "threshold.csv": "73b339e812c8bad221a8958274569c278a4fd5f5214e92989e1c8549aac2a82c",
         }
 
+    # n = 45 is the largest n whose hat determinant stays in the float range
+    GOLDEN_N = {
+        "4": {
+            "radial.csv": "2676d3db7ce07168defa37b16f7fec0e2a9c3f272ecc036a1db46f6c542c397c",
+            "threshold.csv": "da14d18d18d7050715f4b5c229faefa94e3175a5a81a4e5f5b7e7fcf87494d10",
+        },
+        "45": {
+            "radial.csv": "c26061f97e8fa1de97d55b3726aff3d133f0ea502bd6e13f25aa79d87f9138d0",
+            "threshold.csv": "7f9f9b3b59b6aa1244e4bb4557b85b66fc2be01e6c84e3e4fba339389d53babe",
+        },
+    }
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_N))
+    def test_golden_digest_at_n(self, tmp_path, n):
+        out = str(tmp_path / "r")
+        assert main(["radial", "--n", n, "-o", out]) == 0
+        assert {name: digest(os.path.join(out, name)) for name in ("radial.csv", "threshold.csv")} == self.GOLDEN_N[n]
+
+    def test_huge_n_is_past_the_float_range(self, tmp_path, capsys):
+        # rejected before the exact integer (n-2)^(2n-1) of 12 million digits
+        out = tmp_path / "r"
+        assert main(["radial", "--n", "1000000", "-o", str(out)]) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error: radial.radial_ma_hat: value at |z| = 1 is past the float range for n = 1000000"
+        ]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("levels", ["2", "1100"])
     def test_rejected_levels_write_nothing(self, tmp_path, levels):
         out = tmp_path / "r"
@@ -387,6 +414,20 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 5
+
+    @pytest.mark.parametrize("n", ["7", "3000"])
+    def test_forms_check_n_past_the_form_dimension(self, tmp_path, capsys, monkeypatch, n):
+        """An --n above the largest form dimension exits 5 before a trial
+        draws its n x n matrix."""
+
+        def refuse(rng, size):
+            raise AssertionError(f"drew a {size} x {size} matrix")
+
+        monkeypatch.setattr(cli, "_random_hermitian", refuse)
+        out = tmp_path / "fc"
+        assert main(["forms-check", "--n", n, "-o", str(out)]) == 5
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: cli: --n must be at most 6 for forms-check, got {n}"]
 
     def test_smallest_counts_accepted(self, tmp_path):
         assert main(["cones", "--samples", "1", "-o", str(tmp_path / "c")]) == 0

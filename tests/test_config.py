@@ -203,6 +203,16 @@ e11 = exp(log(cos(x1)))
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
             parse_config(path)
 
+    @pytest.mark.parametrize("line, error", [
+        ("tol = abc", "[solver] tol: could not convert string to float: 'abc'"),
+        ("max_iter = 1e3", "[solver] max_iter: invalid literal for int() with base 10: '1e3'"),
+        ("tol = -1", "[solver]: SolverOptions: tolerance must be finite and positive, not -1.0"),
+    ], ids=["tol", "max_iter", "options"])
+    def test_solver_error_labelled_once(self, tmp_path, capsys, line, error):
+        path = write(tmp_path, f"[problem]\ngrid = 8\n[solver]\n{line}\n")
+        assert main(["solve", "-c", path, "-o", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err.splitlines() == [f"error: config.parse_config: {error}"]
+
     @pytest.mark.parametrize("line", [
         "c_beta_omega = nan", "c_beta_omega = inf", "budget = nan", "budget = 0", "budget = -1",
     ])

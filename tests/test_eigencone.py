@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from n1ma import cli, eigencone
 from n1ma.eigencone import (
-    _elementary_symmetric,
+    _symmetric_columns,
     amgm_trace_gap_batch,
-    amgm_trace_gap_min,
     cone_points_gap_min,
     hat_transform,
     is_m_subharmonic,
@@ -122,9 +121,10 @@ class TestSigma:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_truncated_table_is_bitwise_the_full_one(self, n):
         lam = np.random.default_rng(n).uniform(-3, 3, size=(500, n))
-        full = _elementary_symmetric(lam, n)
+        full = _symmetric_columns(lam, n)
         for m in range(1, n + 1):
-            assert np.array_equal(_elementary_symmetric(lam, m), full[:, : m + 1])
+            assert np.array_equal(_symmetric_columns(lam, m), full[: m + 1])
+            assert np.array_equal(sigma_k(lam, m), full[m])
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -185,7 +185,7 @@ class TestConeMembership:
         lam[::11, 0] = -0.0
         gamma = rng.uniform(0.1, 3.0, size=lam.shape)
         hat = lam.sum(axis=-1, keepdims=True) - lam
-        table = _elementary_symmetric(lam, n)
+        table = np.stack(_symmetric_columns(lam, n), axis=-1)
         slack = 1e-12
         assert np.array_equal(is_psh(lam), lam.min(axis=-1) >= 0.0)
         assert np.array_equal(is_n1_psh(lam), hat.min(axis=-1) >= -slack)
@@ -338,6 +338,15 @@ def _planted_triples(seed, count, n, rank, scale, omega_scale, duplicates):
     return beta, omega, hess
 
 
+def streamed_gap_min(beta, omega, hess):
+    """``cone_points_gap_min`` over the given ``(N, n, n)`` stacks, which
+    stand in for the sampler's chunks and are cut as it cuts its own."""
+    chunks = [(beta[c], omega[c], hess[c]) for c in eigencone._chunks(len(beta))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigencone, "_cone_point_chunks", lambda rng, count, n: iter(chunks))
+        return cone_points_gap_min(None, len(beta), beta.shape[-1])
+
+
 class TestAmGmTraceGapMin:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,7 +365,7 @@ class TestAmGmTraceGapMin:
             seed, count, n, min(rank, n), 10.0**log_scale, 10.0**log_omega_scale, duplicates
         )
         exact = amgm_trace_gap_batch(beta, omega, hess)
-        assert np.array_equal(amgm_trace_gap_min(beta, omega, hess), float(exact.min()))
+        assert np.array_equal(streamed_gap_min(beta, omega, hess), float(exact.min()))
         # the screen's enclosure holds wherever it clears a sample
         gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
         assert np.all(np.abs(gap - exact)[ok] <= radius[ok])
@@ -368,7 +377,7 @@ class TestAmGmTraceGapMin:
         with pytest.raises(np.linalg.LinAlgError):
             amgm_trace_gap_batch(*triple)
         with pytest.raises(np.linalg.LinAlgError):
-            amgm_trace_gap_min(*triple)
+            streamed_gap_min(*triple)
 
     def test_cli_stream_takes_few_exact_evaluations(self, monkeypatch):
         exact = []
@@ -430,15 +439,14 @@ class TestChunkedConeBatch:
         pts["beta"][-2], pts["omega"][-2], pts["hess"][-2] = np.eye(3), np.eye(3), 0.0
         exact = amgm_trace_gap_batch(*triple)
         assert exact.argmin() == count - 2
-        assert np.array_equal(amgm_trace_gap_min(*triple), float(exact.min()))
+        assert np.array_equal(streamed_gap_min(*triple), float(exact.min()))
 
     def test_cli_batch_keeps_three_stacks(self):
-        """The 10^5-sample sampling and screen of ``n1ma cones`` allocate
-        little beyond the three stacks they return and read."""
+        """``sample_cone_points`` at the 10^5 samples of ``n1ma cones``
+        allocates little beyond the three stacks it returns."""
         tracemalloc.start()
         try:
             pts = sample_cone_points(np.random.default_rng(0), 10**5, 3)
-            amgm_trace_gap_min(pts["beta"], pts["omega"], pts["hess"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,7 +467,7 @@ class TestStreamedGapMin:
         streamed = cone_points_gap_min(rng, count, n)
         after = rng.standard_normal(8)
         rng = np.random.default_rng(count + n)
-        whole = amgm_trace_gap_min(**sample_cone_points(rng, count, n))
+        whole = float(amgm_trace_gap_batch(**sample_cone_points(rng, count, n)).min())
         assert np.array_equal(streamed, whole) and type(streamed) is float
         # the draws that follow see the generator the whole batch leaves
         assert np.array_equal(after.view(np.uint64), rng.standard_normal(8).view(np.uint64))
@@ -471,7 +479,7 @@ class TestStreamedGapMin:
         pts = sample_cone_points(np.random.default_rng(6), count, 3)
         pts["omega"][count - 3, 1, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            amgm_trace_gap_min(**pts)
+            streamed_gap_min(**pts)
 
     def test_no_samples_give_the_empty_minimum(self):
         assert cone_points_gap_min(np.random.default_rng(0), 0, 3) == np.inf
