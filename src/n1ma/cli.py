@@ -142,8 +142,9 @@ def _cone_rows(rng, samples):
         bad = int((psh & ~sh2).sum() + (sh2 & ~n1).sum() + (n1 & ~sh1).sum())
         rows.append([f"cone_inclusions_n{n}", bad, 0, bad == 0])
 
+    # a certified lower bound of the least gap, so no rounding slack
     gap = eigencone.cone_points_gap_min(rng, samples, 3)
-    rows.append(["amgm_trace_gap_min", gap, -1e-12, gap >= -1e-12])
+    rows.append(["amgm_trace_gap_min", gap, 0.0, gap >= 0.0])
 
     lam = rng.uniform(-1.0, 4.0, size=(samples, 3))
     pgap = eigencone.psh_product_gap(lam)
@@ -233,7 +234,6 @@ def cmd_family(args):
 
 
 def cmd_radial(args):
-    out = _ensure_outdir(args.output)
     profile = radial.standard_profiles()["logloglog"]
     rows = [["r", "lambda_hat_1", "lambda_hat_j", "ma_hat"]]
     for r in profile.radii(args.n, count=25):
@@ -244,8 +244,9 @@ def cmd_radial(args):
         p=args.p, n=args.n,
         r_inner=math.exp(-math.e**2), r_outer=math.exp(-math.e),
     )
-    # a rejected --levels leaves no radial.csv behind
     report = radial.integral_threshold(spec, args.levels)
+    # a rejected --n or --levels leaves no output directory behind
+    out = _ensure_outdir(args.output)
     _write_csv(os.path.join(out, "radial.csv"), rows)
     threshold_rows = [["p", "level", "partial_integral", "verdict"]]
     for lvl in report.levels:

@@ -52,6 +52,12 @@ def _read(path):
     try:
         with open(path) as fh:
             parser.read_file(fh)
+    except configparser.ParsingError as exc:
+        # ConfigParser's message runs over several lines: keep its first line
+        # and the number of the first bad line
+        first = str(exc).splitlines()[0]
+        lineno = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        raise ConfigError(f"config.parse_config: {path}: {first} [line {lineno}]") from None
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         # OSError: a directory or an unreadable file
         raise ConfigError(f"config.parse_config: {path}: {exc}") from None

@@ -8,14 +8,16 @@ object is the linear hat transform
 which turns the positivity condition "(Delta u) * omega - dd^c u >= 0" into
 entrywise inequalities on hat(lam).  The module provides the cone membership
 predicates built from it (psh, m-subharmonic, hat-psh and the quasi variant
-relative to a background metric), the hat determinant ``ma_hat``, and the two
-arithmetic-geometric-mean comparison gaps of the audits: the product gap of
-an omega-psh spectrum, and the trace-form gap of ``det(omega^-1 alpha_u)``
-over stacked ``(beta, omega, hess)`` matrix triples.  The audits' random
-triples are built a chunk of samples at a time: ``cone_points_gap_min``
-folds each chunk into a certified running minimum of the trace-form gap
-without forming the stacks, and ``sample_cone_points`` copies the chunks
-into stacks.
+relative to a background metric) and the two arithmetic-geometric-mean
+comparison gaps of the audits: the product gap of an omega-psh spectrum, and
+the trace-form gap ``tr_omega alpha - n (det_omega alpha)^(1/n)`` of stacked
+``(beta, omega, hess)`` matrix triples, with alpha from the hat map.  The
+audits' random triples are built a chunk of samples at a time:
+``cone_points_gap_min`` screens each chunk in closed form and keeps a
+certified lower bound of the least trace-form gap without forming the
+stacks.  ``sample_cone_points`` copies the same chunks into stacks, and
+``amgm_trace_gap_batch`` takes the gap from the eigenvalues themselves, the
+reference that the screen is held to.
 
 The spectrum functions broadcast over leading axes: an input of shape
 ``(..., n)`` is treated as a stack of spectra; the trace-form gap takes
@@ -29,16 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .pointwise import ROUNDING, certified_max, field_cholesky, lower_inverse
+from .pointwise import ROUNDING, field_cholesky, lower_inverse
 
 __all__ = [
     "hat_transform",
-    "sigma_k",
     "is_psh",
     "is_m_subharmonic",
     "is_n1_psh",
     "is_quasi_n1_psh",
-    "ma_hat",
     "psh_product_gap",
     "sample_spectra",
     "sample_cone_points",
@@ -82,15 +82,6 @@ def _symmetric_columns(arr, degree):
         for k in range(min(i + 1, degree), 0, -1):
             columns[k] += lam * columns[k - 1]
     return columns
-
-
-def sigma_k(lam, k):
-    """k-th elementary symmetric polynomial e_k(lam), 1 <= k <= n."""
-    arr = _as_spectra(lam)
-    n = arr.shape[-1]
-    if not 1 <= int(k) <= n:
-        raise DomainError(f"eigencone.sigma_k: k={k} outside 1..{n}")
-    return _symmetric_columns(arr, int(k))[int(k)]
 
 
 # The predicates below run a column of spectra at a time: numpy reduces a
@@ -150,11 +141,6 @@ def is_quasi_n1_psh(lam, gamma, tolerance=0.0):
     return inside
 
 
-def ma_hat(lam):
-    """Determinant of the hat transform: prod_i (sum(lam) - lam_i)."""
-    return hat_transform(lam).prod(axis=-1)
-
-
 def psh_product_gap(lam):
     """Product comparison gap for an omega-psh spectrum.
 
@@ -191,58 +177,38 @@ def _chunks(count):
     return [slice(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK)]
 
 
-def _fork(rng):
-    """A new generator at ``rng``'s state, which draws the numbers ``rng``
-    would draw next; ``rng`` is left where it is."""
-    fork = np.random.Generator(type(rng.bit_generator)(0))
-    fork.bit_generator.state = rng.bit_generator.state
-    return fork
-
-
-def _gram(piece, gauss, real, imag, out):
-    """``out = a a^H / n`` for the stack ``a`` of complex Gaussian ``(n, n)``
-    matrices whose real parts ``real`` draws and imaginary parts ``imag``,
-    formed in ``gauss`` through the float buffer ``piece`` (numpy draws into
-    no strided ``gauss.real``); one BLAS call per matrix."""
-    for draw, component in ((real, gauss.real), (imag, gauss.imag)):
-        draw.standard_normal(out=piece)
+def _gram(rng, piece, gauss, out):
+    """``out = a a^H / n`` for a stack ``a`` of complex Gaussian ``(n, n)``
+    matrices whose real and then imaginary parts ``rng`` draws, formed in
+    ``gauss`` through the float buffer ``piece`` (numpy draws into no strided
+    ``gauss.real``); one BLAS call per matrix."""
+    for component in (gauss.real, gauss.imag):
+        rng.standard_normal(out=piece)
         component[...] = piece
     np.matmul(gauss, np.conj(np.swapaxes(gauss, -1, -2)), out=out)
     out /= out.shape[-1]
 
 
 def _cone_point_chunks(rng, count, n):
-    """Each run of ``_CHUNK`` samples of ``sample_cone_points(rng, count, n)``
-    in turn, bit for bit, as ``(beta, omega, hess)``: views of three chunk
-    buffers that the next chunk overwrites.  ``rng`` ends where one
-    whole-batch draw leaves it.
+    """The triples of ``sample_cone_points(rng, count, n)``, a run of
+    ``_CHUNK`` samples at a time, as ``(beta, omega, hess)``: views of three
+    chunk buffers that the next chunk overwrites.
 
-    The stream holds six regions of ``count n^2`` normals: the real and then
-    the imaginary parts of the Gaussian matrices of beta, of omega and of
-    alpha.  A chunk needs its piece of every region, so a discovery pass
-    first walks the first five regions a chunk at a time through one scratch
-    buffer, forking a generator at the start of each (``_fork``), and ``rng``
-    itself draws the sixth.  Every generator then draws its next piece for
-    each chunk: the numbers of one whole-batch draw, since the stream does
-    not depend on the size of the pieces.  The discovery pass draws five
-    sixths of the normals twice: about 60 ms for 10^5 samples at n = 3 on
-    one core of a 2-core Xeon.
+    Each chunk draws six pieces of ``size n^2`` normals from ``rng``: the real
+    and then the imaginary parts of the Gaussian matrices of beta, of omega
+    and of alpha.  The stream of normals does not depend on the size of the
+    pieces, so ``rng`` ends where one whole-batch draw of all ``6 count n^2``
+    normals leaves it, and the draws that follow see the same numbers.
     """
     piece = np.empty((min(count, _CHUNK), n, n))
     gauss = np.empty(piece.shape, dtype=complex)
-    regions = []
-    for _ in range(5):
-        regions.append(_fork(rng))
-        for chunk in _chunks(count):
-            rng.standard_normal(out=piece[: chunk.stop - chunk.start])
-    regions.append(rng)
     buffers = [np.empty(gauss.shape, dtype=complex) for _ in range(3)]
     for chunk in _chunks(count):
         size = chunk.stop - chunk.start
         beta, omega, hess = (x[:size] for x in buffers)
         # hess holds alpha first: PSD, occasionally near-singular
-        for real, imag, out in zip(regions[::2], regions[1::2], (beta, omega, hess)):
-            _gram(piece[:size], gauss[:size], real, imag, out)
+        for out in (beta, omega, hess):
+            _gram(rng, piece[:size], gauss[:size], out)
         beta += 0.2 * np.eye(n)  # positive definite
         omega += 0.2 * np.eye(n)
         hess -= beta  # S
@@ -262,10 +228,11 @@ def sample_cone_points(rng, count, n):
     ``hess = s * omega - (n - 1) * S`` reproduces alpha exactly.
     Returns a dict with keys beta, omega, hess.
 
-    Each chunk of ``_cone_point_chunks`` is copied into the three
+    The triples are drawn and built a chunk of ``_CHUNK`` samples at a time
+    (``_cone_point_chunks``), each chunk copied into the three
     ``(count, n, n)`` stacks, so the temporaries are a few chunks in size.
-    The audits take their minimum from the same chunks without forming the
-    stacks (``cone_points_gap_min``).
+    The audits screen the same chunks without forming the stacks
+    (``cone_points_gap_min``).
     """
     stacks = [np.empty((count, n, n), dtype=complex) for _ in range(3)]
     for chunk, triple in zip(_chunks(count), _cone_point_chunks(rng, count, n)):
@@ -297,7 +264,9 @@ def _batched_endomorphism_eigs(alpha, omega):
 
 
 def amgm_trace_gap_batch(beta, omega, hess):
-    """Vectorized trace-form AM-GM gap over stacked Hermitian triples."""
+    """Vectorized trace-form AM-GM gap over stacked Hermitian triples, from
+    the eigenvalues of ``omega^{-1} alpha`` clipped at 0: the exact gap that
+    the radius of ``_screened_gaps`` is measured against."""
     n = beta.shape[-1]
     alpha = _batched_alpha(beta, omega, hess)
     eigs = np.clip(_batched_endomorphism_eigs(alpha, omega), 0.0, None)
@@ -305,8 +274,8 @@ def amgm_trace_gap_batch(beta, omega, hess):
 
 
 # ---------------------------------------------------------------------------
-# Certified minimum of the batched AM-GM gap: a closed-form screen of every
-# sample, and the exact path above on the few samples that can hold the minimum.
+# Certified lower bound of the least AM-GM gap: a closed-form screen of every
+# sample.
 # ---------------------------------------------------------------------------
 
 
@@ -316,52 +285,62 @@ def _abs2(z):
 
 def _screened_gaps(beta, omega, hess):
     """Closed-form AM-GM gaps g of stacked ``(N, n, n)`` triples, radii r
-    with ``|g - amgm_trace_gap_batch| <= r``, and the mask of the samples
-    where omega and alpha pass their pivot tests (r holds only there).
+    with ``|g - gap| <= r`` for the exact gap of each given triple, and the
+    mask of the samples where omega and alpha pass their pivot tests (r
+    holds only there).  The exact gap is ``sum l - n (prod l)^(1/n)`` over
+    the eigenvalues l of ``omega^{-1} alpha`` clipped at 0, which
+    ``amgm_trace_gap_batch`` computes with LAPACK; ``g - r`` is a certified
+    lower bound of it.
 
     With the Cholesky factor ``omega = L L^H`` (pivots ``L_kk^2``) and
     ``M = L^{-1}`` (``pointwise.field_cholesky`` and ``lower_inverse``),
     ``tr_omega X = sum_k (M X M^H)_kk``, and
     ``g = tr_omega beta + tr_omega hess - n ratio^(1/n)`` with ``ratio =
     det alpha / det omega = prod_k (L^alpha_kk / L_kk)^2`` from two Cholesky.
+    The first two terms equal ``tr_omega alpha`` through the hat map's trace
+    identity alone, while ratio is read from the alpha formed here; so,
+    unlike the clipped gap, g turns negative when that alpha is formed with
+    a wrong map, and an alpha that is not positive definite fails its pivot
+    test.
 
     **The radius.**  ``nu = tr omega^{-1} = sum_k |M_k|^2`` (rows of M) bounds
     ``|omega^{-1}|_2``, and ``kappa = nu |omega|_F`` bounds cond_2(omega).
     In the frame where omega = I (``X -> G X G^H``, ``G = M``,
     ``|G|_2^2 <= nu``), ``scale = nu (|beta|_F + |tr_omega hess| |omega|_F +
-    |hess|_F)`` bounds the norms of beta, hess and alpha.  Every step of
-    either path (LU solve, Cholesky, triangular solves and ``eigvalsh``
-    there; Cholesky and substitutions here; forming alpha in both) is backward
-    stable, with an error of a few ``n eps`` relative to its operands
-    (Higham 2002, ch. 8-10; Demmel 1989).  In the omega = I frame an error E
-    of an operand costs at most ``nu |E|_F``, and a relative error of omega
-    is multiplied by kappa.  So each path finds the eigenvalues lambda_k of
-    ``omega^{-1} alpha``, or their sum and product, as if from a matrix
-    within ``delta = C n^3 eps kappa scale`` of the exact one (Weyl), with
-    ``C = pointwise.ROUNDING`` for the sum of the steps' constants.  Where alpha
-    passes its pivot test, every ``lambda_k >= -delta``, so every
+    |hess|_F)`` bounds the norms of beta, hess and alpha.  Every step (the
+    Cholesky factorizations, the substitutions and forming alpha) is
+    backward stable, with an error of a few ``n eps`` relative to its
+    operands (Higham 2002, ch. 8-10).  In the omega = I frame an error E of
+    an operand costs at most ``nu |E|_F``, and a relative error of omega is
+    multiplied by kappa.  So the screen finds the sum and product of the
+    eigenvalues lambda_k of ``omega^{-1} alpha`` as if from a matrix within
+    ``delta = C n^3 eps kappa scale`` of the exact one (Weyl), with
+    ``C = pointwise.ROUNDING`` for the sum of the steps' constants.  Where
+    alpha passes its pivot test, every ``lambda_k >= -delta``, so every
     ``|lambda_k| <= top = |tr_omega alpha| + 2 n delta``.  Then:
 
-    * each path's trace is within ``n delta`` of ``sum lambda_k``, and the
-      clip at 0 of the exact path moves it by at most ``n delta`` more;
-    * each path's product (``ratio`` here, the product of the clipped
-      eigenvalues there) is within ``n delta (top + delta)^(n-1)`` of
-      ``prod max(lambda_k, 0)``, so the two are within
-      ``spread = 2 n delta (top + delta)^(n-1)`` of each other.  For
-      x, y >= 0, ``|x^(1/n) - y^(1/n)|`` is at most ``|x - y|^(1/n)``, and at
-      most ``|x - y| / (n m^((n-1)/n))`` when both are at least m > 0 (mean
-      value theorem); here ``m = ratio - spread``.  A near-zero eigenvalue
-      thus turns the error delta into up to about
+    * the screen's trace is within ``n delta`` of ``sum lambda_k``, and the
+      clip at 0 of the exact gap moves that by at most ``n delta`` more;
+    * ``ratio`` is within ``n delta (top + delta)^(n-1)`` of
+      ``prod max(lambda_k, 0)``, so within ``spread = 2 n delta (top +
+      delta)^(n-1)``.  For x, y >= 0, ``|x^(1/n) - y^(1/n)|`` is at most
+      ``|x - y|^(1/n)``, and at most ``|x - y| / (n m^((n-1)/n))`` when both
+      are at least m > 0 (mean value theorem); here ``m = ratio - spread``.
+      A near-zero eigenvalue thus turns the error delta into up to about
       ``delta^(1/n) top^((n-1)/n)``.
 
     So ``r = 4 n delta + n min(spread^(1/n), spread / (n max(ratio - spread,
-    0)^((n-1)/n)))``.  A loose radius costs only a few more exact
-    evaluations.  On the 10^5-sample streams of ``n1ma cones`` the largest
-    ``|g - exact|`` is below ``1e-6 r``, and on batches of alphas of every
-    rank at scales 1e-3..1e3 below ``0.02 r``.
+    0)^((n-1)/n)))``.  The formula was first derived for the distance between
+    the screen's gap and LAPACK's, each within the bounds above of the exact
+    one, so for the screen alone its linear term and its spread are twice
+    what is needed.  A loose radius only lowers the certified bound: on the
+    10^5-sample streams of ``n1ma cones`` the largest ``|g -
+    amgm_trace_gap_batch|`` is below ``1e-6 r`` and the largest r below
+    0.05, and on batches of alphas of every rank at scales 1e-3..1e3 the
+    error is below ``0.02 r``.
 
     **Memory.**  Every output of a sample depends on that sample alone, so
-    ``_raise_floor`` passes a chunk of samples at a time, and every
+    ``cone_points_gap_min`` passes a chunk of samples at a time, and every
     temporary is a field of the chunk's size: the two factors, M, and
     alpha, of which only the lower triangle that ``field_cholesky`` reads
     is formed.
@@ -412,41 +391,26 @@ def _screened_gaps(beta, omega, hess):
     return gap, radius, ok & ok_alpha
 
 
-def _raise_floor(beta, omega, hess, floor):
-    """The larger of ``floor`` and the largest negated exact AM-GM gap of
-    stacked ``(N, n, n)`` triples, from the exact path on a few of them.
-
-    A closed-form screen (``_screened_gaps``) gives every sample a gap g and
-    a radius r, and ``pointwise.certified_max`` maximizes the negated exact
-    gap under the bounds ``r - g``, +inf where a pivot test fails (omega or
-    alpha not numerically positive definite) or the bound is not finite (NaN
-    entries); samples whose bound is below ``floor`` are skipped.
-    """
-    gap, radius, ok = _screened_gaps(beta, omega, hess)
-    bound = np.subtract(radius, gap, out=radius)
-    bound[~(ok & np.isfinite(bound))] = np.inf
-
-    def exact(points):
-        return -amgm_trace_gap_batch(beta[points], omega[points], hess[points]).min()
-
-    return certified_max(bound, exact, floor=floor)
-
-
 def cone_points_gap_min(rng, count, n):
-    """``float(amgm_trace_gap_batch(**sample_cone_points(rng, count, n)).min())``,
-    bit for bit, from the exact path on a few of the samples; +inf for no
-    samples.  ``rng`` ends where ``sample_cone_points`` leaves it.
+    """A certified lower bound of the least trace-form AM-GM gap of the
+    triples of ``sample_cone_points(rng, count, n)``: the least ``g - r`` of
+    ``_screened_gaps`` over the chunks of ``_cone_point_chunks``, as a float.
+    A sample that fails a pivot test (omega or alpha not numerically
+    positive definite), or whose bound is not finite (NaN entries), counts
+    as -inf; no samples give +inf.  ``rng`` ends where ``sample_cone_points``
+    leaves it.
 
-    The minimum is a running one over the chunks of ``_cone_point_chunks``
-    (``_raise_floor``): each chunk is screened on its own, its samples that
-    cannot go below the least gap of the earlier chunks are skipped, and it
-    is dropped, so the three ``(count, n, n)`` stacks are never formed and
-    the memory taken does not grow with ``count``.  LAPACK treats each
-    matrix of a batch on its own, so the exact gap of a sample does not
-    depend on its batch, and the minimum over the chunks is bitwise that of
-    the full batch.
+    The bound is at most ``amgm_trace_gap_batch`` of every sample.  On the
+    sampler's triples, whose hess realizes a PSD alpha through the hat map,
+    it read at least 0.043 at seeds 0-19 of ``n1ma cones`` (10^5 samples);
+    triples built with a wrong hat map make it negative.  Each chunk is screened and dropped, so the three
+    ``(count, n, n)`` stacks are never formed and the memory taken does not
+    grow with ``count``.
     """
-    floor = -np.inf
+    least = np.inf
     for triple in _cone_point_chunks(rng, count, n):
-        floor = _raise_floor(*triple, floor)
-    return -float(floor)
+        gap, radius, ok = _screened_gaps(*triple)
+        bound = np.subtract(gap, radius, out=gap)
+        bound[~(ok & np.isfinite(bound))] = -np.inf
+        least = min(least, float(bound.min()))
+    return least

@@ -221,10 +221,6 @@ class EstimateReport:
     def within_budget(self):
         return np.isfinite(self.uniformity) and self.uniformity <= self.budget
 
-    @property
-    def all_converged(self):
-        return all(row.converged for row in self.rows)
-
     def csv_rows(self):
         header = [
             "t", "c", "c_upper", "mass", "min_gap", "c2_ratio",

@@ -2,14 +2,14 @@
 
 A field is stored component-major, ``(n, n) + points`` (a grid or a batch of
 samples), so every step is one vectorized operation per triangle entry.  The
-solver and the cone audits share the Cholesky factor ``field_cholesky``, its
-inverse ``lower_inverse``, and ``certified_max``, the maximum of a per-point
-value from its exact value on the few points that bounds leave open.  The
-solver's eigenvalue extremes (``hess_sup``, ``min_alpha_eig`` and the range
-of the metric) come from ``eig_extreme``: every point's Gershgorin bounds,
-widened by its own slack, and Cholesky tests rule out the points that cannot
-attain the extreme, and ``eigvalsh`` runs on the rest, so the values are
-bitwise those of ``eigvalsh`` over every point.
+solver and the cone audits share the Cholesky factor ``field_cholesky`` and
+its inverse ``lower_inverse``.  The solver's eigenvalue extremes
+(``hess_sup``, ``min_alpha_eig`` and the range of the metric) come from
+``eig_extreme``: every point's Gershgorin bounds, widened by its own slack,
+and Cholesky tests rule out the points that cannot attain the extreme, and
+``eigvalsh`` runs on the rest (``certified_max``, the maximum of a per-point
+value from its exact value on the few points that bounds leave open), so
+the values are bitwise those of ``eigvalsh`` over every point.
 
 Every certified bound has one rounding model: a computation on one point errs
 by at most ``ROUNDING n^k eps`` times that point's own magnitude (k = 2 for
@@ -78,26 +78,20 @@ def lower_inverse(factor):
     return inv
 
 
-def certified_max(bound, exact, certify=None, floor=-math.inf):
-    """``max(exact(every point), floor)`` from ``exact`` on a subset of the
-    points.
+def certified_max(bound, exact, certify=None):
+    """``exact(every point)`` from ``exact`` on a subset of the points.
 
     ``exact(points)`` is the maximum of a per-point value over an index
-    array, ``bound`` a 1-D array of per-point upper bounds of that value, and
-    ``floor`` a value already reached, such as the maximum over an earlier
-    chunk of points: a point whose bound is below it cannot raise it.
-    ``exact`` on the ``PROBE`` largest bounds not below the floor gives a
-    provisional maximum p, at least the floor; it runs again on the points
-    outside the probe whose bound is not below p (NaN included) and that
-    ``certify(points, p)``, a mask, does not clear.  When ``exact`` treats
-    each point on its own, the result is bitwise the full value.
+    array, ``bound`` a 1-D array of per-point upper bounds of that value.
+    ``exact`` on the ``PROBE`` largest bounds gives a provisional maximum p;
+    it runs again on the points outside the probe whose bound is not below p
+    (NaN included) and that ``certify(points, p)``, a mask, does not clear.
+    When ``exact`` treats each point on its own, the result is bitwise the
+    full value.
     """
     probe = min(PROBE, bound.size)
     probed = np.argpartition(bound, -probe)[-probe:]
-    probed = probed[~(bound[probed] < floor)]
-    if not probed.size:
-        return floor
-    provisional = max(exact(probed), floor)
+    provisional = exact(probed)
     left_open = ~(bound < provisional)
     left_open[probed] = False
     candidates = np.flatnonzero(left_open)

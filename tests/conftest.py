@@ -1,5 +1,6 @@
 """Shared fixtures: the expensive solves are session-scoped and reused."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -47,6 +48,20 @@ def random_band_limited(rng, shape, max_mode=3, amplitude=1.0):
         arg = sum(kk * xx for kk, xx in zip(kvec, coords))
         out += coef * np.cos(arg + phase)
     return out - out.mean()
+
+
+def sigma_k(lam, k):
+    """Oracle: the k-th elementary symmetric polynomial e_k of the last axis
+    of ``lam``, summed over the k-subsets of its entries."""
+    lam = np.asarray(lam, dtype=float)
+    return sum(np.prod(lam[..., list(c)], axis=-1) for c in itertools.combinations(range(lam.shape[-1]), k))
+
+
+def ma_hat(lam):
+    """Oracle: the hat determinant ``prod_i (sum(lam) - lam_i)`` of the last
+    axis of ``lam``."""
+    lam = np.asarray(lam, dtype=float)
+    return np.prod(lam.sum(axis=-1, keepdims=True) - lam, axis=-1)
 
 
 def one_coordinate_solution(f, n):

@@ -100,7 +100,7 @@ def test_tracer_counts_a_family_run():
         report = family_run(spec)
     finally:
         tracer.uninstall()
-    assert report.all_converged
+    assert all(row.converged for row in report.rows)
     assert [owner.__dict__[attr] for owner, attr in bindings] == originals
     metrics = tracer.metrics()
     # one Newton loop per fiber: each warm start converges

@@ -228,15 +228,15 @@ class TestVerify:
     # than one chunk
     GOLDEN = {
         ("cones", "--samples", "2000", "--seed", "0"):
-            "e1e8bc7c5755207696c8e9607b76d911055e8c0e3bb0e377d29daeb3a8e054e1",
+            "11fb2afd7cef2681826571ba7992f2bd0ab78cbb36f7d1aafd3c568e96b08579",
         ("cones", "--samples", "2000", "--seed", "5"):
-            "c687cfbac1a0907d3c9a9563e4701b008943f080e885e3b448e5208e73973b91",
+            "e1a9461de27416e953e630c7365973d650e9e294c1cf757a1f74c5b1eafb5c43",
         ("cones", "--samples", "10007", "--seed", "3"):
-            "78ddb4da99cd38b2da9f3007b0f8a9e3fedfd4c692566c433e5f946d6cde1f46",
+            "986dcc7beb1f3d2c3b80f4df5d93b354180cc7ee6026f0895c8cc5d54715efc9",
         ("cones", "--samples", "1"):
-            "96380f12daf9a7d4c1404840e88f412ebdcf460766cb26dca0c088d5460f9436",
+            "53e66c6f2a4b3ea14024ea816a9ae5e3fdcc962d89d3147c97d5c1e9500753e7",
         ("verify", "-c", "manufactured", "--samples", "20000", "--seed", "7"):
-            "7bd0c07a4a1e8603380cbaf394f37b3c814840227cd8dd23000b85f22beeee23",
+            "36d856e0f5c5d6e4a899e6eb031a0fe759cc3fb348a12b672aab2fa21976b8f4",
         ("forms-check", "--n", "3", "--trials", "8", "--seed", "5"):
             "affe3759fbd582725741224995dd405f9e2fe7fa64e2b4b183dadcf1b453efba",
         ("forms-check", "--n", "4", "--trials", "8", "--seed", "5"):
@@ -329,13 +329,21 @@ class TestRadial:
         assert capsys.readouterr().err.splitlines() == [
             "error: radial.radial_ma_hat: value at |z| = 1 is past the float range for n = 1000000"
         ]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_first_n_past_the_float_range_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["radial", "--n", "46", "-o", str(out)]) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            "error: radial.radial_ma_hat: value at |z| = 0.9547 is past the float range for n = 46"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("levels", ["2", "1100"])
     def test_rejected_levels_write_nothing(self, tmp_path, levels):
         out = tmp_path / "r"
         assert main(["radial", "--levels", levels, "-o", str(out)]) == 5
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("p", ["1000", "1e308"])
     def test_overflowing_integral_is_divergent(self, tmp_path, capsys, p):

@@ -213,6 +213,17 @@ e11 = exp(log(cos(x1)))
         assert main(["solve", "-c", path, "-o", str(tmp_path / "out")]) == 5
         assert capsys.readouterr().err.splitlines() == [f"error: config.parse_config: {error}"]
 
+    @pytest.mark.parametrize("text, error", [
+        ("grid = 8\n[problem]\n", "File contains no section headers. [line 1]"),
+        ("[problem]\ngrid = 8\nfoo\n", "Source contains parsing errors: '{path}' [line 3]"),
+    ], ids=["no-section-header", "bare-line"])
+    def test_malformed_ini_is_one_line(self, tmp_path, capsys, text, error):
+        path = write(tmp_path, text)
+        assert main(["solve", "-c", path, "-o", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config.parse_config: {path}: {error.format(path=path)}"
+        ]
+
     @pytest.mark.parametrize("line", [
         "c_beta_omega = nan", "c_beta_omega = inf", "budget = nan", "budget = 0", "budget = -1",
     ])
@@ -368,7 +379,7 @@ c_beta_omega = 4
 
         monkeypatch.setattr(solver, "eig_extreme", counted)
         spec = parse_config(path)
-        assert family_run(spec).all_converged
+        assert all(row.converged for row in family_run(spec).rows)
         # a range is the only caller that asks for a largest eigenvalue alone
         assert calls.count((-1,)) == 2 + sum(t > 0 for t in ts)
 

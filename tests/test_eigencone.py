@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ma_hat, sigma_k
 from n1ma import cli, eigencone
 from n1ma.eigencone import (
     _symmetric_columns,
@@ -16,21 +16,15 @@ from n1ma.eigencone import (
     is_n1_psh,
     is_psh,
     is_quasi_n1_psh,
-    ma_hat,
     psh_product_gap,
     sample_cone_points,
     sample_spectra,
-    sigma_k,
 )
 from n1ma.errors import DomainError
 
 
 def brute_hat(lam):
     return np.array([sum(x for k, x in enumerate(lam) if k != i) for i in range(len(lam))])
-
-
-def brute_sigma(lam, k):
-    return sum(np.prod(c) for c in itertools.combinations(lam, k))
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +94,29 @@ class TestHatTransform:
             hat_transform([np.inf, 1.0, 1.0])
 
 
+def e_k(lam, k):
+    """e_k of the last axis of ``lam`` from ``_symmetric_columns``, the table
+    that the m-subharmonic predicate reads."""
+    return _symmetric_columns(np.asarray(lam, dtype=float), k)[k]
+
+
 class TestSigma:
     def test_all_ones(self):
-        assert sigma_k([1.0, 1.0, 1.0], 2) == pytest.approx(3.0)
+        assert e_k([1.0, 1.0, 1.0], 2) == sigma_k([1.0, 1.0, 1.0], 2) == pytest.approx(3.0)
 
     def test_pairwise_expansion(self):
         # (-1)(1) + (-1)(1) + (1)(1)
-        assert sigma_k([-1.0, 1.0, 1.0], 2) == pytest.approx(-1.0)
+        assert e_k([-1.0, 1.0, 1.0], 2) == sigma_k([-1.0, 1.0, 1.0], 2) == pytest.approx(-1.0)
 
     def test_trace_example(self):
-        assert sigma_k([-1.5, 1.0, 1.0], 1) == pytest.approx(0.5)
+        assert e_k([-1.5, 1.0, 1.0], 1) == sigma_k([-1.5, 1.0, 1.0], 1) == pytest.approx(0.5)
 
     def test_against_combinations(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             lam = rng.uniform(-3, 3, size=5)
             for k in range(1, 6):
-                assert sigma_k(lam, k) == pytest.approx(brute_sigma(lam, k), rel=1e-10, abs=1e-10)
+                assert e_k(lam, k) == pytest.approx(sigma_k(lam, k), rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_truncated_table_is_bitwise_the_full_one(self, n):
@@ -124,13 +124,12 @@ class TestSigma:
         full = _symmetric_columns(lam, n)
         for m in range(1, n + 1):
             assert np.array_equal(_symmetric_columns(lam, m), full[: m + 1])
-            assert np.array_equal(sigma_k(lam, m), full[m])
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            sigma_k([1.0, 2.0, 3.0], 4)
+            is_m_subharmonic([1.0, 2.0, 3.0], 4)
         with pytest.raises(DomainError):
-            sigma_k([1.0, 2.0, 3.0], 0)
+            is_m_subharmonic([1.0, 2.0, 3.0], 0)
 
 
 class TestConeMembership:
@@ -347,6 +346,22 @@ def streamed_gap_min(beta, omega, hess):
         return cone_points_gap_min(None, len(beta), beta.shape[-1])
 
 
+def screened_min(beta, omega, hess):
+    """The least certified bound ``g - r`` of ``_screened_gaps`` over whole
+    ``(N, n, n)`` stacks in one call, -inf at a sample that fails a pivot
+    test or whose bound is not finite."""
+    gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
+    bound = gap - radius
+    return float(np.where(ok & np.isfinite(bound), bound, -np.inf).min())
+
+
+def amgm_row(seed, samples):
+    """``(value, threshold, pass)`` of the ``amgm_trace_gap_min`` row of
+    ``n1ma cones --seed seed --samples samples``."""
+    rows = cli._cone_rows(np.random.default_rng(seed), samples)
+    return next(row[1:] for row in rows if row[0] == "amgm_trace_gap_min")
+
+
 class TestAmGmTraceGapMin:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -365,46 +380,71 @@ class TestAmGmTraceGapMin:
             seed, count, n, min(rank, n), 10.0**log_scale, 10.0**log_omega_scale, duplicates
         )
         exact = amgm_trace_gap_batch(beta, omega, hess)
-        assert np.array_equal(streamed_gap_min(beta, omega, hess), float(exact.min()))
+        streamed = streamed_gap_min(beta, omega, hess)
+        # the screen's bound over the full batch, which is at most the exact minimum
+        assert np.array_equal(streamed, screened_min(beta, omega, hess))
+        assert streamed <= exact.min()
         # the screen's enclosure holds wherever it clears a sample
         gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
         assert np.all(np.abs(gap - exact)[ok] <= radius[ok])
 
-    def test_nan_sample_takes_the_exact_path(self):
-        pts = sample_cone_points(np.random.default_rng(2), 200, 3)
-        pts["beta"][17, 0, 0] = np.nan
-        triple = (pts["beta"], pts["omega"], pts["hess"])
-        with pytest.raises(np.linalg.LinAlgError):
-            amgm_trace_gap_batch(*triple)
-        with pytest.raises(np.linalg.LinAlgError):
-            streamed_gap_min(*triple)
+    def test_nan_sample_makes_the_minimum_minus_inf(self):
+        """NaN in an entry that the Cholesky factorizations read fails a pivot
+        test; NaN in an upper triangle, which they do not read, gives a NaN
+        radius."""
+        for name, entry in (("beta", (17, 0, 0)), ("hess", (17, 0, 2))):
+            pts = sample_cone_points(np.random.default_rng(2), 200, 3)
+            pts[name][entry] = np.nan
+            with pytest.raises(np.linalg.LinAlgError):
+                amgm_trace_gap_batch(**pts)
+            assert streamed_gap_min(**pts) == -np.inf
 
-    def test_cli_stream_takes_few_exact_evaluations(self, monkeypatch):
-        exact = []
+    def test_cli_stream_takes_no_exact_evaluation(self, monkeypatch):
+        def refused(beta, omega, hess):
+            raise AssertionError("the audit evaluated the exact gap")
 
-        def counted(beta, omega, hess):
-            exact.append(len(beta))
-            return amgm_trace_gap_batch(beta, omega, hess)
+        monkeypatch.setattr(eigencone, "amgm_trace_gap_batch", refused)
+        assert amgm_row(0, 100000) == [0.10059839394891774, 0.0, True]
 
-        monkeypatch.setattr(eigencone, "amgm_trace_gap_batch", counted)
-        rows = cli._cone_rows(np.random.default_rng(0), 100000)
-        # the row as the full-batch minimum wrote it
-        assert [row[1] for row in rows if row[0] == "amgm_trace_gap_min"] == [0.09847506847128451]
-        assert 0 < sum(exact) < 100
+    @pytest.mark.parametrize("seed, samples", [(0, 2000), (5, 2000), (3, 10007)])
+    def test_wrong_hat_map_fails_the_row(self, monkeypatch, seed, samples):
+        """Triples whose hess inverts a wrong hat map, ``s omega - (n + 3) S``
+        with ``S = alpha - beta`` and ``s = tr(omega^-1 S)``, make the row
+        negative and False: most of the alphas that the true map makes of
+        them fail their pivot test.  The sampler's own triples pass at the
+        same seed."""
+        chunks = eigencone._cone_point_chunks
+
+        def wrong_map(rng, count, n):
+            for beta, omega, hess in chunks(rng, count, n):
+                s_mat = eigencone._batched_alpha(beta, omega, hess) - beta
+                s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
+                yield beta, omega, s[:, None, None] * omega - (n + 3) * s_mat
+
+        value, threshold, verdict = amgm_row(seed, samples)
+        assert value > threshold == 0.0 and verdict
+        monkeypatch.setattr(eigencone, "_cone_point_chunks", wrong_map)
+        value, _, verdict = amgm_row(seed, samples)
+        assert value < 0.0 and not verdict
 
 
 def whole_batch_cone_points(rng, count, n):
-    """``sample_cone_points`` as whole-batch formulas: (beta, omega, hess)."""
+    """``sample_cone_points`` as whole-batch formulas, drawn and applied to
+    one chunk of ``_CHUNK`` samples at a time: (beta, omega, hess)."""
 
-    def gram():
-        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    def gram(size):
+        a = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
         return a @ np.conj(np.swapaxes(a, -1, -2)) / n
 
-    beta = gram() + 0.2 * np.eye(n)
-    omega = gram() + 0.2 * np.eye(n)
-    s_mat = gram() - beta
-    s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
-    return beta, omega, s[:, None, None] * omega - (n - 1) * s_mat
+    parts = []
+    for chunk in eigencone._chunks(count):
+        size = chunk.stop - chunk.start
+        beta = gram(size) + 0.2 * np.eye(n)
+        omega = gram(size) + 0.2 * np.eye(n)
+        s_mat = gram(size) - beta
+        s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
+        parts.append((beta, omega, s[:, None, None] * omega - (n - 1) * s_mat))
+    return [np.concatenate(stack) for stack in zip(*parts)]
 
 
 class TestChunkedConeBatch:
@@ -420,9 +460,9 @@ class TestChunkedConeBatch:
 
     @pytest.mark.parametrize("piece", [1, CHUNK, CHUNK + 1])
     def test_normal_draws_in_pieces_are_the_whole_batch_stream(self, piece):
-        """``_cone_point_chunks`` draws its normals a chunk at a time into the
-        stream of one whole-batch draw; the stream must not depend on the
-        size of the pieces."""
+        """``_cone_point_chunks`` draws its normals a chunk at a time, and
+        ``rng`` must end where one whole-batch draw leaves it: the stream must
+        not depend on the size of the pieces."""
         count = 2 * self.CHUNK + 5
         whole = np.random.default_rng(5).standard_normal((count, 3, 3))
         rng = np.random.default_rng(5)
@@ -434,12 +474,12 @@ class TestChunkedConeBatch:
     def test_minimum_in_the_ragged_tail(self):
         count = 2 * self.CHUNK + 5
         pts = sample_cone_points(np.random.default_rng(4), count, 3)
-        triple = (pts["beta"], pts["omega"], pts["hess"])
-        # the flat point, gap 0, is the least sample
+        # the flat point, exact gap 0, is the least sample: its bound is -r
         pts["beta"][-2], pts["omega"][-2], pts["hess"][-2] = np.eye(3), np.eye(3), 0.0
-        exact = amgm_trace_gap_batch(*triple)
-        assert exact.argmin() == count - 2
-        assert np.array_equal(streamed_gap_min(*triple), float(exact.min()))
+        gap, radius, ok = eigencone._screened_gaps(**pts)
+        bound = gap - radius
+        assert ok.all() and bound.argmin() == count - 2 and -1e-9 < bound[-2] < 0.0
+        assert np.array_equal(streamed_gap_min(**pts), bound[-2])
 
     def test_cli_batch_keeps_three_stacks(self):
         """``sample_cone_points`` at the 10^5 samples of ``n1ma cones``
@@ -467,19 +507,24 @@ class TestStreamedGapMin:
         streamed = cone_points_gap_min(rng, count, n)
         after = rng.standard_normal(8)
         rng = np.random.default_rng(count + n)
-        whole = float(amgm_trace_gap_batch(**sample_cone_points(rng, count, n)).min())
-        assert np.array_equal(streamed, whole) and type(streamed) is float
-        # the draws that follow see the generator the whole batch leaves
+        pts = sample_cone_points(rng, count, n)
+        assert np.array_equal(streamed, screened_min(**pts)) and type(streamed) is float
+        # a certified lower bound of the exact minimum, above 0 on the hat map's triples
+        assert 0.0 <= streamed <= amgm_trace_gap_batch(**pts).min()
+        # the draws that follow see the generator that one whole-batch draw
+        # of the 6 count n^2 normals leaves, as after sample_cone_points
+        whole = np.random.default_rng(count + n)
+        whole.standard_normal(6 * count * n * n)
+        assert np.array_equal(after.view(np.uint64), whole.standard_normal(8).view(np.uint64))
         assert np.array_equal(after.view(np.uint64), rng.standard_normal(8).view(np.uint64))
 
-    def test_nan_sample_in_a_later_chunk_takes_the_exact_path(self):
-        """A sample no bound can clear is evaluated exactly whatever the floor
-        the earlier chunks reached."""
+    def test_nan_sample_in_a_later_chunk_makes_the_minimum_minus_inf(self):
+        """A sample no bound can clear makes the minimum -inf whatever the
+        earlier chunks reached."""
         count = 2 * self.CHUNK + 5
         pts = sample_cone_points(np.random.default_rng(6), count, 3)
         pts["omega"][count - 3, 1, 1] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            streamed_gap_min(**pts)
+        assert streamed_gap_min(**pts) == -np.inf
 
     def test_no_samples_give_the_empty_minimum(self):
         assert cone_points_gap_min(np.random.default_rng(0), 0, 3) == np.inf

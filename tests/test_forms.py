@@ -349,7 +349,7 @@ class TestSymmetricPolynomialCrossValidation:
         return (top.coeffs[0, 0] / _euclidean_power(n, n).coeffs[0, 0]).real
 
     def test_positive_proportionality(self):
-        from n1ma.eigencone import sigma_k
+        from conftest import sigma_k
 
         n = 3
         rng = np.random.default_rng(14)

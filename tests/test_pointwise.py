@@ -79,8 +79,17 @@ class TestCertifiedMax:
     def test_nan_bounds_keep_every_point(self):
         bound = self.bound.copy()
         bound[::3] = np.nan
-        assert certified_max(bound, self.exact) == self.values.max()
-        assert certified_max(np.full(5000, np.nan), self.exact) == self.values.max()
+        cleared = []
+
+        def certify(points, provisional):
+            cleared.append(points)
+            return self.values[points] < provisional
+
+        for check in (None, certify):
+            assert certified_max(bound, self.exact, check) == self.values.max()
+            assert certified_max(np.full(5000, np.nan), self.exact, check) == self.values.max()
+        # certify sees indices into the full point set
+        assert cleared and all(np.all(points < 5000) for points in cleared)
 
     @pytest.mark.parametrize("probe", [500, 501, 10**6])
     def test_probe_at_least_the_batch(self, monkeypatch, probe):
@@ -89,33 +98,6 @@ class TestCertifiedMax:
         self.values = self.values[:500]
         assert certified_max(np.zeros(500), self.exact) == self.values.max()
         assert self.points == [500]
-
-    @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.999])
-    def test_floor_drops_the_points_below_it(self, quantile):
-        floor = float(np.quantile(self.values, quantile))
-        assert certified_max(self.bound, self.exact, floor=floor) == self.values.max()
-        # only the points whose bound reaches the floor are evaluated
-        assert sum(self.points) <= min(PROBE + 50, int((self.bound >= floor).sum()))
-
-    def test_floor_above_every_bound_is_the_result(self):
-        floor = float(self.bound.max()) + 1.0
-        assert certified_max(self.bound, self.exact, floor=floor) == floor
-        assert self.points == []
-
-    def test_floor_keeps_nan_bounds_and_certify(self):
-        bound = self.bound.copy()
-        bound[::3] = np.nan
-        floor = float(np.median(self.values))
-        cleared = []
-
-        def certify(points, provisional):
-            cleared.append(points)
-            return self.values[points] < provisional
-
-        assert certified_max(bound, self.exact, certify, floor=floor) == self.values.max()
-        assert certified_max(np.full(5000, np.nan), self.exact, floor=floor) == self.values.max()
-        # certify sees indices into the full point set
-        assert all(np.all(points < 5000) for points in cleared)
 
     def test_certify_clears_candidates(self):
         loose = self.values + 10.0

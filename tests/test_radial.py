@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from n1ma.eigencone import hat_transform, ma_hat
+from conftest import ma_hat
+from n1ma.eigencone import hat_transform
 from n1ma.errors import DomainError
 from n1ma.radial import (
     RadialProfile,
