@@ -300,7 +300,7 @@ def cmd_forms_check(args):
                 args.n, p, q,
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             )
-            twice = forms.hodge_star(forms.hodge_star(a, np.eye(args.n)), np.eye(args.n))
+            twice = forms.hodge_star(forms.hodge_star(a))
             err = (twice - a * float((-1) ** (p + q))).max_norm()
             worst_star = max(worst_star, err / max(1.0, a.max_norm()))
     rows = [

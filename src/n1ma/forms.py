@@ -1,16 +1,19 @@
-"""Constant-coefficient (p,q)-form algebra on C^n with a Hodge star.
+"""Constant-coefficient (p,q)-form algebra on C^n with the Euclidean Hodge star.
 
 Forms are stored densely on ordered multi-indices: a (p,q)-form is the sum of
 ``coeffs[I, J] * dz^I wedge dzbar^J`` over strictly increasing index tuples.
 The metric form of a Hermitian positive matrix G is ``i * sum G_jk dz^j wedge
-dzbar^k``; its top power divided by n! is the volume form.  The star operator
-follows the conventions
+dzbar^k``; its top power divided by n! is the volume form.  The star is that
+of the Euclidean metric G = I and follows the conventions
 
     phi wedge star(conj(psi)) = <phi, psi> * vol,
     conj(star(psi)) = star(conj(psi)),
     star(star(psi)) = (-1)^(p+q) * psi,
 
-with the inner product on 1-forms dual to the metric (no extra factor of 2).
+with the inner product on 1-forms dual to the metric (no extra factor of 2),
+under which the basis forms are orthonormal.  Every identity checked here is
+pointwise, and at a point every Hermitian metric is the Euclidean one in a
+linear frame orthonormal for it, so no other metric is needed.
 Dimensions are capped at n <= 6: all index sets stay tiny, so dense storage
 and cached sign tables beat any sparse cleverness.
 """
@@ -116,7 +119,13 @@ class PQForm:
         """The basis form dz^holo wedge dzbar^anti (indices 0-based, increasing)."""
         holo, anti = tuple(holo), tuple(anti)
         form = cls.zero(n, len(holo), len(anti))
-        form.coeffs[_combo_rank(n, len(holo))[holo], _combo_rank(n, len(anti))[anti]] = 1.0
+        try:
+            row, col = _combo_rank(n, len(holo))[holo], _combo_rank(n, len(anti))[anti]
+        except KeyError:
+            raise DomainError(
+                f"PQForm.basis: indices {holo}, {anti} must increase strictly within 0..{n - 1}"
+            ) from None
+        form.coeffs[row, col] = 1.0
         return form
 
     # -- linear structure ---------------------------------------------------
@@ -133,9 +142,6 @@ class PQForm:
         return PQForm(self.n, self.p, self.q, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
     def _check_same_space(self, other):
         if (self.n, self.p, self.q) != (other.n, other.p, other.q):
@@ -212,66 +218,29 @@ def _euclidean_volume_coefficient(n):
     return complex(top.coeffs[0, 0]) / math.factorial(n)
 
 
-def _checked_metric(metric):
-    """The metric as a complex matrix, after checking that it is Hermitian
-    positive definite; every public entry point that takes a metric calls
-    this exactly once."""
-    g = np.asarray(metric, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError("forms: metric must be a square matrix")
-    if not np.allclose(g, g.conj().T):
-        raise DomainError("forms: metric must be Hermitian")
-    eigs = np.linalg.eigvalsh(g)
-    if eigs.min() <= 0:
-        raise DomainError("forms: metric is not positive definite")
-    return g
-
-
-def _volume(g):
-    """Volume coefficient of an already checked metric matrix."""
-    return complex(np.linalg.det(g)) * _euclidean_volume_coefficient(g.shape[0])
-
-
 @lru_cache(maxsize=None)
 def _combo_array(n, p):
     """The p-combos of range(n) as a (C(n, p), p) index array."""
     return np.array(_combos(n, p), dtype=np.intp).reshape(-1, p)
 
 
-def _gram(n, size, m1):
-    """Gram matrix of size-combos under a 1-form Gram matrix m1: its size-th
-    compound, the minors ``det m1[I, J]``, taken in one batched ``det``."""
-    if size == 0:
-        return np.ones((1, 1), dtype=complex)
-    idx = _combo_array(n, size)
-    return np.linalg.det(m1[idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def hodge_star(a, metric):
-    """Hodge star of a (p,q)-form, a (n-q, n-p)-form.
+def hodge_star(a):
+    """Euclidean Hodge star of a (p,q)-form, a (n-q, n-p)-form.
 
     Determined by ``phi wedge star(a) = <phi, conj(a)> vol`` over all
-    (q,p)-forms phi; since basis forms pair with exactly one complementary
-    basis form, the solve reduces to a signed permutation.
+    (q,p)-forms phi.  The basis forms are orthonormal and each pairs with
+    exactly one complementary basis form, so the star is one signed
+    permutation of the transposed coefficients, times the volume
+    coefficient.  The sign is (-1)^(pn) times the two complement signs:
+    (-1)^(pq) from the conjugation and (-1)^(p(n-q)) from the wedge with
+    the complementary basis form.
     """
-    g = _checked_metric(metric)
-    u = np.linalg.inv(g)
     n, p, q = a.n, a.p, a.q
-    vol = _volume(g)
-    conj_a = a.conjugate()  # (q, p)
-    g_h = _gram(n, q, u.T)
-    g_a = _gram(n, p, u)
-    rhs = (g_h @ conj_a.coeffs.conj() @ g_a.T) * vol  # <e_(I,J), conj(a)> * vol
     comp_h, sgn_h = _complement_table(n, q)
     comp_a, sgn_a = _complement_table(n, p)
-    # wedge coefficient of e_(I,J) with its complementary basis form
-    w = (
-        sgn_h[:, None].astype(float)
-        * sgn_a[None, :].astype(float)
-        * (-1) ** (p * (n - q))
-    )
+    sign = sgn_h[:, None] * sgn_a[None, :] * (-1) ** (p * n)
     out = PQForm.zero(n, n - q, n - p)
-    out.coeffs[np.ix_(comp_h, comp_a)] = rhs / w
+    out.coeffs[np.ix_(comp_h, comp_a)] = a.coeffs.T * (sign * _euclidean_volume_coefficient(n))
     return out
 
 
@@ -293,7 +262,7 @@ def hat_identity_residual(h, n):
         raise DomainError("forms.hat_identity_residual: h must be n x n Hermitian")
     form = one_one_form(h)
     omega = euclidean_metric(n)
-    lhs = hodge_star(form.wedge(_euclidean_power(n, n - 2)), np.eye(n)) * (
+    lhs = hodge_star(form.wedge(_euclidean_power(n, n - 2))) * (
         1.0 / math.factorial(n - 1)
     )
     rhs = (np.trace(h).real * omega - form) * (1.0 / (n - 1))
@@ -345,6 +314,11 @@ def _frame_values(psi, frames):
     return np.divide(raw, norm2, out=np.zeros_like(raw), where=norm2 != 0.0)
 
 
+def _check_samples(samples, where):
+    if samples < 0:
+        raise DomainError(f"forms.{where}: samples={samples} is negative")
+
+
 def _as_frame(vectors, n, where):
     frame = np.asarray(vectors, dtype=complex)
     if frame.shape != (n - 1, n):
@@ -394,6 +368,7 @@ def weak_positivity_margin(psi, samples=200, rng=None, extra_frames=()):
         raise DomainError("forms.weak_positivity_margin: wrong bidegree")
     if not psi.is_real():
         raise DomainError("forms.weak_positivity_margin: form must be real")
+    _check_samples(samples, "weak_positivity_margin")
     rng = np.random.default_rng(rng)
     given = [_as_frame(f, n, "weak_positivity_margin") for f in extra_frames]
     # one draw, in the stream of a frame-by-frame loop: each frame's real
@@ -452,6 +427,7 @@ def equivalence_suite(h, n, samples=32, rng=None):
     h = np.asarray(h, dtype=complex)
     if h.shape != (n, n) or not np.allclose(h, h.conj().T):
         raise DomainError("forms.equivalence_suite: h must be n x n Hermitian")
+    _check_samples(samples, "equivalence_suite")
     rng = np.random.default_rng(rng)
     lam, vecs = np.linalg.eigh(h)
 

@@ -22,7 +22,6 @@ from .grid import complex_hessian
 from .solver import TorusProblem, newton_solve
 
 __all__ = [
-    "c_upper_bound",
     "c2_ratio",
     "AuditRow",
     "DeclaredBounds",
@@ -38,8 +37,9 @@ _MASS_TOLERANCE = 1e-10
 AMGM_FLOOR = -1e-9
 
 
-def c_upper_bound(problem, result):
-    """Trace-form upper bound on the constant and whether it holds.
+def _c_upper_bound(problem, result, trace_gamma):
+    """Trace-form upper bound on the constant and whether it holds, from the
+    field ``trace_gamma = trace(Gamma)``.
 
     The bound is ``(mean(trace Gamma) / (n * mean(f^(1/n))))**n``: integrating
     the pointwise AM-GM inequality ``trace(alpha) >= n (c f)^(1/n)`` and using
@@ -47,9 +47,8 @@ def c_upper_bound(problem, result):
     exactly on the flat problem.
     """
     n = problem.n
-    trace_gamma = np.trace(problem.gamma, axis1=-2, axis2=-1).mean()
     mass = (problem.f ** (1.0 / n)).mean()
-    bound = float((trace_gamma / (n * mass)) ** n)
+    bound = float((trace_gamma.mean() / (n * mass)) ** n)
     satisfied = result.c <= bound + 1e-9 * max(1.0, bound)
     return bound, bool(satisfied)
 
@@ -106,9 +105,9 @@ class AuditRow:
 
 def audit_solve(problem, result):
     """Run the full scalar audit battery on a converged solve."""
-    bound, ok = c_upper_bound(problem, result)
-    h = complex_hessian(result.u)
     trace_gamma = np.trace(problem.gamma, axis1=-2, axis2=-1)
+    bound, ok = _c_upper_bound(problem, result, trace_gamma)
+    h = complex_hessian(result.u)
     trace_alpha = trace_gamma + np.trace(h, axis1=-2, axis2=-1)
     return AuditRow(
         c=result.c,

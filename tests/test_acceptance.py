@@ -19,7 +19,7 @@ from n1ma.eigencone import (
     psh_product_gap,
     sample_cone_points,
 )
-from n1ma.harness import audit_solve, c_upper_bound
+from n1ma.harness import audit_solve
 from n1ma.radial import RadialProfile, ShellIntegrand, integral_threshold
 from n1ma.solver import alpha_field, newton_solve
 
@@ -187,12 +187,11 @@ def test_criterion_7_constant_bound(solve_suite, flat_solve):
     start = time.time()
     assert len(solve_suite) >= 10
     for problem, result in solve_suite:
-        bound, ok = c_upper_bound(problem, result)
-        assert ok
-        assert result.c <= bound + 1e-9 * max(1.0, bound)
+        audit = audit_solve(problem, result)
+        assert audit.c_upper_ok
+        assert result.c <= audit.c_upper + 1e-9 * max(1.0, audit.c_upper)
     flat_problem_, flat_result = flat_solve
-    flat_bound, _ = c_upper_bound(flat_problem_, flat_result)
-    assert abs(flat_result.c - flat_bound) <= 1e-9
+    assert abs(flat_result.c - audit_solve(flat_problem_, flat_result).c_upper) <= 1e-9
     elapsed = time.time() - start
     assert elapsed < 600.0
     _report(7, f"{len(solve_suite)} solves below the trace bound, flat equality exact")
