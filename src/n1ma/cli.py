@@ -234,11 +234,11 @@ def cmd_family(args):
 
 
 def cmd_radial(args):
-    profile = radial.standard_profiles()["logloglog"]
     rows = [["r", "lambda_hat_1", "lambda_hat_j", "ma_hat"]]
-    for r in profile.radii(args.n, count=25):
-        lam1, lamj = radial.radial_hat_eigenvalues(profile, r, args.n)
-        rows.append([float(r), lam1, lamj, radial.radial_ma_hat(profile, r, args.n)])
+    for r in radial.radii(radial.LOGLOGLOG_DOMAIN, args.n, 25):
+        chi1, chi2 = radial.logloglog_derivatives(radial.g_profile(r, args.n))
+        lam1, lamj = radial.radial_hat_eigenvalues(chi1, chi2, r, args.n)
+        rows.append([float(r), lam1, lamj, radial.radial_ma_hat(chi1, chi2, r, args.n)])
 
     spec = radial.ShellIntegrand(
         p=args.p, n=args.n,

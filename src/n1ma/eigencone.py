@@ -162,8 +162,15 @@ def psh_product_gap(lam):
 # ---------------------------------------------------------------------------
 
 
+def _check_sampling(name, count, n):
+    """DomainError unless ``count >= 0`` samples of dimension ``n >= 3``."""
+    if count < 0 or n < 3:
+        raise DomainError(f"eigencone.{name}: need count >= 0 and n >= 3, got count={count}, n={n}")
+
+
 def sample_spectra(rng, count, n):
     """Uniform random spectra on [-3, 3) of shape (count, n)."""
+    _check_sampling("sample_spectra", count, n)
     return rng.uniform(-3.0, 3.0, size=(count, n))
 
 
@@ -234,6 +241,7 @@ def sample_cone_points(rng, count, n):
     The audits screen the same chunks without forming the stacks
     (``cone_points_gap_min``).
     """
+    _check_sampling("sample_cone_points", count, n)
     stacks = [np.empty((count, n, n), dtype=complex) for _ in range(3)]
     for chunk, triple in zip(_chunks(count), _cone_point_chunks(rng, count, n)):
         for stack, part in zip(stacks, triple):
@@ -407,6 +415,7 @@ def cone_points_gap_min(rng, count, n):
     ``(count, n, n)`` stacks are never formed and the memory taken does not
     grow with ``count``.
     """
+    _check_sampling("cone_points_gap_min", count, n)
     least = np.inf
     for triple in _cone_point_chunks(rng, count, n):
         gap, radius, ok = _screened_gaps(*triple)

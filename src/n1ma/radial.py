@@ -4,8 +4,11 @@ Radial candidates are profiles chi composed with the fundamental radial
 function g(z) = -|z|^(-2(n-2)).  For u = chi(g(|z|)) the hat transform of the
 complex Hessian has exactly two distinct eigenvalues with closed forms in
 chi' and chi'', so membership in the hat-positive cone reduces to chi being
-non-decreasing and convex.  The module also hosts the integrability-threshold
-experiment for the log-density family, reduced to a one-dimensional integral.
+non-decreasing and convex.  The formulas take the values of chi' and chi'' at
+g(|z|); the one profile the ``radial`` sweep runs, chi = -log log log(-t),
+gives them through ``logloglog_derivatives``.  The module also hosts the
+integrability-threshold experiment for the log-density family, reduced to a
+one-dimensional integral.
 """
 
 from __future__ import annotations
@@ -19,83 +22,55 @@ from .errors import DomainError
 
 __all__ = [
     "g_profile",
-    "RadialProfile",
+    "radii",
     "radial_hat_eigenvalues",
     "radial_ma_hat",
+    "logloglog_derivatives",
     "ShellIntegrand",
     "ThresholdLevel",
     "ThresholdReport",
     "integral_threshold",
-    "standard_profiles",
 ]
+
+
+def _radius(name, z_norm, n):
+    """``z_norm`` as a float array; DomainError unless n >= 3 and every
+    radius is finite and positive."""
+    if n < 3:
+        raise DomainError(f"radial.{name}: need n >= 3")
+    r = np.asarray(z_norm, dtype=float)
+    if not np.isfinite(r).all():
+        raise DomainError(f"radial.{name}: need a finite |z|")
+    if np.any(r <= 0):
+        raise DomainError(f"radial.{name}: pole at the origin (need |z| > 0)")
+    return r
+
+
+def _past_range(name, r, n):
+    return DomainError(f"radial.{name}: value at |z| = {r:.4g} is past the float range for n = {n}")
 
 
 def g_profile(z_norm, n):
     """The radial potential ``-|z|^(-2(n-2))`` for n >= 3.
 
     Strictly negative and increasing in the radius; tends to -inf at the
-    origin, which is rejected as a pole.
+    origin, which is rejected as a pole, as is a radius whose potential is
+    past the float range.
     """
-    if n < 3:
-        raise DomainError("radial.g_profile: need n >= 3")
-    r = np.asarray(z_norm, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radial.g_profile: pole at the origin (need |z| > 0)")
-    out = -(r ** (-2 * (n - 2)))
+    r = _radius("g_profile", z_norm, n)
+    with np.errstate(over="ignore"):
+        out = -(r ** (-2 * (n - 2)))
+    if not np.isfinite(out).all():
+        raise _past_range("g_profile", r.min(), n)
     return float(out) if np.ndim(z_norm) == 0 else out
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """A profile chi with explicit first and second derivatives.
-
-    The three callables must be mutually consistent; construction checks
-    chi1 and chi2 against centered finite differences of chi at the one step
-    size ``h = 1e-4 (hi - lo)`` (order h^2) on 11 points of the domain.
-    """
-
-    chi: callable
-    chi1: callable
-    chi2: callable
-    description: str = ""
-    domain: tuple = (-5.0, -0.2)
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (lo < hi < 0):
-            raise DomainError("RadialProfile: domain must satisfy lo < hi < 0")
-        ts = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 11)
-        h = 1e-4 * (hi - lo)
-        for t in ts:
-            c0, cp, cm = self.chi(t), self.chi(t + h), self.chi(t - h)
-            d1 = (cp - cm) / (2 * h)
-            d2 = (cp - 2 * c0 + cm) / h**2
-            scale1 = max(1.0, abs(self.chi1(t)))
-            scale2 = max(1.0, abs(self.chi2(t)))
-            if abs(d1 - self.chi1(t)) > 1e-4 * scale1:
-                raise DomainError(
-                    f"RadialProfile({self.description!r}): chi1 inconsistent with chi at t={t:.4g}"
-                )
-            if abs(d2 - self.chi2(t)) > 1e-3 * scale2:
-                raise DomainError(
-                    f"RadialProfile({self.description!r}): chi2 inconsistent with chi at t={t:.4g}"
-                )
-
-    def radii(self, n, count=10):
-        """Radii whose potential values cover the domain less 2% at each end."""
-        lo, hi = self.domain
-        ts = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), count)
-        return (-ts) ** (-1.0 / (2 * (n - 2)))
-
-
-def _eval_at_potential(profile, z_norm, n):
-    t = g_profile(z_norm, n)
-    lo, hi = profile.domain
-    if not lo <= t <= hi:
-        raise DomainError(
-            f"radial: potential value {t:.4g} outside profile domain [{lo:.4g}, {hi:.4g}]"
-        )
-    return t
+def radii(domain, n, count):
+    """``count`` radii whose potential values g cover ``domain = (lo, hi)``,
+    ``lo < hi < 0``, less 2% at each end."""
+    lo, hi = domain
+    ts = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), count)
+    return (-ts) ** (-1.0 / (2 * (n - 2)))
 
 
 def _finite(name, r, n, evaluate):
@@ -106,12 +81,13 @@ def _finite(name, r, n, evaluate):
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"radial.{name}: value at |z| = {r:.4g} is past the float range for n = {n}")
+        raise _past_range(name, r, n)
     return value
 
 
-def radial_hat_eigenvalues(profile, z_norm, n):
-    """The two hat-transform eigenvalues of u = chi(g(|z|)) at radius |z|.
+def radial_hat_eigenvalues(chi1, chi2, z_norm, n):
+    """The two hat-transform eigenvalues of u = chi(g(|z|)) at radius |z|,
+    given ``chi1 = chi'(g)`` and ``chi2 = chi''(g)`` there.
 
     Returns ``(lam_hat_1, lam_hat_j)`` where the first occurs once and the
     second with multiplicity n-1:
@@ -119,38 +95,49 @@ def radial_hat_eigenvalues(profile, z_norm, n):
         lam_hat_1 = (n-1)(n-2) |z|^(-2(n-1))   * chi'(g)
         lam_hat_j = (n-2)^2    |z|^(-2(2n-3))  * chi''(g)
     """
-    t = _eval_at_potential(profile, z_norm, n)
-    r = float(z_norm)
+    r = float(_radius("radial_hat_eigenvalues", z_norm, n))
     lam1 = _finite("radial_hat_eigenvalues", r, n,
-                   lambda: (n - 1) * (n - 2) * r ** (-2 * (n - 1)) * profile.chi1(t))
+                   lambda: (n - 1) * (n - 2) * r ** (-2 * (n - 1)) * chi1)
     lamj = _finite("radial_hat_eigenvalues", r, n,
-                   lambda: (n - 2) ** 2 * r ** (-2 * (2 * n - 3)) * profile.chi2(t))
+                   lambda: (n - 2) ** 2 * r ** (-2 * (2 * n - 3)) * chi2)
     return lam1, lamj
 
 
-def radial_ma_hat(profile, z_norm, n):
-    """Hat determinant of a radial candidate in closed form.
+def radial_ma_hat(chi1, chi2, z_norm, n):
+    """Hat determinant of a radial candidate in closed form, given
+    ``chi1 = chi'(g)`` and ``chi2 = chi''(g)`` at radius |z|.
 
     Equals ``(n-1)(n-2)^(2n-1) |z|^(-4(n-1)^2) chi'(g) chi''(g)^(n-1)``,
     which is the product lam_hat_1 * lam_hat_j^(n-1).
     """
-    t = _eval_at_potential(profile, z_norm, n)
-    r = float(z_norm)
+    r = float(_radius("radial_ma_hat", z_norm, n))
 
     def evaluate():
         if (2 * n - 1) * math.log2(n - 2) > 1100:
             # the exact integer (n-2)^(2n-1) is past the float range, and at
             # a large n takes seconds to build only to overflow
             raise OverflowError
-        return (
-            (n - 1)
-            * (n - 2) ** (2 * n - 1)
-            * r ** (-4 * (n - 1) ** 2)
-            * profile.chi1(t)
-            * profile.chi2(t) ** (n - 1)
-        )
+        return (n - 1) * (n - 2) ** (2 * n - 1) * r ** (-4 * (n - 1) ** 2) * chi1 * chi2 ** (n - 1)
 
     return _finite("radial_ma_hat", r, n, evaluate)
+
+
+# The profile of the ``radial`` sweep, chi = -log log log(-t), on the
+# potential values LOGLOGLOG_DOMAIN: non-decreasing and convex there.
+LOGLOGLOG_DOMAIN = (-60.0, -4.0)
+
+
+def logloglog_derivatives(t):
+    """``(chi'(t), chi''(t))`` of chi = -log log log(-t) for t in
+    LOGLOGLOG_DOMAIN; DomainError outside it."""
+    lo, hi = LOGLOGLOG_DOMAIN
+    if not lo <= t <= hi:
+        raise DomainError(
+            f"radial: potential value {t:.4g} outside profile domain [{lo:.4g}, {hi:.4g}]"
+        )
+    a = -t
+    la, lla = math.log(a), math.log(math.log(a))
+    return 1.0 / (a * la * lla), (la * lla + lla + 1.0) / (a * la * lla) ** 2
 
 
 @dataclass(frozen=True)
@@ -197,15 +184,12 @@ class ShellIntegrand:
 @dataclass(frozen=True)
 class ThresholdLevel:
     level: int
-    tau_hi: float
     partial_integral: float
     increment: float
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    p: float
-    n: int
     levels: tuple
     verdict: str  # "convergent" | "divergent" | "inconclusive"
 
@@ -246,13 +230,13 @@ def integral_threshold(spec, refinement_levels=12):
 
     levels = []
     partial = window(tau0, tau1)
-    levels.append(ThresholdLevel(0, tau1, partial, partial))
+    levels.append(ThresholdLevel(0, partial, partial))
     hi = tau1
     for k in range(1, refinement_levels + 1):
         lo, hi = hi, tau1 * 2.0**k
         inc = window(lo, hi)
         partial = partial + inc
-        levels.append(ThresholdLevel(k, hi, partial, inc))
+        levels.append(ThresholdLevel(k, partial, inc))
 
     incs = [lvl.increment for lvl in levels[1:]]
     first = incs[0]
@@ -263,44 +247,4 @@ def integral_threshold(spec, refinement_levels=12):
         verdict = "convergent"
     elif all(i > 1e-3 * first for i in incs[-3:]):
         verdict = "divergent"
-    return ThresholdReport(spec.p, spec.n, tuple(levels), verdict)
-
-
-# ---------------------------------------------------------------------------
-# Named profiles
-# ---------------------------------------------------------------------------
-
-
-def _logloglog():
-    def chi(t):
-        return -math.log(math.log(math.log(-t)))
-
-    def chi1(t):
-        a = -t
-        return 1.0 / (a * math.log(a) * math.log(math.log(a)))
-
-    def chi2(t):
-        a = -t
-        la, lla = math.log(a), math.log(math.log(a))
-        return (la * lla + lla + 1.0) / (a * la * lla) ** 2
-
-    return RadialProfile(chi, chi1, chi2, "logloglog", domain=(-60.0, -4.0))
-
-
-def standard_profiles():
-    """A small library of named profiles used by the CLI and the tests."""
-    return {
-        "identity": RadialProfile(
-            lambda t: t, lambda t: 1.0, lambda t: 0.0, "identity"
-        ),
-        "neglog": RadialProfile(
-            lambda t: -math.log(-t),
-            lambda t: -1.0 / t,
-            lambda t: 1.0 / t**2,
-            "neglog",
-        ),
-        "square": RadialProfile(
-            lambda t: t * t, lambda t: 2 * t, lambda t: 2.0, "square"
-        ),
-        "logloglog": _logloglog(),
-    }
+    return ThresholdReport(tuple(levels), verdict)

@@ -706,7 +706,10 @@ def newton_solve(problem, u0=None):
     (``"constant-range"``) yields a failure result whose u is the last
     iterate inside the cone of the final loop (its start, with c NaN, when
     even that is outside); c, history and diagnostics are that iterate's.
+    A ``u0`` off the problem's grid raises DomainError.
     """
+    if u0 is not None and np.shape(u0) != problem.shape:
+        raise DomainError(f"solver.newton_solve: start shape {np.shape(u0)}, expected the grid {problem.shape}")
     levels = []
     outcome = None if u0 is None else _counted_loop(problem, u0, levels)
     if outcome is None or outcome.failure is not None:

@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive solves are session-scoped and reused."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import scipy.fft as sfft
 
 from n1ma.grid import grid_coordinates
 from n1ma.harness import DeclaredBounds, FamilySpec
+from n1ma.radial import LOGLOGLOG_DOMAIN, logloglog_derivatives
 from n1ma.solver import SolverOptions, TorusProblem, manufactured_problem, newton_solve
 
 
@@ -62,6 +64,22 @@ def ma_hat(lam):
     axis of ``lam``."""
     lam = np.asarray(lam, dtype=float)
     return np.prod(lam.sum(axis=-1, keepdims=True) - lam, axis=-1)
+
+
+# Radial profiles as ``(chi, chi', chi'', domain)``: the domain is the
+# interval of potential values t < 0 on which each is sampled.  The sweep's
+# logloglog profile takes its derivatives from n1ma.radial.
+RADIAL_PROFILES = {
+    "identity": (lambda t: t, lambda t: 1.0, lambda t: 0.0, (-5.0, -0.2)),
+    "neglog": (lambda t: -math.log(-t), lambda t: -1.0 / t, lambda t: 1.0 / t**2, (-5.0, -0.2)),
+    "square": (lambda t: t * t, lambda t: 2 * t, lambda t: 2.0, (-5.0, -0.2)),
+    "logloglog": (
+        lambda t: -math.log(math.log(math.log(-t))),
+        lambda t: logloglog_derivatives(t)[0],
+        lambda t: logloglog_derivatives(t)[1],
+        LOGLOGLOG_DOMAIN,
+    ),
+}
 
 
 def one_coordinate_solution(f, n):

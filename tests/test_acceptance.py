@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import RADIAL_PROFILES
 from n1ma import eigencone, forms, radial
 from n1ma.eigencone import (
     amgm_trace_gap_batch,
@@ -20,7 +21,7 @@ from n1ma.eigencone import (
     sample_cone_points,
 )
 from n1ma.harness import audit_solve
-from n1ma.radial import RadialProfile, ShellIntegrand, integral_threshold
+from n1ma.radial import ShellIntegrand, integral_threshold
 from n1ma.solver import alpha_field, newton_solve
 
 # committed regression value for the six-fiber family of conftest.acceptance_family
@@ -86,34 +87,40 @@ def _stress_profiles():
         ("concave_shift", lambda t: t - 0.1 * t * t, lambda t: 1 - 0.2 * t, lambda t: -0.2),
         ("convex_shift", lambda t: t + 0.05 * t * t, lambda t: 1 + 0.1 * t, lambda t: 0.1),
     ]
-    profiles = [RadialProfile(c, c1, c2, name, domain=(-4.0, -0.25))
-                for name, c, c1, c2 in entries]
-    profiles.append(radial.standard_profiles()["logloglog"])
+    profiles = {name: (c, c1, c2, (-4.0, -0.25)) for name, c, c1, c2 in entries}
+    profiles["logloglog"] = RADIAL_PROFILES["logloglog"]
     assert len(profiles) == 20
     return profiles
 
 
 def test_criterion_3_radial_formulas():
-    from test_radial import fd_complex_hessian, off_axis_point, radial_candidate, radial_membership
+    from test_radial import (
+        derivatives_at,
+        fd_complex_hessian,
+        off_axis_point,
+        radial_candidate,
+        radial_membership,
+    )
 
     start = time.time()
     n = 3
-    for profile in _stress_profiles():
-        radii = profile.radii(n, count=10)
+    for name, profile in _stress_profiles().items():
+        radii = radial.radii(profile[3], n, 10)
         ts = [radial.g_profile(r, n) for r in radii]
         member_exact = all(
-            min(radial.radial_hat_eigenvalues(profile, r, n)) >= -1e-9 for r in radii
+            min(radial.radial_hat_eigenvalues(*derivatives_at(profile, r, n), r, n)) >= -1e-9 for r in radii
         )
         assert radial_membership(profile, ts, tolerance=1e-9) == member_exact
         for k, r in enumerate(radii):
             z = off_axis_point(r, n, seed=101 * k + 7)
             num = fd_complex_hessian(radial_candidate(profile, n), z, h=1.5e-3 * r)
             hat_num = np.sort(eigencone.hat_transform(np.linalg.eigvalsh(num)))
-            lam1, lamj = radial.radial_hat_eigenvalues(profile, r, n)
+            chi1, chi2 = derivatives_at(profile, r, n)
+            lam1, lamj = radial.radial_hat_eigenvalues(chi1, chi2, r, n)
             hat_exact = np.sort([lam1, lamj, lamj])
             scale = max(1.0, float(np.abs(hat_exact).max()))
-            assert np.abs(hat_num - hat_exact).max() <= 1e-5 * scale, profile.description
-            ma_exact = radial.radial_ma_hat(profile, r, n)
+            assert np.abs(hat_num - hat_exact).max() <= 1e-5 * scale, name
+            ma_exact = radial.radial_ma_hat(chi1, chi2, r, n)
             ma_num = float(np.prod(hat_num))
             assert abs(ma_num - ma_exact) <= 1e-5 * max(abs(ma_exact), scale**n)
     elapsed = time.time() - start

@@ -543,6 +543,15 @@ class TestStreamedGapMin:
         assert peaks[1] < 8 * 2**20 and peaks[1] <= 1.1 * peaks[0]
 
 
+@pytest.mark.parametrize("sampler", [sample_spectra, sample_cone_points, cone_points_gap_min])
+@pytest.mark.parametrize("count, n", [(-1, 3), (10, 2), (10, 1)])
+def test_samplers_reject_a_negative_count_or_small_n_before_drawing(sampler, count, n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="count >= 0 and n >= 3"):
+        sampler(rng, count, n)
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
 class TestPshProductGap:
     def test_equal_eigenvalues(self):
         assert psh_product_gap([1.0, 1.0, 1.0]) == pytest.approx(0.0, abs=0)

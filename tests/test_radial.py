@@ -3,24 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ma_hat
+from conftest import RADIAL_PROFILES, ma_hat
 from n1ma.eigencone import hat_transform
 from n1ma.errors import DomainError
 from n1ma.radial import (
-    RadialProfile,
     ShellIntegrand,
     g_profile,
     integral_threshold,
     radial_hat_eigenvalues,
     radial_ma_hat,
-    standard_profiles,
+    radii,
 )
 
 
 def radial_membership(profile, t_samples, tolerance=0.0):
     """The hat-cone criterion of a radial candidate: chi' >= -tolerance and
     chi'' >= -tolerance at every sample, chi non-decreasing and convex."""
-    return all(profile.chi1(t) >= -tolerance and profile.chi2(t) >= -tolerance for t in t_samples)
+    _, chi1, chi2, _ = profile
+    return all(chi1(t) >= -tolerance and chi2(t) >= -tolerance for t in t_samples)
+
+
+def derivatives_at(profile, r, n):
+    """``(chi'(g), chi''(g))`` of ``profile`` at the potential g = g(r)."""
+    _, chi1, chi2, _ = profile
+    t = g_profile(r, n)
+    return chi1(t), chi2(t)
 
 
 def loglog_density(r, n):
@@ -84,8 +91,10 @@ def fd_complex_hessian(u_fn, z, h):
 
 
 def radial_candidate(profile, n):
+    chi = profile[0]
+
     def u_fn(z):
-        return profile.chi(g_profile(float(np.linalg.norm(z)), n))
+        return chi(g_profile(float(np.linalg.norm(z)), n))
 
     return u_fn
 
@@ -114,96 +123,97 @@ class TestGProfile:
         with pytest.raises(DomainError):
             g_profile(0.0, 3)
 
-
-class TestProfileValidation:
-    def test_inconsistent_derivative_rejected(self):
-        with pytest.raises(DomainError):
-            RadialProfile(lambda t: t * t, lambda t: 3 * t, lambda t: 2.0, "broken")
-
-    def test_inconsistent_second_derivative_rejected(self):
-        with pytest.raises(DomainError):
-            RadialProfile(lambda t: t * t, lambda t: 2 * t, lambda t: 0.5, "broken")
-
-    def test_standard_profiles_validate(self):
-        profiles = standard_profiles()
-        assert set(profiles) == {"identity", "neglog", "square", "logloglog"}
+    @pytest.mark.parametrize("r, match", [
+        (math.nan, "finite"),
+        (math.inf, "finite"),
+        (1e-300, "past the float range"),
+        (np.array([1.0, 1e-300]), "past the float range"),
+    ])
+    def test_non_finite_radius_or_potential_rejected(self, r, match):
+        with pytest.raises(DomainError, match=match):
+            g_profile(r, 3)
 
 
 class TestHatEigenvalues:
     def test_identity_profile(self):
-        prof = standard_profiles()["identity"]
-        assert radial_hat_eigenvalues(prof, 1.0, 3) == pytest.approx((2.0, 0.0))
+        prof = RADIAL_PROFILES["identity"]
+        assert radial_hat_eigenvalues(*derivatives_at(prof, 1.0, 3), 1.0, 3) == pytest.approx((2.0, 0.0))
 
     def test_decreasing_profile_fails_membership(self):
-        prof = standard_profiles()["square"]
-        lam1, _ = radial_hat_eigenvalues(prof, 1.0, 3)
+        prof = RADIAL_PROFILES["square"]
+        lam1, _ = radial_hat_eigenvalues(*derivatives_at(prof, 1.0, 3), 1.0, 3)
         assert lam1 == pytest.approx(-4.0)
 
     @pytest.mark.parametrize("name", ["neglog", "logloglog"])
     def test_against_finite_difference_hessian(self, name):
-        prof = standard_profiles()[name]
+        prof = RADIAL_PROFILES[name]
         n = 3
-        for r in prof.radii(n, count=3):
+        for r in radii(prof[3], n, 3):
             z = off_axis_point(r, n, seed=int(1000 * r))
             num = fd_complex_hessian(radial_candidate(prof, n), z, h=2e-3 * r)
             hat_num = np.sort(hat_transform(np.linalg.eigvalsh(num)))
-            lam1, lamj = radial_hat_eigenvalues(prof, r, n)
+            lam1, lamj = radial_hat_eigenvalues(*derivatives_at(prof, r, n), r, n)
             hat_exact = np.sort([lam1, lamj, lamj])
             scale = max(1.0, np.abs(hat_exact).max())
             assert np.abs(hat_num - hat_exact).max() <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("formula", [radial_hat_eigenvalues, radial_ma_hat])
+@pytest.mark.parametrize("r, n", [(0.0, 3), (-1.0, 3), (math.nan, 3), (math.inf, 3), (1.0, 2)])
+def test_formulas_reject_bad_radius_or_dimension(formula, r, n):
+    with pytest.raises(DomainError):
+        formula(1.0, 1.0, r, n)
+
+
 class TestMaHatRadial:
     def test_linear_profile_vanishes(self):
-        prof = standard_profiles()["identity"]
+        prof = RADIAL_PROFILES["identity"]
         for r in (0.5, 1.0, 2.0):
-            assert radial_ma_hat(prof, r, 3) == 0.0
+            assert radial_ma_hat(*derivatives_at(prof, r, 3), r, 3) == 0.0
 
     def test_neglog_value(self):
         # chi' = chi'' = 1 at t = -1: (n-1)(n-2)^(2n-1) = 2 for n = 3
-        prof = standard_profiles()["neglog"]
-        assert radial_ma_hat(prof, 1.0, 3) == pytest.approx(2.0, rel=1e-12)
+        prof = RADIAL_PROFILES["neglog"]
+        assert radial_ma_hat(*derivatives_at(prof, 1.0, 3), 1.0, 3) == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_eigenvalue_product(self):
-        for name, prof in standard_profiles().items():
+        for prof in RADIAL_PROFILES.values():
             for n in (3, 4):
-                for r in prof.radii(n, count=6):
-                    lam1, lamj = radial_hat_eigenvalues(prof, r, n)
-                    assert radial_ma_hat(prof, r, n) == pytest.approx(
+                for r in radii(prof[3], n, 6):
+                    chi1, chi2 = derivatives_at(prof, r, n)
+                    lam1, lamj = radial_hat_eigenvalues(chi1, chi2, r, n)
+                    assert radial_ma_hat(chi1, chi2, r, n) == pytest.approx(
                         lam1 * lamj ** (n - 1), rel=1e-12, abs=1e-300
                     )
 
     def test_matches_finite_difference_determinant(self):
-        prof = standard_profiles()["neglog"]
+        prof = RADIAL_PROFILES["neglog"]
         n = 3
-        for r in prof.radii(n, count=4):
+        for r in radii(prof[3], n, 4):
             z = off_axis_point(r, n, seed=int(500 * r) + 1)
             num = fd_complex_hessian(radial_candidate(prof, n), z, h=2e-3 * r)
             det_num = ma_hat(np.linalg.eigvalsh(num))
-            assert radial_ma_hat(prof, r, n) == pytest.approx(det_num, rel=1e-5)
+            assert radial_ma_hat(*derivatives_at(prof, r, n), r, n) == pytest.approx(det_num, rel=1e-5)
 
 
 class TestMembership:
     def test_linear_profile(self):
-        prof = standard_profiles()["identity"]
-        assert radial_membership(prof, np.linspace(-4, -0.3, 20))
+        assert radial_membership(RADIAL_PROFILES["identity"], np.linspace(-4, -0.3, 20))
 
     def test_square_profile_fails(self):
-        prof = standard_profiles()["square"]
-        assert not radial_membership(prof, np.linspace(-4, -0.3, 20))
+        assert not radial_membership(RADIAL_PROFILES["square"], np.linspace(-4, -0.3, 20))
 
     def test_loglog_profile_holds(self):
-        prof = standard_profiles()["logloglog"]
-        assert radial_membership(prof, np.linspace(-50, -5, 20))
+        assert radial_membership(RADIAL_PROFILES["logloglog"], np.linspace(-50, -5, 20))
 
     def test_agrees_with_eigenvalue_checks(self):
-        for prof in standard_profiles().values():
+        for prof in RADIAL_PROFILES.values():
             n = 3
-            radii = prof.radii(n, count=12)
-            ts = [g_profile(r, n) for r in radii]
+            rs = radii(prof[3], n, 12)
+            ts = [g_profile(r, n) for r in rs]
             member = radial_membership(prof, ts, tolerance=1e-12)
             eigs_ok = all(
-                min(radial_hat_eigenvalues(prof, r, n)) >= -1e-9 for r in radii
+                min(radial_hat_eigenvalues(*derivatives_at(prof, r, n), r, n)) >= -1e-9 for r in rs
             )
             assert member == eigs_ok
 

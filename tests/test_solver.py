@@ -353,6 +353,11 @@ class TestNewtonSolve:
         assert result.levels[0] == (SHAPE, 0)
         assert result.levels[1:] == cold.levels
 
+    def test_start_off_the_grid_rejected(self):
+        problem = flat_problem((16, 16, 16))
+        with pytest.raises(DomainError, match=r"\(8, 8, 8\).*\(16, 16, 16\)"):
+            newton_solve(problem, u0=np.zeros((8, 8, 8)))
+
     def test_cone_exit_from_zero_is_a_failure_result(self):
         x1, _, _ = grid_coordinates(SHAPE)
         f = np.exp(3.0 * np.cos(x1))
