@@ -10,14 +10,14 @@ entrywise inequalities on hat(lam).  The module provides the cone membership
 predicates built from it (psh, m-subharmonic, hat-psh and the quasi variant
 relative to a background metric) and the two arithmetic-geometric-mean
 comparison gaps of the audits: the product gap of an omega-psh spectrum, and
-the trace-form gap ``tr_omega alpha - n (det_omega alpha)^(1/n)`` of stacked
+the trace-form gap ``tr_omega alpha - n (det_omega alpha)^(1/n)`` of
 ``(beta, omega, hess)`` matrix triples, with alpha from the hat map.  The
-audits' random triples are built a chunk of samples at a time:
-``cone_points_gap_min`` screens each chunk in closed form and keeps a
-certified lower bound of the least trace-form gap without forming the
-stacks.  ``sample_cone_points`` copies the same chunks into stacks, and
-``amgm_trace_gap_batch`` takes the gap from the eigenvalues themselves, the
-reference that the screen is held to.
+audits' random triples are built in closed form, with no BLAS or LAPACK
+call, a chunk of samples at a time as component-major fields (the layout of
+``n1ma.pointwise``): ``cone_points_gap_min`` screens each chunk and keeps a
+certified lower bound of the least gap.  ``sample_cone_points`` moves the
+same chunks into sample-major stacks, and ``amgm_trace_gap_batch`` takes the
+gap from their eigenvalues, the reference that the screen is held to.
 
 The spectrum functions broadcast over leading axes: an input of shape
 ``(..., n)`` is treated as a stack of spectra; the trace-form gap takes
@@ -163,9 +163,10 @@ def psh_product_gap(lam):
 
 
 def _check_sampling(name, count, n):
-    """DomainError unless ``count >= 0`` samples of dimension ``n >= 3``."""
-    if count < 0 or n < 3:
-        raise DomainError(f"eigencone.{name}: need count >= 0 and n >= 3, got count={count}, n={n}")
+    """DomainError unless integers ``count >= 0`` and ``n >= 3``."""
+    integers = all(isinstance(v, (int, np.integer)) for v in (count, n))
+    if not (integers and count >= 0 and n >= 3):
+        raise DomainError(f"eigencone.{name}: need integers count >= 0 and n >= 3, got count={count}, n={n}")
 
 
 def sample_spectra(rng, count, n):
@@ -184,44 +185,65 @@ def _chunks(count):
     return [slice(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK)]
 
 
-def _gram(rng, piece, gauss, out):
-    """``out = a a^H / n`` for a stack ``a`` of complex Gaussian ``(n, n)``
-    matrices whose real and then imaginary parts ``rng`` draws, formed in
-    ``gauss`` through the float buffer ``piece`` (numpy draws into no strided
-    ``gauss.real``); one BLAS call per matrix."""
-    for component in (gauss.real, gauss.imag):
-        rng.standard_normal(out=piece)
-        component[...] = piece
-    np.matmul(gauss, np.conj(np.swapaxes(gauss, -1, -2)), out=out)
-    out /= out.shape[-1]
+def _dot(u, v):
+    """``sum_k u[k] v[k]`` of two real component-major ``(n, size)`` fields."""
+    return np.einsum("kp,kp->p", u, v)
+
+
+def _trace_w(inv, x):
+    """``tr_omega x = sum_k (M x M^H)_kk`` of a Hermitian component-major
+    field x, read from its lower triangle, for ``M = L^-1`` of ``omega = L
+    L^H`` (``pointwise.lower_inverse``)."""
+    total = 0.0
+    for k in range(x.shape[0]):
+        for i in range(k + 1):
+            m = inv[k, i]
+            total = total + (m * m.conj()).real * x[i, i].real
+            for j in range(i):
+                total = total + 2 * (m * x[i, j] * inv[k, j].conj()).real
+    return total
 
 
 def _cone_point_chunks(rng, count, n):
-    """The triples of ``sample_cone_points(rng, count, n)``, a run of
-    ``_CHUNK`` samples at a time, as ``(beta, omega, hess)``: views of three
-    chunk buffers that the next chunk overwrites.
+    """The triples of ``sample_cone_points(rng, count, n)``, ``_CHUNK``
+    samples at a time, as ``(beta, omega, hess)``: component-major ``(n, n,
+    size)`` views of three buffers that the next chunk overwrites.
 
-    Each chunk draws six pieces of ``size n^2`` normals from ``rng``: the real
-    and then the imaginary parts of the Gaussian matrices of beta, of omega
-    and of alpha.  The stream of normals does not depend on the size of the
-    pieces, so ``rng`` ends where one whole-batch draw of all ``6 count n^2``
-    normals leaves it, and the draws that follow see the same numbers.
+    Each chunk draws six pieces of ``(size, n, n)`` normals: the real and
+    then the imaginary parts of the Gaussian matrices a of beta, omega and
+    alpha.  The stream does not depend on the size of the pieces, so ``rng``
+    ends where one whole-batch draw of the ``6 count n^2`` normals leaves it.
+    Each Gram ``a a^H / n`` is formed entry by entry in real arithmetic over
+    the lower triangle, the upper one its conjugate, and ``s = tr(omega^-1
+    S)`` is ``_trace_w`` of the Cholesky inverse of omega.
     """
     piece = np.empty((min(count, _CHUNK), n, n))
-    gauss = np.empty(piece.shape, dtype=complex)
-    buffers = [np.empty(gauss.shape, dtype=complex) for _ in range(3)]
+    parts = np.empty((2, n, n, len(piece)))  # real and imaginary parts of a
+    buffers = [np.empty((n, n, len(piece)), dtype=complex) for _ in range(3)]
     for chunk in _chunks(count):
         size = chunk.stop - chunk.start
-        beta, omega, hess = (x[:size] for x in buffers)
+        x, y = parts[..., :size]
+        beta, omega, hess = (b[..., :size] for b in buffers)
         # hess holds alpha first: PSD, occasionally near-singular
         for out in (beta, omega, hess):
-            _gram(rng, piece[:size], gauss[:size], out)
-        beta += 0.2 * np.eye(n)  # positive definite
-        omega += 0.2 * np.eye(n)
+            for part in (x, y):
+                rng.standard_normal(out=piece[:size])
+                part[...] = piece[:size].transpose(1, 2, 0)
+            for i in range(n):
+                out.real[i, i] = _dot(x[i], x[i]) + _dot(y[i], y[i])
+                out.imag[i, i] = 0.0
+                for j in range(i):
+                    out.real[i, j] = _dot(x[i], x[j]) + _dot(y[i], y[j])
+                    out.imag[i, j] = _dot(y[i], x[j]) - _dot(x[i], y[j])
+                    np.conjugate(out[i, j], out=out[j, i])
+            out /= n
+        for i in range(n):
+            beta.real[i, i] += 0.2  # positive definite
+            omega.real[i, i] += 0.2
         hess -= beta  # S
-        s = np.trace(np.linalg.solve(omega, hess), axis1=-2, axis2=-1).real
-        hess *= n - 1
-        np.subtract(np.multiply(s[:, None, None], omega, out=gauss[:size]), hess, out=hess)
+        s = _trace_w(lower_inverse(field_cholesky(omega)[0]), hess)
+        hess *= 1 - n
+        hess += s * omega
         yield beta, omega, hess
 
 
@@ -235,17 +257,16 @@ def sample_cone_points(rng, count, n):
     ``hess = s * omega - (n - 1) * S`` reproduces alpha exactly.
     Returns a dict with keys beta, omega, hess.
 
-    The triples are drawn and built a chunk of ``_CHUNK`` samples at a time
-    (``_cone_point_chunks``), each chunk copied into the three
-    ``(count, n, n)`` stacks, so the temporaries are a few chunks in size.
-    The audits screen the same chunks without forming the stacks
-    (``cone_points_gap_min``).
+    The triples are built in closed form ``_CHUNK`` samples at a time
+    (``_cone_point_chunks``), each component-major chunk moved into the
+    three sample-major ``(count, n, n)`` stacks.  The audits screen the same
+    chunks without forming the stacks (``cone_points_gap_min``).
     """
     _check_sampling("sample_cone_points", count, n)
     stacks = [np.empty((count, n, n), dtype=complex) for _ in range(3)]
     for chunk, triple in zip(_chunks(count), _cone_point_chunks(rng, count, n)):
         for stack, part in zip(stacks, triple):
-            stack[chunk] = part
+            stack[chunk] = np.moveaxis(part, -1, 0)
     return dict(zip(("beta", "omega", "hess"), stacks))
 
 
@@ -287,15 +308,11 @@ def amgm_trace_gap_batch(beta, omega, hess):
 # ---------------------------------------------------------------------------
 
 
-def _abs2(z):
-    return (z * z.conj()).real
-
-
 def _screened_gaps(beta, omega, hess):
-    """Closed-form AM-GM gaps g of stacked ``(N, n, n)`` triples, radii r
-    with ``|g - gap| <= r`` for the exact gap of each given triple, and the
-    mask of the samples where omega and alpha pass their pivot tests (r
-    holds only there).  The exact gap is ``sum l - n (prod l)^(1/n)`` over
+    """Closed-form AM-GM gaps g of component-major ``(n, n, N)`` triples,
+    radii r with ``|g - gap| <= r`` for the exact gap of each given triple,
+    and the mask of the samples where omega and alpha pass their pivot tests
+    (r holds only there).  The exact gap is ``sum l - n (prod l)^(1/n)`` over
     the eigenvalues l of ``omega^{-1} alpha`` clipped at 0, which
     ``amgm_trace_gap_batch`` computes with LAPACK; ``g - r`` is a certified
     lower bound of it.
@@ -338,55 +355,37 @@ def _screened_gaps(beta, omega, hess):
       ``delta^(1/n) top^((n-1)/n)``.
 
     So ``r = 4 n delta + n min(spread^(1/n), spread / (n max(ratio - spread,
-    0)^((n-1)/n)))``.  The formula was first derived for the distance between
-    the screen's gap and LAPACK's, each within the bounds above of the exact
-    one, so for the screen alone its linear term and its spread are twice
-    what is needed.  A loose radius only lowers the certified bound: on the
-    10^5-sample streams of ``n1ma cones`` the largest ``|g -
-    amgm_trace_gap_batch|`` is below ``1e-6 r`` and the largest r below
-    0.05, and on batches of alphas of every rank at scales 1e-3..1e3 the
-    error is below ``0.02 r``.
+    0)^((n-1)/n)))``, whose linear term and spread are twice what the screen
+    alone needs.  A loose radius only lowers the certified bound: on the
+    10^5-sample streams of ``n1ma cones`` at seeds 0-19, ``|g -
+    amgm_trace_gap_batch|`` is below ``1e-6 r`` and r below 0.06.
 
-    **Memory.**  Every output of a sample depends on that sample alone, so
-    ``cone_points_gap_min`` passes a chunk of samples at a time, and every
-    temporary is a field of the chunk's size: the two factors, M, and
-    alpha, of which only the lower triangle that ``field_cholesky`` reads
-    is formed.
+    **Memory.**  Each sample's outputs depend on it alone, so
+    ``cone_points_gap_min`` passes one chunk's component-major fields as
+    ``_cone_point_chunks`` builds them, with no copy or transpose.  Every
+    temporary is an entry field of the chunk's size: the two factors, M and
+    the lower triangle of alpha, which is all ``field_cholesky`` reads.
     """
-    n = omega.shape[-1]
+    n = omega.shape[0]
     triangle = [(i, j) for i in range(n) for j in range(i + 1)]
-    b, w, h = (np.moveaxis(x, 0, -1) for x in (beta, omega, hess))
-    factor, ok = field_cholesky(w)
+    factor, ok = field_cholesky(omega)
     inv = lower_inverse(factor)  # M_kk = 1 / L_kk, so only M is kept
     del factor
 
-    def trace_w(x):
-        total = 0.0
-        for k, i in triangle:
-            m = inv[k, i]
-            total = total + _abs2(m) * x[i, i].real
-            for j in range(i):
-                total = total + 2 * (m * x[i, j] * inv[k, j].conj()).real
-        return total
+    def frobenius(x):  # |x|_F of every matrix, from all its entries
+        return np.sqrt(sum(np.einsum("ijp,ijp->p", c, c) for c in (x.real, x.imag)))
 
-    def frobenius(x):
-        """``|x|_F`` of every matrix of a sample-major stack, in one
-        contiguous pass over its real components."""
-        flat = x.reshape(len(x), -1)
-        flat = flat.view(flat.real.dtype)
-        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-    tr_beta, tr_hess = trace_w(b), trace_w(h)
-    alpha = np.empty(w.shape, np.result_type(b, w, h))  # upper triangle unread
+    tr_beta, tr_hess = _trace_w(inv, beta), _trace_w(inv, hess)
+    alpha = np.empty(omega.shape, np.result_type(beta, omega, hess))  # upper triangle unread
     for i, j in triangle:
-        alpha[i, j] = b[i, j] + (tr_hess * w[i, j] - h[i, j]) / (n - 1)
+        alpha[i, j] = beta[i, j] + (tr_hess * omega[i, j] - hess[i, j]) / (n - 1)
     factor_alpha, ok_alpha = field_cholesky(alpha)
     ratio = 1.0
     for k in range(n):
         ratio = ratio * (factor_alpha[k, k] * inv[k, k]) ** 2
     gap = tr_beta + tr_hess - n * ratio ** (1.0 / n)
 
-    nu = sum(_abs2(inv[ij]) for ij in triangle)
+    nu = sum((inv[ij] * inv[ij].conj()).real for ij in triangle)
     norm_w = frobenius(omega)
     scale = nu * (frobenius(beta) + np.abs(tr_hess) * norm_w + frobenius(hess))
     delta = ROUNDING * n**3 * np.finfo(float).eps * (nu * norm_w) * scale
@@ -410,10 +409,10 @@ def cone_points_gap_min(rng, count, n):
 
     The bound is at most ``amgm_trace_gap_batch`` of every sample.  On the
     sampler's triples, whose hess realizes a PSD alpha through the hat map,
-    it read at least 0.043 at seeds 0-19 of ``n1ma cones`` (10^5 samples);
-    triples built with a wrong hat map make it negative.  Each chunk is screened and dropped, so the three
-    ``(count, n, n)`` stacks are never formed and the memory taken does not
-    grow with ``count``.
+    it reads at least 0.043 at seeds 0-19 of ``n1ma cones`` (10^5 samples);
+    triples built with a wrong hat map make it negative.  Each chunk is
+    screened and dropped, so the three ``(count, n, n)`` stacks are never
+    formed and the memory taken does not grow with ``count``.
     """
     _check_sampling("cone_points_gap_min", count, n)
     least = np.inf

@@ -67,8 +67,16 @@ def g_profile(z_norm, n):
 
 def radii(domain, n, count):
     """``count`` radii whose potential values g cover ``domain = (lo, hi)``,
-    ``lo < hi < 0``, less 2% at each end."""
+    ``lo < hi < 0``, less 2% at each end.  DomainError for ``n < 3``, a
+    ``count`` that is not a nonnegative integer, or a domain that is not
+    finite with ``lo < hi < 0``."""
     lo, hi = domain
+    if not n >= 3:
+        raise DomainError(f"radial.radii: need n >= 3, got {n}")
+    if not (isinstance(count, (int, np.integer)) and count >= 0):
+        raise DomainError(f"radial.radii: need an integer count >= 0, got {count!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi < 0):
+        raise DomainError(f"radial.radii: need a finite domain lo < hi < 0, got {domain!r}")
     ts = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), count)
     return (-ts) ** (-1.0 / (2 * (n - 2)))
 

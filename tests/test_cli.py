@@ -230,13 +230,13 @@ class TestVerify:
         ("cones", "--samples", "2000", "--seed", "0"):
             "11fb2afd7cef2681826571ba7992f2bd0ab78cbb36f7d1aafd3c568e96b08579",
         ("cones", "--samples", "2000", "--seed", "5"):
-            "e1a9461de27416e953e630c7365973d650e9e294c1cf757a1f74c5b1eafb5c43",
+            "d9abce6166b2605d719a1945e8299341d50b1e82ccdeea0d4e7cf3077b1e71a0",
         ("cones", "--samples", "10007", "--seed", "3"):
-            "986dcc7beb1f3d2c3b80f4df5d93b354180cc7ee6026f0895c8cc5d54715efc9",
+            "c47d0a194750232907858b792973c4e2acfd6d0b43d5e1c51654414632035eb1",
         ("cones", "--samples", "1"):
-            "53e66c6f2a4b3ea14024ea816a9ae5e3fdcc962d89d3147c97d5c1e9500753e7",
+            "52405423359128930c9a4c10c40a8dae79d722caffbc0de4997d0b5424ad49a3",
         ("verify", "-c", "manufactured", "--samples", "20000", "--seed", "7"):
-            "36d856e0f5c5d6e4a899e6eb031a0fe759cc3fb348a12b672aab2fa21976b8f4",
+            "948db928ea96d23c5fb993a0cacc23f3ce407ae4ac0b494a7b6d6fe9449bd40b",
         ("forms-check", "--n", "3", "--trials", "8", "--seed", "5"):
             "affe3759fbd582725741224995dd405f9e2fe7fa64e2b4b183dadcf1b453efba",
         ("forms-check", "--n", "4", "--trials", "8", "--seed", "5"):

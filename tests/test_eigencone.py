@@ -21,6 +21,7 @@ from n1ma.eigencone import (
     sample_spectra,
 )
 from n1ma.errors import DomainError
+from n1ma.pointwise import ROUNDING
 
 
 def brute_hat(lam):
@@ -337,10 +338,26 @@ def _planted_triples(seed, count, n, rank, scale, omega_scale, duplicates):
     return beta, omega, hess
 
 
+def component_major(*stacks):
+    """Component-major ``(n, n, N)`` views of sample-major ``(N, n, n)``
+    stacks, the layout of the sampler's chunks and of ``_screened_gaps``."""
+    return tuple(np.moveaxis(x, 0, -1) for x in stacks)
+
+
+def sample_major(*fields):
+    """Sample-major ``(N, n, n)`` views of component-major fields."""
+    return tuple(np.moveaxis(x, -1, 0) for x in fields)
+
+
+def screened(beta, omega, hess):
+    """``_screened_gaps`` of sample-major ``(N, n, n)`` stacks."""
+    return eigencone._screened_gaps(*component_major(beta, omega, hess))
+
+
 def streamed_gap_min(beta, omega, hess):
     """``cone_points_gap_min`` over the given ``(N, n, n)`` stacks, which
     stand in for the sampler's chunks and are cut as it cuts its own."""
-    chunks = [(beta[c], omega[c], hess[c]) for c in eigencone._chunks(len(beta))]
+    chunks = [component_major(beta[c], omega[c], hess[c]) for c in eigencone._chunks(len(beta))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigencone, "_cone_point_chunks", lambda rng, count, n: iter(chunks))
         return cone_points_gap_min(None, len(beta), beta.shape[-1])
@@ -350,7 +367,7 @@ def screened_min(beta, omega, hess):
     """The least certified bound ``g - r`` of ``_screened_gaps`` over whole
     ``(N, n, n)`` stacks in one call, -inf at a sample that fails a pivot
     test or whose bound is not finite."""
-    gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
+    gap, radius, ok = screened(beta, omega, hess)
     bound = gap - radius
     return float(np.where(ok & np.isfinite(bound), bound, -np.inf).min())
 
@@ -385,7 +402,7 @@ class TestAmGmTraceGapMin:
         assert np.array_equal(streamed, screened_min(beta, omega, hess))
         assert streamed <= exact.min()
         # the screen's enclosure holds wherever it clears a sample
-        gap, radius, ok = eigencone._screened_gaps(beta, omega, hess)
+        gap, radius, ok = screened(beta, omega, hess)
         assert np.all(np.abs(gap - exact)[ok] <= radius[ok])
 
     def test_nan_sample_makes_the_minimum_minus_inf(self):
@@ -416,10 +433,11 @@ class TestAmGmTraceGapMin:
         chunks = eigencone._cone_point_chunks
 
         def wrong_map(rng, count, n):
-            for beta, omega, hess in chunks(rng, count, n):
+            for triple in chunks(rng, count, n):
+                beta, omega, hess = sample_major(*triple)
                 s_mat = eigencone._batched_alpha(beta, omega, hess) - beta
                 s = np.trace(np.linalg.solve(omega, s_mat), axis1=-2, axis2=-1).real
-                yield beta, omega, s[:, None, None] * omega - (n + 3) * s_mat
+                yield component_major(beta, omega, s[:, None, None] * omega - (n + 3) * s_mat)
 
         value, threshold, verdict = amgm_row(seed, samples)
         assert value > threshold == 0.0 and verdict
@@ -447,16 +465,71 @@ def whole_batch_cone_points(rng, count, n):
     return [np.concatenate(stack) for stack in zip(*parts)]
 
 
+def rounding_bounds(beta, omega, hess):
+    """Per sample of reference triples built by the sampler's formulas
+    through other backward-stable steps, bounds on the largest entry of
+    ``beta``, ``omega`` and ``hess`` minus the reference, from the rounding
+    model of ``n1ma.pointwise``: a step on one sample errs by at most
+    ``ROUNDING n^k eps`` times that sample's own magnitude.
+
+    * A Gram entry ``sum_k a_ik conj(a_jk) / n`` is a length-n dot product,
+      within ``(n + 2) eps sqrt(G_ii G_jj) <= (n + 2) eps |G|_F`` of the exact
+      value for either build; with the shift by 0.2 I, beta and omega (and
+      alpha) are within ``ROUNDING n^2 eps |x|_F`` of the reference (k = 2).
+    * ``S = alpha - beta`` is then within ``e_S = ROUNDING n^2 eps (|alpha|_F
+      + |beta|_F)``.  ``s = tr(omega^-1 S)`` comes from a backward-stable
+      factorization of omega (k = 3), whose relative error the condition
+      number, at most ``kappa = nu |omega|_F`` with ``nu = tr omega^-1 >=
+      |omega^-1|_2``, magnifies: ``|ds| <= ROUNDING n^3 eps nu kappa
+      (|alpha|_F + |beta|_F)``.
+    * ``hess = s omega - (n - 1) S`` is within ``|ds| |omega|_F + |s| |d
+      omega| + (n - 1) e_S``, which for ``kappa >= 1`` and ``n >= 3`` is at
+      most ``ROUNDING n^3 eps kappa^2 (|s| |omega|_F + (n - 1) (|alpha|_F +
+      |beta|_F))``.
+    """
+    n = omega.shape[-1]
+    eps = np.finfo(float).eps
+
+    def frobenius(x):
+        return np.linalg.norm(x, axis=(-2, -1))
+
+    alpha = eigencone._batched_alpha(beta, omega, hess)
+    s = np.trace(np.linalg.solve(omega, alpha - beta), axis1=-2, axis2=-1).real
+    nu = np.trace(np.linalg.inv(omega), axis1=-2, axis2=-1).real
+    kappa = nu * frobenius(omega)
+    gram = ROUNDING * n**2 * eps
+    magnitude = np.abs(s) * frobenius(omega) + (n - 1) * (frobenius(alpha) + frobenius(beta))
+    return gram * frobenius(beta), gram * frobenius(omega), ROUNDING * n**3 * eps * kappa**2 * magnitude
+
+
 class TestChunkedConeBatch:
     CHUNK = eigencone._CHUNK
 
     @pytest.mark.parametrize("count, n", [(1, 3), (CHUNK, 3), (2 * CHUNK + 3, 3), (CHUNK + 1, 4), (7, 5)])
-    def test_sampling_is_bitwise_the_whole_batch_formulas(self, count, n):
+    def test_sampling_is_the_whole_batch_formulas_to_rounding(self, count, n):
         pts = sample_cone_points(np.random.default_rng(count), count, n)
         assert sorted(pts) == ["beta", "hess", "omega"]
         reference = whole_batch_cone_points(np.random.default_rng(count), count, n)
-        for name, expected in zip(("beta", "omega", "hess"), reference):
-            assert np.array_equal(pts[name].view(np.uint64), expected.view(np.uint64)), name
+        for name, expected, bound in zip(("beta", "omega", "hess"), reference, rounding_bounds(*reference)):
+            assert np.all(np.abs(pts[name] - expected).max(axis=(-2, -1)) <= bound), name
+
+    @pytest.mark.parametrize("count, n", [(1, 3), (CHUNK, 3), (2 * CHUNK + 3, 3), (CHUNK + 1, 4)])
+    def test_stacks_are_bitwise_the_chunks(self, count, n):
+        """``sample_cone_points`` moves each component-major chunk into its
+        stacks, and both leave the generator where one whole-batch draw of
+        the ``6 count n^2`` normals does."""
+        rng = np.random.default_rng(count)
+        pts = sample_cone_points(rng, count, n)
+        chunk_rng = np.random.default_rng(count)
+        chunks = [[x.copy() for x in sample_major(*triple)]
+                  for triple in eigencone._cone_point_chunks(chunk_rng, count, n)]
+        whole = np.random.default_rng(count)
+        whole.standard_normal(6 * count * n * n)
+        after = whole.standard_normal(8).view(np.uint64)
+        for name, parts in zip(("beta", "omega", "hess"), zip(*chunks)):
+            assert np.array_equal(pts[name].view(np.uint64), np.concatenate(parts).view(np.uint64)), name
+        for generator in (rng, chunk_rng):
+            assert np.array_equal(generator.standard_normal(8).view(np.uint64), after)
 
     @pytest.mark.parametrize("piece", [1, CHUNK, CHUNK + 1])
     def test_normal_draws_in_pieces_are_the_whole_batch_stream(self, piece):
@@ -476,7 +549,7 @@ class TestChunkedConeBatch:
         pts = sample_cone_points(np.random.default_rng(4), count, 3)
         # the flat point, exact gap 0, is the least sample: its bound is -r
         pts["beta"][-2], pts["omega"][-2], pts["hess"][-2] = np.eye(3), np.eye(3), 0.0
-        gap, radius, ok = eigencone._screened_gaps(**pts)
+        gap, radius, ok = screened(**pts)
         bound = gap - radius
         assert ok.all() and bound.argmin() == count - 2 and -1e-9 < bound[-2] < 0.0
         assert np.array_equal(streamed_gap_min(**pts), bound[-2])
@@ -526,6 +599,22 @@ class TestStreamedGapMin:
         pts["omega"][count - 3, 1, 1] = np.nan
         assert streamed_gap_min(**pts) == -np.inf
 
+    def test_audit_makes_no_lapack_call(self, monkeypatch):
+        """The audit builds and screens its triples in closed form: with every
+        ``numpy.linalg`` function (``solve`` and ``cholesky`` among them) and
+        ``np.matmul`` patched to raise, it returns the same bound."""
+        expected = cone_points_gap_min(np.random.default_rng(3), 10007, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cone audit called numpy.linalg or np.matmul")
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "matmul", refuse)
+        assert cone_points_gap_min(np.random.default_rng(3), 10007, 3) == expected
+
     def test_no_samples_give_the_empty_minimum(self):
         assert cone_points_gap_min(np.random.default_rng(0), 0, 3) == np.inf
 
@@ -544,7 +633,7 @@ class TestStreamedGapMin:
 
 
 @pytest.mark.parametrize("sampler", [sample_spectra, sample_cone_points, cone_points_gap_min])
-@pytest.mark.parametrize("count, n", [(-1, 3), (10, 2), (10, 1)])
+@pytest.mark.parametrize("count, n", [(-1, 3), (10, 2), (10, 1), (2.5, 3), (10, 3.5)])
 def test_samplers_reject_a_negative_count_or_small_n_before_drawing(sampler, count, n):
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError, match="count >= 0 and n >= 3"):

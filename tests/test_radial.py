@@ -7,6 +7,7 @@ from conftest import RADIAL_PROFILES, ma_hat
 from n1ma.eigencone import hat_transform
 from n1ma.errors import DomainError
 from n1ma.radial import (
+    LOGLOGLOG_DOMAIN,
     ShellIntegrand,
     g_profile,
     integral_threshold,
@@ -163,6 +164,29 @@ class TestHatEigenvalues:
 def test_formulas_reject_bad_radius_or_dimension(formula, r, n):
     with pytest.raises(DomainError):
         formula(1.0, 1.0, r, n)
+
+
+@pytest.mark.parametrize(
+    "domain, n, count",
+    [
+        (LOGLOGLOG_DOMAIN, 2, 3),
+        (LOGLOGLOG_DOMAIN, 1, 3),
+        (LOGLOGLOG_DOMAIN, 3, -1),
+        (LOGLOGLOG_DOMAIN, 3, 2.5),
+        ((-60.0, 4.0), 3, 3),
+        ((-4.0, -60.0), 3, 3),
+        ((-4.0, -4.0), 3, 3),
+        ((-math.inf, -4.0), 3, 3),
+        ((math.nan, -4.0), 3, 3),
+    ],
+    ids=[
+        "n-2", "n-1", "count-negative", "count-not-integral",
+        "hi-positive", "decreasing", "empty", "infinite", "nan",
+    ],
+)
+def test_radii_reject_bad_input(domain, n, count):
+    with pytest.raises(DomainError, match="radial.radii"):
+        radii(domain, n, count)
 
 
 class TestMaHatRadial:
