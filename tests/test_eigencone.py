@@ -21,7 +21,7 @@ from n1ma.eigencone import (
     sample_spectra,
 )
 from n1ma.errors import DomainError
-from n1ma.pointwise import ROUNDING
+from n1ma.pointwise import ROUNDING, field_cholesky, lower_inverse
 
 
 def brute_hat(lam):
@@ -465,6 +465,42 @@ def whole_batch_cone_points(rng, count, n):
     return [np.concatenate(stack) for stack in zip(*parts)]
 
 
+def whole_batch_closed_form(rng, count, n):
+    """``sample_cone_points`` as its closed-form formulas applied to the whole
+    batch at once, sample-major: (beta, omega, hess).  The normals are drawn
+    in the sampler's order, six pieces per ``_CHUNK`` samples."""
+    draws = [[], [], []]
+    for chunk in eigencone._chunks(count):
+        size = chunk.stop - chunk.start
+        for parts in draws:
+            parts.append([rng.standard_normal((size, n, n)) for _ in range(2)])
+
+    def gram(parts):
+        # component-major (n, n, count) parts, as in the sampler: einsum's
+        # order of summation in _dot depends on the strides of its operands
+        x, y = (np.ascontiguousarray(np.moveaxis(np.concatenate(part), 0, -1)) for part in zip(*parts))
+        out = np.empty((n, n, count), dtype=complex)
+        for i in range(n):
+            out[i, i] = eigencone._dot(x[i], x[i]) + eigencone._dot(y[i], y[i])
+            for j in range(i):
+                out.real[i, j] = eigencone._dot(x[i], x[j]) + eigencone._dot(y[i], y[j])
+                out.imag[i, j] = eigencone._dot(y[i], x[j]) - eigencone._dot(x[i], y[j])
+                out[j, i] = np.conj(out[i, j])
+        out /= n
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+    beta, omega, alpha = (gram(parts) for parts in draws)
+    for i in range(n):
+        beta.real[:, i, i] += 0.2
+        omega.real[:, i, i] += 0.2
+    hess = alpha - beta
+    omega_field, s_field = component_major(omega, hess)
+    s = eigencone._trace_w(lower_inverse(field_cholesky(omega_field)[0]), s_field)
+    hess *= 1 - n
+    hess += s[:, None, None] * omega
+    return beta, omega, hess
+
+
 def rounding_bounds(beta, omega, hess):
     """Per sample of reference triples built by the sampler's formulas
     through other backward-stable steps, bounds on the largest entry of
@@ -512,6 +548,16 @@ class TestChunkedConeBatch:
         reference = whole_batch_cone_points(np.random.default_rng(count), count, n)
         for name, expected, bound in zip(("beta", "omega", "hess"), reference, rounding_bounds(*reference)):
             assert np.all(np.abs(pts[name] - expected).max(axis=(-2, -1)) <= bound), name
+
+    @pytest.mark.parametrize("count, n", [(1, 3), (CHUNK, 3), (2 * CHUNK + 3, 3), (CHUNK + 1, 4), (7, 5)])
+    def test_sampling_is_bitwise_the_whole_batch_formulas(self, count, n):
+        """Chunking, the component-major layout and the reuse of the buffers
+        change no bit: ``sample_cone_points`` is its closed-form formulas
+        applied to the whole batch at once."""
+        pts = sample_cone_points(np.random.default_rng(count), count, n)
+        reference = whole_batch_closed_form(np.random.default_rng(count), count, n)
+        for name, expected in zip(("beta", "omega", "hess"), reference):
+            assert np.array_equal(pts[name].view(np.uint64), expected.view(np.uint64)), name
 
     @pytest.mark.parametrize("count, n", [(1, 3), (CHUNK, 3), (2 * CHUNK + 3, 3), (CHUNK + 1, 4)])
     def test_stacks_are_bitwise_the_chunks(self, count, n):
