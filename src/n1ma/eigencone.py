@@ -108,10 +108,10 @@ def is_m_subharmonic(lam, m):
     """Membership in the m-subharmonic cone: e_k >= -_SLACK for k = 1..m."""
     arr = _as_spectra(lam)
     n = arr.shape[-1]
-    if not 1 <= int(m) <= n:
-        raise DomainError(f"eigencone.is_m_subharmonic: m={m} outside 1..{n}")
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
+        raise DomainError(f"eigencone.is_m_subharmonic: m={m!r} is not an integer in 1..{n}")
     inside = True
-    for e_k in _symmetric_columns(arr, int(m))[1:]:
+    for e_k in _symmetric_columns(arr, m)[1:]:
         inside = inside & (e_k >= -_SLACK)
     return inside
 

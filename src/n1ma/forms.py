@@ -89,6 +89,17 @@ def _complement_table(n, p):
     return comp_idx, sgn[rows, comp_idx]
 
 
+def _check_bidegree(n, p, q):
+    """DomainError unless n, p and q are integers with ``2 <= n <= _MAX_N``
+    and ``0 <= p, q <= n``: the combination tables need them."""
+    if not all(isinstance(k, (int, np.integer)) for k in (n, p, q)):
+        raise DomainError(f"PQForm: n, p and q must be integers, not {n!r}, {p!r}, {q!r}")
+    if not 2 <= n <= _MAX_N:
+        raise DomainError(f"PQForm: n={n} outside 2..{_MAX_N}")
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise DomainError(f"PQForm: bidegree ({p},{q}) out of range")
+
+
 @dataclass(frozen=True)
 class PQForm:
     """A (p,q)-form with constant complex coefficients on ordered indices."""
@@ -99,10 +110,7 @@ class PQForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not 2 <= self.n <= _MAX_N:
-            raise DomainError(f"PQForm: n={self.n} outside 2..{_MAX_N}")
-        if not (0 <= self.p <= self.n and 0 <= self.q <= self.n):
-            raise DomainError(f"PQForm: bidegree ({self.p},{self.q}) out of range")
+        _check_bidegree(self.n, self.p, self.q)
         want = (len(_combos(self.n, self.p)), len(_combos(self.n, self.q)))
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != want:
@@ -111,6 +119,7 @@ class PQForm:
 
     @classmethod
     def zero(cls, n, p, q):
+        _check_bidegree(n, p, q)
         shape = (len(_combos(n, p)), len(_combos(n, q)))
         return cls(n, p, q, np.zeros(shape, dtype=complex))
 
@@ -198,6 +207,7 @@ def one_one_form(matrix):
 
 
 def euclidean_metric(n):
+    _check_bidegree(n, 1, 1)
     return one_one_form(np.eye(n))
 
 

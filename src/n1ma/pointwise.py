@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["field_cholesky", "lower_inverse", "certified_max", "eig_extreme"]
 
 # C of the rounding model above, and the number of points of largest bound
@@ -156,13 +158,21 @@ def eig_extreme(m, signs):
     rounding of the factorization and of ``eigvalsh`` (Demmel 1989).  LAPACK
     factors each matrix on its own, so a field of bitwise equal matrices
     needs one ``eigvalsh``, and so does a field of zeros of both signs, whose
-    constant enclosure would leave every point open.
+    constant enclosure would leave every point open.  A field that is not
+    square, or has a NaN entry, raises DomainError.
     """
+    if m.ndim < 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"pointwise.eig_extreme: shape {m.shape}, expected (n, n) or (n, n) + grid")
     n = m.shape[0]
     flat = m.reshape(n, n, -1)
 
     def exact(points):
-        e = np.linalg.eigvalsh(np.moveaxis(flat[:, :, points], -1, 0))
+        sub = flat[:, :, points]
+        # a NaN entry makes its point's enclosure NaN, which leaves the point
+        # open, so every such point reaches this check
+        if not np.isfinite(sub).all():
+            raise DomainError("pointwise.eig_extreme: the field must be finite")
+        e = np.linalg.eigvalsh(np.moveaxis(sub, -1, 0))
         return np.max([-e[:, 0] if s > 0 else e[:, -1] for s in signs])
 
     bits = flat.view(np.uint64)

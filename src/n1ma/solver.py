@@ -26,12 +26,15 @@ cone: it ends with the failure ``"cone-exit"``.
 Each GMRES matvec is one spectral pass: ``y -> rfftn(y)``, times the inverse
 symbol and the stacked Hessian multipliers, one batched ``irfftn`` to the
 upper-triangle Hessian blocks ``h_p`` of ``M^-1 y``, then ``sum_p w_p h_p``
-with ``w_p = theta_ii`` on the diagonal and ``2 theta_ij`` off it.  GMRES
-reports success only when its closing true residual is within its tolerance,
-below 1e-3, so only a correction it reports unconverged costs one more
-application for the check.  SciPy is loaded on first use: ``scipy.fft`` at
-the first transform and ``scipy.sparse.linalg`` at the first GMRES
-correction, so importing the solver loads neither.
+with ``w_p = theta_ii`` on the diagonal and ``2 theta_ij`` off it.  GMRES is
+the module's own: one cycle from zero of at most ``_KRYLOV_MAXITER``
+iterations, classical Gram-Schmidt applied twice and Givens rotations.  It
+keeps every product ``A v_k``, so its closing residual ``b - sum_k y_k (A
+v_k)`` costs no matvec, and it reports success only when that residual is
+within its tolerance, below 1e-3; only a correction it reports unconverged
+costs one more application for the check.  SciPy is loaded on first use:
+``scipy.fft`` at the first transform, so importing the solver loads none of
+it, and no solve loads ``scipy.sparse`` or ``scipy.linalg``.
 
 The pointwise linear algebra of a Newton step calls no LAPACK routine.  Every
 pointwise decision is a Cholesky factorization written over grid fields
@@ -475,20 +478,83 @@ def _forcing_term(res, opts):
     return min(_FORCING_CAP, max(res, 0.1 * opts.tolerance / res))
 
 
-# module functions, not imported names, so that tests and the benchmark's
-# span tracer can rebind them before scipy is loaded
-def LinearOperator(*args, **kwargs):
-    """``scipy.sparse.linalg.LinearOperator``, loaded on first use."""
-    from scipy.sparse.linalg import LinearOperator as operator
+# module names that tests and the benchmark's span tracer rebind: the
+# operator holder (to count matvecs) and GMRES itself
+@dataclass(frozen=True)
+class LinearOperator:
+    """A square operator: ``matvec`` maps a float64 vector to a new array,
+    which GMRES keeps by reference."""
 
-    return operator(*args, **kwargs)
+    shape: tuple
+    matvec: object
+    dtype: object = float
 
 
-def gmres(*args, **kwargs):
-    """``scipy.sparse.linalg.gmres``, loaded on first use."""
-    from scipy.sparse.linalg import gmres as krylov
+def _gmres_cycle(op, b, rtol):
+    """One GMRES cycle from x = 0 on ``op x = b`` (Saad and Schultz 1986):
+    ``(x, r)``, with r the closing residual ``b - sum_k y_k (A v_k)``.
 
-    return krylov(*args, **kwargs)
+    Each iteration orthogonalizes ``A v_k`` by classical Gram-Schmidt
+    applied twice (Giraud, Langou and Rozloznik 2005) and updates the QR
+    factor of the Hessenberg matrix by one Givens rotation.  The cycle stops
+    when the Arnoldi estimate ``|g_(k+1)|`` of the residual is at most ``rtol
+    |b|``, at an exact breakdown, or after ``min(_KRYLOV_MAXITER, n)``
+    iterations.  x is ``sum_k y_k v_k``, and each product ``A v_k`` is kept
+    by reference, so r costs no matvec: it is the true residual up to the
+    rounding of the operator's linearity.  The basis is one array of
+    ``min(_KRYLOV_MAXITER, n) + 1`` vectors.
+    """
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b), b.copy()
+    basis = np.empty((min(_KRYLOV_MAXITER, b.size) + 1, b.size))
+    np.multiply(b, 1.0 / beta, out=basis[0])
+    products, columns, rotations, g = [], [], [], [beta]
+    for k in range(len(basis) - 1):
+        w = op.matvec(basis[k])
+        products.append(w)
+        v, new = basis[: k + 1], basis[k + 1]
+        h = v @ w
+        np.subtract(w, h @ v, out=new)
+        again = v @ new
+        new -= again @ v
+        column = (h + again).tolist()
+        sub = np.linalg.norm(new)
+        if sub <= _EPS * np.linalg.norm(w):
+            sub = 0.0  # an exact breakdown: A v_k lies in the basis, g_(k+1) = 0
+        else:
+            new *= 1.0 / sub
+        for i, (c, s) in enumerate(rotations):
+            column[i], column[i + 1] = c * column[i] + s * column[i + 1], c * column[i + 1] - s * column[i]
+        diag = math.hypot(column[k], sub)
+        c, s = (column[k] / diag, sub / diag) if diag else (1.0, 0.0)
+        column[k] = diag
+        rotations.append((c, s))
+        columns.append(column)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= rtol * beta:
+            break
+    # back substitution in R y = g; a zero pivot leaves its coefficient 0
+    y = g[: len(columns)]
+    for j in reversed(range(len(columns))):
+        y[j] = y[j] / columns[j][j] if columns[j][j] else 0.0
+        for i in range(j):
+            y[i] -= y[j] * columns[j][i]
+    # x and its residual as the same sum over the basis and the products
+    x, r = np.zeros_like(b), b.copy()
+    for coefficient, vector, product in zip(y, basis, products):
+        x += coefficient * vector
+        r -= coefficient * product
+    return x, r
+
+
+def gmres(op, b, rtol):
+    """``(x, info)`` of one GMRES cycle (``_gmres_cycle``) on ``op x = b``:
+    info is 0 exactly when the closing residual is at most ``rtol |b|``,
+    else 1."""
+    x, r = _gmres_cycle(op, b, rtol)
+    return x, int(not np.linalg.norm(r) <= rtol * np.linalg.norm(b))
 
 
 def _krylov_correction(factor, rhs, rtol):
@@ -497,9 +563,9 @@ def _krylov_correction(factor, rhs, rtol):
     at relative tolerance rtol; None when its true relative residual
     exceeds 1e-3.
 
-    SciPy's GMRES reports success (``info == 0``) exactly when its closing
-    true residual is at most ``rtol |rhs|``, below 1e-3; only a correction it
-    reports unconverged, as at the rounding floor, takes one more product.
+    GMRES reports success (``info == 0``) exactly when its closing residual
+    is at most ``rtol |rhs|``, below 1e-3; only a correction it reports
+    unconverged, as at the rounding floor, takes one more product.
     """
     shape = factor[0, 0].shape
     theta = _linearization_tensor(factor)
@@ -510,7 +576,7 @@ def _krylov_correction(factor, rhs, rtol):
     op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
     # right preconditioning: GMRES minimizes the true residual of
     # (A M^-1) y = rhs, and the correction is M^-1 y
-    y, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=_KRYLOV_MAXITER, maxiter=1)
+    y, info = gmres(op, rhs, rtol=rtol)
     if info != 0 and np.linalg.norm(op.matvec(y) - rhs) / np.linalg.norm(rhs) > 1e-3:
         return None
     return _preconditioner(shape, inverse)(y).reshape(shape)
@@ -777,6 +843,8 @@ def manufactured_problem(amplitude=0.4, shape=(32, 32, 32)):
     shifted to sup = 0, and the density is ``det alpha_{u_star}`` so that the
     exact solution is (u_star, c = 1).
     """
+    if not (isinstance(amplitude, (int, float, np.integer, np.floating)) and math.isfinite(amplitude)):
+        raise DomainError(f"solver.manufactured_problem: amplitude {amplitude!r} is not a finite number")
     shape = _validate_shape(shape)
     if len(shape) != 3:
         raise DomainError("solver.manufactured_problem: fixture is three-dimensional")

@@ -65,9 +65,9 @@ class TestSolve:
 
     # sha256 of the manufactured solve's reports, which pin the solver's bits
     GOLDEN = {
-        "solve.csv": "1675caae1c1194e68bdd5561030d62e5445d8448902633dfef13321195401884",
-        "residuals.csv": "a751a40ae399ec029bcacbc80b598e5f22dfdce6eea971c5b879f613eff0f931",
-        "u.csv": "dc18e32230d6358a38fb03d13c964cad30fc49e349bf032b998cbad463ed7250",
+        "solve.csv": "fca830f198773752a384c404b22088585f8dad671b0c5c1d5bcf8acb72b10e99",
+        "residuals.csv": "df8073374855e81a6da02b7c908b0172c2ddeb2f2e66219f788b0a64fe2a20c1",
+        "u.csv": "c08c369f3084b5a3c5ce5442dd732b5298daa843cf5cb1c039d51483ee5c74d7",
     }
 
     @pytest.fixture(scope="class")
@@ -236,7 +236,7 @@ class TestVerify:
         ("cones", "--samples", "1"):
             "52405423359128930c9a4c10c40a8dae79d722caffbc0de4997d0b5424ad49a3",
         ("verify", "-c", "manufactured", "--samples", "20000", "--seed", "7"):
-            "948db928ea96d23c5fb993a0cacc23f3ce407ae4ac0b494a7b6d6fe9449bd40b",
+            "6d6942d1108fff38d9b7b471f2f1a2f835d021f0f8ee850cd7ecfa49ed01f524",
         ("forms-check", "--n", "3", "--trials", "8", "--seed", "5"):
             "affe3759fbd582725741224995dd405f9e2fe7fa64e2b4b183dadcf1b453efba",
         ("forms-check", "--n", "4", "--trials", "8", "--seed", "5"):

@@ -1,13 +1,18 @@
 """The package loads scipy only where it is used.
 
-``grid`` and ``solver`` import ``scipy.fft`` and ``scipy.sparse.linalg``
-inside the functions that transform or run GMRES, so ``n1ma cones``,
-``n1ma forms-check`` and every exit on bad input run without scipy.  The
-check runs in a fresh interpreter: the test process has loaded scipy long
-before.
+``grid`` and ``solver`` import ``scipy.fft`` inside the functions that
+transform, so ``n1ma cones``, ``n1ma forms-check`` and every exit on bad
+input run without scipy.  GMRES is the solver's own, so ``solve``,
+``verify`` and ``family`` load ``scipy.fft`` and neither ``scipy.sparse``
+nor ``scipy.linalg``.  The check runs in a fresh interpreter: the test
+process has loaded scipy long before.
 """
 
+from pathlib import Path
+
 from conftest import fresh_python
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import contextlib, io, os, sys, tempfile
@@ -33,10 +38,15 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
     assert codes == [0, 0, 5], codes
     assert not scipy_modules(), scipy_modules()
     assert main(["solve", "-c", "manufactured", "-o", out]) == 0
-assert {"scipy.fft", "scipy.sparse.linalg"} <= set(scipy_modules())
+    assert "scipy.fft" in scipy_modules()
+    assert main(["verify", "-c", "manufactured", "--samples", "200", "--seed", "1", "-o", out]) == 0
+    assert main(["family", "-c", {family!r}, "-o", out]) == 0
+loaded = scipy_modules()
+assert "scipy.fft" in loaded, loaded
+assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"])], loaded
 """
 
 
 def test_cones_forms_check_and_bad_input_load_no_scipy():
-    proc = fresh_python(SCRIPT)
+    proc = fresh_python(SCRIPT.format(family=str(ROOT / "configs" / "family.ini")))
     assert proc.returncode == 0, proc.stderr
